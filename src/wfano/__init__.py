@@ -12,7 +12,6 @@ from .blowup import (
     exceptional_strict,
     is_negative_definite,
     neg_k_cube,
-    push_blowup,
     solve_gram,
     triple,
 )
@@ -22,7 +21,6 @@ from .classifier import (
     HalphenAnswer,
     PencilDescriptor,
     PencilKind,
-    curve_center_admissible,
     family,
     halphen_pencils,
     load_families,
@@ -33,13 +31,11 @@ from .classifier import (
     verify_family,
 )
 from .core import (
-    Monomial,
     QuotientSingularityType,
     Rational,
     Weights,
     anticanonical_cube,
     is_representable,
-    monomials_of_degree,
     normalize_singularity,
 )
 from .enumerator import enumerate_families, is_quasismooth_general
@@ -58,7 +54,6 @@ __all__ = [
     "exceptional_strict",
     "is_negative_definite",
     "neg_k_cube",
-    "push_blowup",
     "solve_gram",
     "triple",
     "INFINITE",
@@ -66,7 +61,6 @@ __all__ = [
     "HalphenAnswer",
     "PencilDescriptor",
     "PencilKind",
-    "curve_center_admissible",
     "family",
     "halphen_pencils",
     "load_families",
@@ -75,13 +69,11 @@ __all__ = [
     "type_iii_point_count",
     "unique_index_j",
     "verify_family",
-    "Monomial",
     "QuotientSingularityType",
     "Rational",
     "Weights",
     "anticanonical_cube",
     "is_representable",
-    "monomials_of_degree",
     "normalize_singularity",
     "enumerate_families",
     "is_quasismooth_general",

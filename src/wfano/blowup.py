@@ -25,6 +25,7 @@ and the system is solved exactly.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -107,16 +108,6 @@ class Tower:
 
     def __len__(self):
         return len(self.centers)
-
-
-def push_blowup(tower: Tower, center: BlowupCenter) -> Tower:
-    """Extend the tower by one more blow up; the center's stage must be the
-    next free one."""
-    if center.stage != len(tower.centers) + 1:
-        raise InvalidStageError(
-            f"expected stage {len(tower.centers) + 1}, got {center.stage}"
-        )
-    return Tower(tower.base, tower.centers + (center,))
 
 
 @dataclass(frozen=True)
@@ -227,15 +218,17 @@ class GramProblem:
                 )
 
 
-def _solve_exact(rows: list[list[Fraction]], n_unknowns: int) -> list[Fraction]:
-    # Gaussian elimination over the rationals on an augmented matrix
-    mat = [row[:] for row in rows]
-    pivots: list[tuple[int, int]] = []
+def _gauss_jordan(mat: list[list[Fraction]], n_cols: int) -> Iterator[tuple[Fraction, bool]]:
+    # Gauss-Jordan elimination over the rationals, in place, on the first
+    # n_cols columns.  Yields (value, moved up by a row swap) for each pivot
+    # as soon as it is found, so a caller may stop early; the k-th pivot
+    # ends up in row k.
     row = 0
-    for col in range(n_unknowns):
+    for col in range(n_cols):
         pivot = next((r for r in range(row, len(mat)) if mat[r][col] != 0), None)
         if pivot is None:
             continue
+        yield mat[pivot][col], pivot != row
         mat[row], mat[pivot] = mat[pivot], mat[row]
         inv = mat[row][col]
         mat[row] = [x / inv for x in mat[row]]
@@ -243,19 +236,21 @@ def _solve_exact(rows: list[list[Fraction]], n_unknowns: int) -> list[Fraction]:
             if r != row and mat[r][col] != 0:
                 factor = mat[r][col]
                 mat[r] = [x - factor * y for x, y in zip(mat[r], mat[row])]
-        pivots.append((row, col))
         row += 1
-    for r in range(row, len(mat)):
+
+
+def _solve_exact(rows: list[list[Fraction]], n_unknowns: int) -> list[Fraction]:
+    # solve the augmented system; with full rank, unknown k is pinned by row k
+    mat = [row[:] for row in rows]
+    rank = sum(1 for _ in _gauss_jordan(mat, n_unknowns))
+    for r in range(rank, len(mat)):
         if mat[r][n_unknowns] != 0:
             raise InconsistentError("decompositions contradict the triple products")
-    if len(pivots) < n_unknowns:
+    if rank < n_unknowns:
         raise UnderdeterminedError(
-            f"{n_unknowns - len(pivots)} of {n_unknowns} Gram entries stay free"
+            f"{n_unknowns - rank} of {n_unknowns} Gram entries stay free"
         )
-    solution = [Fraction(0)] * n_unknowns
-    for r, col in pivots:
-        solution[col] = mat[r][n_unknowns]
-    return solution
+    return [mat[k][n_unknowns] for k in range(n_unknowns)]
 
 
 def solve_gram(problem: GramProblem) -> tuple[tuple[Fraction, ...], ...]:
@@ -288,9 +283,11 @@ def solve_gram(problem: GramProblem) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def is_negative_definite(matrix) -> bool:
-    """Sylvester's criterion, exactly: the k-th leading principal minor must
-    have sign (-1)^k."""
-    m = [list(row) for row in matrix]
+    """Exact test by elimination: a symmetric matrix is negative definite
+    iff Gauss-Jordan elimination needs no row swap and all n pivots are
+    negative (pivot k is the ratio D_k/D_(k-1) of leading principal minors,
+    so this is Sylvester's criterion without computing n determinants)."""
+    m = [[Fraction(x) for x in row] for row in matrix]
     n = len(m)
     if any(len(row) != n for row in m):
         raise NotSymmetricError("matrix is not square")
@@ -298,25 +295,9 @@ def is_negative_definite(matrix) -> bool:
         for j in range(i + 1, n):
             if m[i][j] != m[j][i]:
                 raise NotSymmetricError(f"entries ({i},{j}) and ({j},{i}) differ")
-    for k in range(1, n + 1):
-        if _det([row[:k] for row in m[:k]]) * (-1) ** k <= 0:
+    rank = 0
+    for value, swapped in _gauss_jordan(m, n):
+        if swapped or value >= 0:
             return False
-    return True
-
-
-def _det(m: list[list[Fraction]]) -> Fraction:
-    m = [[Fraction(x) for x in row] for row in m]
-    n = len(m)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        for r in range(col + 1, n):
-            factor = m[r][col] / m[col][col]
-            m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    return det
+        rank += 1
+    return rank == n

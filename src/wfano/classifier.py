@@ -62,7 +62,7 @@ class NotUniqueError(ValueError):
 
 
 class NotApplicableError(ValueError):
-    """The triple-point count formula needs a1 = a2 != 1 and a3 = a1 + 1."""
+    """A counting rule does not apply to the weight system it was given."""
 
 
 class PencilCount(enum.Enum):
@@ -104,6 +104,23 @@ class TableRow:
     def type_text(self) -> str:
         q = self.local_weights
         return f"1/{self.index}({q[0]},{q[1]},{q[2]})"
+
+    def annotation_field(self) -> dict[str, list[int] | str]:
+        """The annotation as {tag: value}: BC -> [b, c], QI/EI -> text, or
+        {} when there is none."""
+        a = self.annotation
+        if a is None:
+            return {}
+        if isinstance(a, BC):
+            return {"BC": [a.b, a.c]}
+        return {type(a).__name__: a.text}
+
+    def __str__(self):
+        """The row as the dataset writes it, after the `row` keyword."""
+        words = [self.locus, f"{self.count}x", self.type_text()]
+        for tag, value in self.annotation_field().items():
+            words += [tag, *map(str, value)] if isinstance(value, list) else [tag, value]
+        return " ".join(words)
 
 
 @dataclass(frozen=True)
@@ -305,15 +322,7 @@ def serialize_table(records) -> str:
             "pencils "
             + ("infinite" if rec.halphen_count is INFINITE else str(rec.halphen_count)),
         ]
-        for row in rec.basket_rows:
-            ann = ""
-            if isinstance(row.annotation, BC):
-                ann = f" BC {row.annotation.b} {row.annotation.c}"
-            elif isinstance(row.annotation, QI):
-                ann = f" QI {row.annotation.text}"
-            elif isinstance(row.annotation, EI):
-                ann = f" EI {row.annotation.text}"
-            lines.append(f"row {row.locus} {row.count}x {row.type_text()}{ann}")
+        lines += [f"row {row}" for row in rec.basket_rows]
         chunks.append("\n".join(lines))
     return "\n\n".join(chunks) + "\n"
 
@@ -385,9 +394,10 @@ def type_iii_point_count(w: Weights) -> int:
     with a1 = a2 != 1 and a3 = a1 + 1; equals (3*a1 + a4 + 1)/a1."""
     if not (w.a1 == w.a2 != 1 and w.a3 == w.a1 + 1):
         raise NotApplicableError(f"{w} is not of the a1=a2, a3=a1+1 shape")
-    num = 3 * w.a1 + w.a4 + 1
-    assert num % w.a1 == 0, w
-    return num // w.a1
+    count, rem = divmod(3 * w.a1 + w.a4 + 1, w.a1)
+    if rem:
+        raise NotApplicableError(f"{w}: 3*a1 + a4 + 1 is not a multiple of a1")
+    return count
 
 
 def is_type_iii(w: Weights) -> bool:
@@ -437,8 +447,8 @@ def halphen_pencils(gimel: int, path: str | None = None) -> HalphenAnswer:
         )
         return HalphenAnswer(gimel, 2, (principal, extra))
     if gimel in TYPE_IV_GIMELS:
-        res = unique_index_j(w, skipped=2)
-        assert res is not None and w.a1 not in (1, w.a2), (gimel, w)
+        if unique_index_j(w, skipped=2) is None or w.a1 in (1, w.a2):
+            raise NotApplicableError(f"family {gimel} {w} has no second pencil presentation")
         extra = PencilDescriptor(
             PencilKind.TYPE_IV, f"lambda*x^{w.a2} + mu*z", w.a2
         )
@@ -458,15 +468,6 @@ def derived_type_iv_set(records) -> set[int]:
         if rec.halphen_count == 2 and unique_index_j(w, skipped=2) is not None:
             out.add(rec.gimel)
     return out
-
-
-def curve_center_admissible(curve_degree: Fraction, w: Weights) -> bool:
-    """Can an irreducible curve of the given anticanonical degree be a
-    maximal center?  Only when its degree does not exceed -K^3 (boundary
-    included)."""
-    if curve_degree <= 0:
-        raise ValueError(f"curve degree must be positive, got {curve_degree}")
-    return curve_degree <= anticanonical_cube(w)
 
 
 # ---------------------------------------------------------------------------

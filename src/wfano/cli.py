@@ -17,9 +17,6 @@ from . import classifier
 from .blowup import InconsistentError, NotSymmetricError, UnderdeterminedError
 from .classifier import (
     INFINITE,
-    BC,
-    EI,
-    QI,
     PositionedError,
     UnknownGimelError,
     load_families,
@@ -146,17 +143,6 @@ def cmd_eval_tower(args) -> int:
     return 0
 
 
-def _row_flat(row) -> str:
-    text = f"{row.count}x {row.type_text()}"
-    if isinstance(row.annotation, BC):
-        text += f" BC {row.annotation.b} {row.annotation.c}"
-    elif isinstance(row.annotation, QI):
-        text += f" QI {row.annotation.text}"
-    elif isinstance(row.annotation, EI):
-        text += f" EI {row.annotation.text}"
-    return f"{row.locus} {text}"
-
-
 def cmd_export(args) -> int:
     records = load_families()
     if args.format == "json":
@@ -179,21 +165,10 @@ def cmd_export(args) -> int:
                             "locus": row.locus,
                             "count": row.count,
                             "type": row.type_text(),
-                            **(
-                                {"bc": [row.annotation.b, row.annotation.c]}
-                                if isinstance(row.annotation, BC)
-                                else {}
-                            ),
-                            **(
-                                {"qi": row.annotation.text}
-                                if isinstance(row.annotation, QI)
-                                else {}
-                            ),
-                            **(
-                                {"ei": row.annotation.text}
-                                if isinstance(row.annotation, EI)
-                                else {}
-                            ),
+                            **{
+                                tag.lower(): value
+                                for tag, value in row.annotation_field().items()
+                            },
                         }
                         for row in rec.basket_rows
                     ],
@@ -221,7 +196,7 @@ def cmd_export(args) -> int:
                     rec.invariant,
                     rec.ell,
                     "infinite" if rec.halphen_count is INFINITE else rec.halphen_count,
-                    "; ".join(_row_flat(row) for row in rec.basket_rows),
+                    "; ".join(str(row) for row in rec.basket_rows),
                 ]
             )
         text = buf.getvalue()

@@ -2,8 +2,8 @@
 
 Everything here is a small, pure function on integers and
 `fractions.Fraction`; no floats anywhere.  The central objects are the
-weight system of an ambient space P(1, a1, a2, a3, a4), monomials of a
-given weighted degree, and cyclic quotient singularity types 1/r(1, a, r-a).
+weight system of an ambient space P(1, a1, a2, a3, a4), representability
+of a weighted degree, and cyclic quotient singularity types 1/r(1, a, r-a).
 """
 from __future__ import annotations
 
@@ -60,54 +60,9 @@ class Weights:
         return (1, self.a1, self.a2, self.a3, self.a4)
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """A monomial in the five ambient variables, stored by exponents."""
-
-    exponents: tuple[int, int, int, int, int]
-
-    def __post_init__(self):
-        if len(self.exponents) != 5 or any(e < 0 for e in self.exponents):
-            raise ValueError(f"bad exponent vector {self.exponents}")
-
-    def degree(self, w: Weights) -> int:
-        return sum(e * a for e, a in zip(self.exponents, w.ambient))
-
-    def __str__(self):
-        names = "xyztw"
-        parts = [
-            f"{n}^{e}" if e > 1 else n
-            for n, e in zip(names, self.exponents)
-            if e > 0
-        ]
-        return "*".join(parts) if parts else "1"
-
-
 def anticanonical_cube(w: Weights) -> Fraction:
     """Anticanonical degree -K^3 = d / (a1*a2*a3*a4) of the general member."""
     return Fraction(w.degree, w.a1 * w.a2 * w.a3 * w.a4)
-
-
-def monomials_of_degree(w: Weights, d: int) -> list[Monomial]:
-    """All ambient monomials of weighted degree d, in lexicographic order
-    of their exponent vectors."""
-    if d < 0:
-        return []
-    ws = w.ambient
-    out: list[Monomial] = []
-
-    def rec(idx: int, remaining: int, acc: tuple[int, ...]):
-        if idx == 4:
-            q, r = divmod(remaining, ws[4])
-            if r == 0:
-                out.append(Monomial(acc + (q,)))
-            return
-        for e in range(remaining // ws[idx] + 1):
-            rec(idx + 1, remaining - e * ws[idx], acc + (e,))
-
-    rec(0, d, ())
-    out.sort(key=lambda m: m.exponents)
-    return out
 
 
 @functools.lru_cache(maxsize=None)

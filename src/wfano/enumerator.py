@@ -14,44 +14,11 @@ are combined:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 
-from .core import (
-    NonTerminalError,
-    Weights,
-    WeightDivisibleError,
-    is_representable,
-    normalize_singularity,
-)
-
-
-@dataclass(frozen=True)
-class Stratum:
-    """A one-dimensional coordinate stratum {x_k = 0 for k outside {i, j}}
-    along which the ambient space has a transverse 1/r quotient."""
-
-    i: int  # ambient indices, 1-based into (a1..a4)
-    j: int
-    r: int
-
-    def __post_init__(self):
-        if not (1 <= self.i < self.j <= 4):
-            raise ValueError(f"bad stratum indices ({self.i}, {self.j})")
-        if self.r < 2:
-            raise ValueError("a stratum needs a common weight factor >= 2")
-
-
-def singular_strata(w: Weights) -> list[Stratum]:
-    """The coordinate strata of P(1,a1,..,a4) with non-trivial stabilizer."""
-    ws = w.ambient
-    return [
-        Stratum(i, j, gcd(ws[i], ws[j]))
-        for i in range(1, 5)
-        for j in range(i + 1, 5)
-        if gcd(ws[i], ws[j]) >= 2
-    ]
+from .core import NonTerminalError, Weights, WeightDivisibleError, is_representable
+from .singularities import EmptyRestrictionError, NoEliminatorError, singular_points
 
 
 def is_quasismooth_general(w: Weights) -> bool:
@@ -77,51 +44,23 @@ def is_quasismooth_general(w: Weights) -> bool:
     return True
 
 
-def _terminal_type_or_none(r: int, others: list[int]) -> bool:
-    try:
-        normalize_singularity(r, *others)
-    except (NonTerminalError, WeightDivisibleError):
-        return False
-    return True
-
-
 def has_only_terminal_isolated_sings(w: Weights) -> bool:
     """Do the quotient points cut out on a general member stay terminal?
 
-    Checks, in order: the weights are globally coprime; no three weights
-    share a factor (that would force a singular surface inside X); every
-    singular stratum actually meets the general member in finitely many
-    points; and every singular point, at a vertex or on a stratum, carries
-    a 1/r(1, a, r-a) quotient.
+    The weights must be globally coprime, and the walk over the singular
+    points of the member (`singularities.singular_points`) must find a
+    1/r(1, a, r-a) quotient at every vertex and along every singular
+    stratum, with no stratum curve inside the member.  Three weights with a
+    common factor need no separate test: the stratum of two of them then
+    has a local weight not prime to its index.
     """
-    d = w.degree
-    ws = w.ambient
-    if gcd(gcd(ws[1], ws[2]), gcd(ws[3], ws[4])) != 1:
+    if gcd(*w) != 1:
         return False
-    for tri in combinations(range(1, 5), 3):
-        if gcd(gcd(ws[tri[0]], ws[tri[1]]), ws[tri[2]]) >= 2:
-            return False
-    # vertices P_i lying on X (no pure power of x_i in degree d)
-    for i in range(1, 5):
-        r = ws[i]
-        if r < 2 or d % r == 0:
-            continue
-        for j in range(5):
-            if j == i:
-                continue
-            k, rem = divmod(d - ws[j], r)
-            if rem == 0 and k >= 1:
-                others = [ws[m] for m in range(5) if m not in (i, j)]
-                if not _terminal_type_or_none(r, others):
-                    return False
-    # one-dimensional strata
-    for st in singular_strata(w):
-        if not is_representable(d, (ws[st.i], ws[st.j])):
-            # the whole stratum curve would lie inside X
-            return False
-        others = [ws[m] for m in range(5) if m not in (st.i, st.j)]
-        if not _terminal_type_or_none(st.r, others):
-            return False
+    try:
+        for _point in singular_points(w):
+            pass
+    except (NonTerminalError, WeightDivisibleError, EmptyRestrictionError, NoEliminatorError):
+        return False
     return True
 
 

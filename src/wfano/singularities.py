@@ -7,11 +7,11 @@ weight-a2 and weight-a4 coordinates survive.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from math import gcd, lcm
 
 from .core import QuotientSingularityType, Weights, normalize_singularity
-from .enumerator import Stratum, singular_strata
 
 
 class NoEliminatorError(ValueError):
@@ -22,6 +22,39 @@ class NoEliminatorError(ValueError):
 class EmptyRestrictionError(ValueError):
     """The defining polynomial restricts to zero on a stratum, so the whole
     stratum curve lies inside the hypersurface."""
+
+
+class InconsistentPointError(RuntimeError):
+    """Two computations of the same singular point disagree.  The geometry
+    rules this out for every weight system, so it signals a bug here, not
+    bad input."""
+
+
+@dataclass(frozen=True)
+class Stratum:
+    """A one-dimensional coordinate stratum {x_k = 0 for k outside {i, j}}
+    along which the ambient space has a transverse 1/r quotient."""
+
+    i: int  # ambient indices, 1-based into (a1..a4)
+    j: int
+    r: int
+
+    def __post_init__(self):
+        if not (1 <= self.i < self.j <= 4):
+            raise ValueError(f"bad stratum indices ({self.i}, {self.j})")
+        if self.r < 2:
+            raise ValueError("a stratum needs a common weight factor >= 2")
+
+
+def singular_strata(w: Weights) -> list[Stratum]:
+    """The coordinate strata of P(1,a1,..,a4) with non-trivial stabilizer."""
+    ws = w.ambient
+    return [
+        Stratum(i, j, gcd(ws[i], ws[j]))
+        for i in range(1, 5)
+        for j in range(i + 1, 5)
+        if gcd(ws[i], ws[j]) >= 2
+    ]
 
 
 @dataclass(frozen=True)
@@ -85,9 +118,9 @@ def coordinate_point_type(w: Weights, i: int) -> QuotientSingularityType:
 
     Requires the vertex to be a singular point of the member (weight >= 2
     and no pure power of degree d).  The type is read off by eliminating
-    one variable x_j with a monomial x_i^k x_j of degree d; quasismoothness
-    makes the answer independent of the chosen eliminator, which is
-    asserted here by computing all of them.
+    one variable x_j with a monomial x_i^k x_j of degree d.  Every
+    eliminator has weight = d mod a_i, so all of them leave the same local
+    weights mod a_i; this is checked by computing all of them.
     """
     ws = w.ambient
     r = ws[i]
@@ -106,7 +139,8 @@ def coordinate_point_type(w: Weights, i: int) -> QuotientSingularityType:
             types.add(normalize_singularity(r, *others))
     if not types:
         raise NoEliminatorError(f"no monomial x_{i}^k*x_j of degree {d} for {w}")
-    assert len(types) == 1, f"eliminators disagree at P{i} of {w}: {types}"
+    if len(types) > 1:
+        raise InconsistentPointError(f"eliminators disagree at P{i} of {w}: {types}")
     return types.pop()
 
 
@@ -126,10 +160,9 @@ def stratum_points(w: Weights, i: int, j: int) -> tuple[int, QuotientSingularity
         raise ValueError(f"stratum P{i}P{j} of {w} carries no quotient")
     d = w.degree
     exps = [
-        (m, n)
+        (m, (d - m * ws[i]) // ws[j])
         for m in range(d // ws[i] + 1)
-        for n in range(d // ws[j] + 1)
-        if m * ws[i] + n * ws[j] == d
+        if (d - m * ws[i]) % ws[j] == 0
     ]
     if not exps:
         raise EmptyRestrictionError(f"stratum P{i}P{j} lies inside the general member of {w}")
@@ -137,19 +170,35 @@ def stratum_points(w: Weights, i: int, j: int) -> tuple[int, QuotientSingularity
     ej = min(n for _, n in exps)
     residual = d - ei * ws[i] - ej * ws[j]
     step = lcm(ws[i], ws[j])
-    assert residual % step == 0, (w, i, j)
+    if residual % step:
+        raise InconsistentPointError(
+            f"residual degree {residual} on P{i}P{j} of {w} is not a multiple of {step}"
+        )
     others = [ws[m] for m in range(5) if m not in (i, j)]
     return residual // step, normalize_singularity(r, *others)
 
 
-def basket(w: Weights) -> Basket:
-    """All quotient points of the general member, vertices and strata."""
-    entries = []
+def singular_points(w: Weights) -> Iterator[tuple[int, QuotientSingularityType, str]]:
+    """Walk the quotient points of the general member: (count, type, locus)
+    for each singular vertex on the member, then for each singular stratum.
+
+    A stratum that meets the member only at vertices yields count 0, and
+    its transverse type is checked all the same; this is what rejects
+    three weights with a common factor.  Raises the errors of
+    `coordinate_point_type`, `stratum_points` and `normalize_singularity`
+    at the first point that is not a terminal quotient point.
+    """
+    ws = w.ambient
     for i in range(1, 5):
-        if w.ambient[i] >= 2 and vertex_on_member(w, i):
-            entries.append(BasketEntry(1, coordinate_point_type(w, i), f"P{i}"))
+        if ws[i] >= 2 and vertex_on_member(w, i):
+            yield 1, coordinate_point_type(w, i), f"P{i}"
     for st in singular_strata(w):
         count, typ = stratum_points(w, st.i, st.j)
-        if count > 0:
-            entries.append(BasketEntry(count, typ, f"P{st.i}P{st.j}"))
-    return Basket.from_entries(entries)
+        yield count, typ, f"P{st.i}P{st.j}"
+
+
+def basket(w: Weights) -> Basket:
+    """All quotient points of the general member, vertices and strata."""
+    return Basket.from_entries(
+        BasketEntry(count, typ, locus) for count, typ, locus in singular_points(w) if count > 0
+    )

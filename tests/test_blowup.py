@@ -18,7 +18,6 @@ from wfano.blowup import (
     exceptional_strict,
     is_negative_definite,
     neg_k_cube,
-    push_blowup,
     solve_gram,
     triple,
 )
@@ -84,10 +83,6 @@ def test_tower_stage_sequence():
     t = QuotientSingularityType(2, 1)
     with pytest.raises(InvalidStageError):
         Tower(Weights(1, 2, 3, 5), (BlowupCenter(2, t),))
-    tower = Tower(Weights(1, 2, 3, 5))
-    tower = push_blowup(tower, BlowupCenter(1, t))
-    with pytest.raises(InvalidStageError):
-        push_blowup(tower, BlowupCenter(3, t))
 
 
 def test_exceptional_strict_uses_tracked_multiplicities():

@@ -1,8 +1,11 @@
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import wfano
 from wfano.classifier import (
     BC,
     EI,
@@ -17,7 +20,6 @@ from wfano.classifier import (
     PencilKind,
     TableSyntaxError,
     UnknownGimelError,
-    curve_center_admissible,
     derived_type_iv_set,
     family,
     halphen_pencils,
@@ -142,6 +144,26 @@ def test_type_iii_point_count():
     assert type_iii_point_count(Weights(4, 4, 5, 7)) == 5
     with pytest.raises(NotApplicableError):
         type_iii_point_count(Weights(1, 2, 3, 5))
+    # the right shape, but 3*2 + 4 + 1 = 11 is odd
+    with pytest.raises(NotApplicableError):
+        type_iii_point_count(Weights(2, 2, 3, 4))
+
+
+def test_count_formula_check_survives_optimize():
+    # python -O strips asserts; the check must not be one
+    code = (
+        "from wfano.classifier import NotApplicableError, type_iii_point_count\n"
+        "from wfano.core import Weights\n"
+        "try:\n"
+        "    type_iii_point_count(Weights(2, 2, 3, 4))\n"
+        "except NotApplicableError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    src = os.path.dirname(os.path.dirname(wfano.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=60)
+    assert result.returncode == 0
 
 
 def test_counts_match_dataset_everywhere():
@@ -219,18 +241,6 @@ def test_pencil_degrees_are_expected_values():
         w = rec.weights
         for p in ans.pencils:
             assert p.n in {1, w.a1, w.a2, 6}
-
-
-def test_curve_center_admissible_boundary():
-    w = Weights(1, 2, 3, 5)  # -K^3 = 11/30
-    assert curve_center_admissible(Fraction(11, 30), w)
-    assert curve_center_admissible(Fraction(1, 30), w)
-    assert not curve_center_admissible(Fraction(12, 30), w)
-    with pytest.raises(ValueError):
-        curve_center_admissible(Fraction(0), w)
-    # quartic curves fit on the quartic threefold, no curve fits family 7
-    assert curve_center_admissible(Fraction(4), family(1).weights)
-    assert not curve_center_admissible(Fraction(1), family(7).weights)
 
 
 def test_distinct_low_weights_cap_the_count():

@@ -5,44 +5,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wfano.core import (
-    Monomial,
     NonTerminalError,
     QuotientSingularityType,
     Weights,
     anticanonical_cube,
     is_representable,
-    monomials_of_degree,
     normalize_singularity,
 )
-
-
-def count_by_convolution(weights, degree):
-    # independent oracle: coefficient of t^degree in prod 1/(1-t^w)
-    counts = [1] + [0] * degree
-    for w in weights:
-        for n in range(w, degree + 1):
-            counts[n] += counts[n - w]
-    return counts[degree]
-
-
-@pytest.mark.parametrize(
-    "ws, d",
-    [
-        ((1, 1, 2, 3), 7),
-        ((1, 2, 3, 5), 11),
-        ((2, 3, 4, 7), 16),
-        ((4, 5, 13, 22), 20),
-        ((1, 1, 1, 1), 4),
-    ],
-)
-def test_monomial_enumeration_matches_convolution(ws, d):
-    w = Weights(*ws)
-    mons = monomials_of_degree(w, d)
-    assert len(mons) == count_by_convolution(w.ambient, d)
-    assert len(set(mons)) == len(mons)
-    assert mons == sorted(mons, key=lambda m: m.exponents)
-    for m in mons:
-        assert m.degree(w) == d
 
 
 def test_weights_validation():
@@ -71,12 +40,6 @@ def test_is_representable():
     assert is_representable(7, (2, 3))
     assert not is_representable(1, (2, 3))
     assert not is_representable(5, (2, 4))
-
-
-def test_monomial_str():
-    assert str(Monomial((1, 0, 2, 0, 3))) == "x*z^2*w^3"
-    assert str(Monomial((0, 0, 0, 0, 0))) == "1"
-    assert Monomial((0, 0, 0, 0, 0)).degree(Weights(1, 2, 3, 4)) == 0
 
 
 def test_normalize_examples():

@@ -1,12 +1,13 @@
 import pytest
 
 from wfano.classifier import load_families
-from wfano.core import Weights
+from wfano.core import NonTerminalError, Weights
 from wfano.enumerator import (
     enumerate_families,
     has_only_terminal_isolated_sings,
     is_quasismooth_general,
 )
+from wfano.singularities import NoEliminatorError, coordinate_point_type
 
 
 def test_bound_validation():
@@ -46,6 +47,18 @@ def test_terminality_examples():
     assert has_only_terminal_isolated_sings(Weights(1, 2, 3, 5))
     # gcd(2,4,6) on a coordinate plane: a whole curve of non-isolated points
     assert not has_only_terminal_isolated_sings(Weights(2, 4, 6, 7))
+    # quasismooth, but the weights share the factor 2
+    assert is_quasismooth_general(Weights(2, 2, 2, 2))
+    assert not has_only_terminal_isolated_sings(Weights(2, 2, 2, 2))
+    # quasismooth, but P4 is 1/5(3,4,4), which is not terminal
+    assert is_quasismooth_general(Weights(3, 4, 4, 5))
+    with pytest.raises(NonTerminalError):
+        coordinate_point_type(Weights(3, 4, 4, 5), 4)
+    assert not has_only_terminal_isolated_sings(Weights(3, 4, 4, 5))
+    # not quasismooth at P3: no eliminator there, so no terminal point
+    with pytest.raises(NoEliminatorError):
+        coordinate_point_type(Weights(2, 4, 5, 7), 3)
+    assert not has_only_terminal_isolated_sings(Weights(2, 4, 5, 7))
 
 
 def test_growth_is_monotone():

@@ -7,8 +7,11 @@ from wfano.singularities import (
     BasketEntry,
     EmptyRestrictionError,
     NoEliminatorError,
+    Stratum,
     basket,
     coordinate_point_type,
+    singular_points,
+    singular_strata,
     stratum_points,
     vertex_on_member,
 )
@@ -49,6 +52,23 @@ def test_stratum_empty_restriction():
     # no monomial of degree 10 in two weight-3 variables
     with pytest.raises(EmptyRestrictionError):
         stratum_points(Weights(1, 3, 3, 3), 2, 3)
+
+
+def test_singular_strata():
+    # family 7 = P(1,1,2,2,3): only the (2,2) edge has a stabilizer
+    assert singular_strata(Weights(1, 2, 2, 3)) == [Stratum(2, 3, 2)]
+    assert singular_strata(Weights(1, 2, 3, 5)) == []
+    with pytest.raises(ValueError):
+        Stratum(2, 2, 2)
+
+
+def test_singular_points_walk_vertices_then_strata():
+    # family 18 = P(1,2,2,3,5), degree 12: the 1/5 vertex, then six 1/2
+    # points on the (2,2) edge; the other vertices are off the member
+    assert list(singular_points(Weights(2, 2, 3, 5))) == [
+        (1, QuotientSingularityType(5, 2), "P4"),
+        (6, QuotientSingularityType(2, 1), "P1P2"),
+    ]
 
 
 def test_basket_merging_and_order():
