@@ -285,7 +285,7 @@ def parse_table(source: str) -> list[FamilyRecord]:
             current[key] = int(tok)
         elif key == "kcube":
             tok, vcol = cur.next_token("fraction")
-            if not re.fullmatch(r"\d+(/\d+)?", tok):
+            if not re.fullmatch(r"\d+(/0*[1-9]\d*)?", tok):
                 raise TableSyntaxError(lineno, vcol, "fraction p/q")
             current[key] = Fraction(tok)
         elif key == "pencils":

@@ -2,8 +2,10 @@
 
 Subcommands: enumerate, show, basket, verify, eval-tower, export.
 Exit status: 0 all requested checks pass, 1 check failures, 2 bad input
-(unknown family, malformed dataset or tower file).  All numeric output is
-exact ("p/q"); all orderings are deterministic.
+(unknown family, bad argument, malformed dataset or tower file, or a
+dataset record that is not an admissible family).  An error of the
+computation on an admissible family is a bug and propagates.  All numeric
+output is exact ("p/q"); all orderings are deterministic.
 """
 from __future__ import annotations
 
@@ -12,26 +14,79 @@ import csv
 import io
 import json
 import sys
+from contextlib import contextmanager
 
 from . import classifier
 from .blowup import InconsistentError, NotSymmetricError, UnderdeterminedError
 from .classifier import (
     INFINITE,
+    NotApplicableError,
+    NotUniqueError,
     PositionedError,
     UnknownGimelError,
     load_families,
     verify_family,
 )
-from .core import NonTerminalError, anticanonical_cube
-from .enumerator import enumerate_families
+from .core import NonTerminalError, WeightDivisibleError, anticanonical_cube
+from .enumerator import enumerate_families, has_only_terminal_isolated_sings, is_quasismooth_general
 from .fixtures import fixtures_for, load_fixture
-from .singularities import basket
+from .singularities import EmptyRestrictionError, NoEliminatorError, basket
 from .towers import evaluate, parse_tower_file
+
+# Raised by the geometry and the counting rules, never by a parser.  On an
+# admissible weight system each of them is a bug, so it is not bad input.
+_COMPUTATION_ERRORS = (
+    NoEliminatorError,
+    EmptyRestrictionError,
+    WeightDivisibleError,
+    NotUniqueError,
+    NotApplicableError,
+)
+
+
+class InadmissibleRecordError(ValueError):
+    """A dataset record whose weights are not those of a quasismooth
+    terminal family, or one of whose rows is not a terminal type."""
 
 
 def _fail_input(msg: str) -> int:
     print(msg, file=sys.stderr)
     return 2
+
+
+def _explains(rec) -> bool:
+    """Does the record itself account for a computation error on it?"""
+    w = rec.weights
+    if not (is_quasismooth_general(w) and has_only_terminal_isolated_sings(w)):
+        return True
+    try:
+        for row in rec.basket_rows:
+            row.sing_type()
+    except (NonTerminalError, WeightDivisibleError):
+        return True
+    return False
+
+
+@contextmanager
+def _on_record(rec):
+    """Compute on one dataset record.  A computation error that the record
+    explains is bad input; any other propagates."""
+    try:
+        yield
+    except _COMPUTATION_ERRORS as exc:
+        if not _explains(rec):
+            raise
+        raise InadmissibleRecordError(f"family {rec.gimel}: {exc}") from exc
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def cmd_enumerate(args) -> int:
@@ -43,13 +98,14 @@ def cmd_enumerate(args) -> int:
 
 def cmd_show(args) -> int:
     rec = classifier.family(args.gimel)
+    with _on_record(rec):
+        answer = classifier.halphen_pencils(args.gimel)
     print(f"family {rec.gimel}")
     print(f"weights {rec.weights}")
     print(f"degree {rec.degree}")
     print(f"kcube {rec.minus_k_cube}")
     print(f"invariant {rec.invariant}")
     print(f"ell {rec.ell}")
-    answer = classifier.halphen_pencils(args.gimel)
     if answer.count is INFINITE:
         print("pencils infinite")
     else:
@@ -63,7 +119,8 @@ def cmd_show(args) -> int:
 
 def cmd_basket(args) -> int:
     rec = classifier.family(args.gimel)
-    entries = basket(rec.weights).entries
+    with _on_record(rec):
+        entries = basket(rec.weights).entries
     if not entries:
         print("smooth")
     for e in entries:
@@ -113,10 +170,9 @@ def cmd_verify(args) -> int:
         records = list(load_families())
     failures = 0
     for rec in records:
-        rows = [
-            (c.name, c.passed, c.expected, c.actual)
-            for c in verify_family(rec.gimel)
-        ]
+        with _on_record(rec):
+            checks = verify_family(rec.gimel)
+        rows = [(c.name, c.passed, c.expected, c.actual) for c in checks]
         rows.extend(_fixture_check_lines(rec.gimel))
         for name, passed, expected, actual in rows:
             status = "PASS" if passed else "FAIL"
@@ -217,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="list admissible weight systems")
-    p.add_argument("--bound", type=int, default=40, help="largest weight to try")
+    p.add_argument("--bound", type=_positive_int, default=40, help="largest weight to try")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("show", help="print one family record")
@@ -248,6 +304,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except _COMPUTATION_ERRORS:
+        raise
     except (
         PositionedError,
         UnknownGimelError,

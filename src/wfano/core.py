@@ -7,7 +7,6 @@ of a weighted degree, and cyclic quotient singularity types 1/r(1, a, r-a).
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -65,8 +64,7 @@ def anticanonical_cube(w: Weights) -> Fraction:
     return Fraction(w.degree, w.a1 * w.a2 * w.a3 * w.a4)
 
 
-@functools.lru_cache(maxsize=None)
-def _reach_mask(weights: tuple[int, ...], cap: int) -> int:
+def _reach_mask(weights: set[int], cap: int) -> int:
     # bit k of the result is set iff k is a non-negative integer
     # combination of the given weights; doubling keeps this O(log) shifts
     # per weight instead of one shift per copy
@@ -83,7 +81,7 @@ def is_representable(target: int, weights: tuple[int, ...]) -> bool:
     """Is `target` a sum of the given weights with non-negative multiplicities?"""
     if target < 0:
         return False
-    return bool(_reach_mask(tuple(sorted(set(weights))), target) >> target & 1)
+    return bool(_reach_mask(set(weights), target) >> target & 1)
 
 
 @dataclass(frozen=True, order=True)

@@ -68,6 +68,17 @@ def enumerate_families(a4_bound: int = 40) -> list[Weights]:
     """All admissible weight systems with a4 <= a4_bound, sorted by
     (degree, weights).
 
+    The loop never builds a system that the one-variable subsets {4} and
+    {3} of `is_quasismooth_general` reject.  Write s = a1+a2+a3, so that
+    d = s + a4.  At the vertex P4 the member needs x4^k or x4^k*x_e of
+    degree d, so a4 divides one of s, s-1, s-a1, s-a2, s-a3; each of these
+    is positive and at most s <= 3*a3 <= 3*a4, so a4 = t/k for one of them
+    (t) and k in {1, 2, 3}.  At P3, likewise, a3 must divide one of d,
+    d-1, d-a1, d-a2, d-a4.  Both tests are exactly the subset-{4} and
+    subset-{3} cases of the quasismoothness criterion, and every survivor
+    still goes through both predicates, so the pruning is exact: the
+    result is that of trying every 1 <= a1 <= a2 <= a3 <= a4 <= a4_bound.
+
     The result is monotone in the bound; a4_bound >= 33 is known to yield
     the complete list of 95 families (larger bounds add nothing, but that
     is a theorem, not something this routine re-proves).
@@ -75,10 +86,20 @@ def enumerate_families(a4_bound: int = 40) -> list[Weights]:
     if a4_bound < 1:
         raise ValueError(f"a4_bound must be >= 1, got {a4_bound}")
     out = []
-    for a4 in range(1, a4_bound + 1):
-        for a3 in range(1, a4 + 1):
-            for a2 in range(1, a3 + 1):
-                for a1 in range(1, a2 + 1):
+    for a3 in range(1, a4_bound + 1):
+        for a2 in range(1, a3 + 1):
+            for a1 in range(1, a2 + 1):
+                s = a1 + a2 + a3
+                a4s = {
+                    t // k
+                    for t in (s, s - 1, s - a1, s - a2, s - a3)
+                    for k in (1, 2, 3)
+                    if t % k == 0 and a3 <= t // k <= a4_bound
+                }
+                for a4 in a4s:
+                    d = s + a4
+                    if all((d - e) % a3 for e in (0, 1, a1, a2, a4)):
+                        continue
                     w = Weights(a1, a2, a3, a4)
                     if is_quasismooth_general(w) and has_only_terminal_isolated_sings(w):
                         out.append(w)

@@ -118,9 +118,10 @@ def coordinate_point_type(w: Weights, i: int) -> QuotientSingularityType:
 
     Requires the vertex to be a singular point of the member (weight >= 2
     and no pure power of degree d).  The type is read off by eliminating
-    one variable x_j with a monomial x_i^k x_j of degree d.  Every
-    eliminator has weight = d mod a_i, so all of them leave the same local
-    weights mod a_i; this is checked by computing all of them.
+    one variable x_j with a monomial x_i^k x_j of degree d; as d exceeds
+    every weight, a_i dividing d - a_j is enough.  Every eliminator has
+    weight = d mod a_i, so removing any of them leaves the same local
+    weights mod a_i; the first one is used.
     """
     ws = w.ambient
     r = ws[i]
@@ -129,19 +130,11 @@ def coordinate_point_type(w: Weights, i: int) -> QuotientSingularityType:
     if not vertex_on_member(w, i):
         raise ValueError(f"vertex P{i} does not lie on the general member")
     d = w.degree
-    types = set()
     for j in range(5):
-        if j == i:
-            continue
-        k, rem = divmod(d - ws[j], r)
-        if rem == 0 and k >= 1:
+        if j != i and (d - ws[j]) % r == 0:
             others = [ws[m] for m in range(5) if m not in (i, j)]
-            types.add(normalize_singularity(r, *others))
-    if not types:
-        raise NoEliminatorError(f"no monomial x_{i}^k*x_j of degree {d} for {w}")
-    if len(types) > 1:
-        raise InconsistentPointError(f"eliminators disagree at P{i} of {w}: {types}")
-    return types.pop()
+            return normalize_singularity(r, *others)
+    raise NoEliminatorError(f"no monomial x_{i}^k*x_j of degree {d} for {w}")
 
 
 def stratum_points(w: Weights, i: int, j: int) -> tuple[int, QuotientSingularityType]:

@@ -51,10 +51,11 @@ class TowerSpecError(PositionedError):
     """A tower description line that does not match the grammar."""
 
 
-_FRACTION_RE = re.compile(r"-?\d+(?:/\d+)?")
-_TRACK_RE = re.compile(r"e(\d+)=(\d+(?:/\d+)?)")
+_RATIONAL = r"\d+(?:/0*[1-9]\d*)?"  # no zero denominator
+_FRACTION_RE = re.compile(rf"-?{_RATIONAL}")
+_TRACK_RE = re.compile(rf"e(\d+)=({_RATIONAL})")
 _NAME_RE = re.compile(r"[A-Za-z]\w*")
-_TERM_RE = re.compile(r"(\d+(?:/\d+)?)?\s*([A-Za-z]\w*)")
+_TERM_RE = re.compile(rf"({_RATIONAL})?\s*([A-Za-z]\w*)")
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,8 @@ from importlib import resources
 
 import pytest
 
+from wfano import classifier
+from wfano.classifier import NotApplicableError
 from wfano.cli import main
 
 
@@ -72,6 +74,26 @@ def test_eval_tower_missing_file(capsys, tmp_path):
     assert code == 2
 
 
+def test_zero_denominator_is_bad_input(capsys, tmp_path, monkeypatch):
+    data = tmp_path / "zero.txt"
+    data.write_text(
+        "family 1\nweights 1 1 1 1\ndegree 4\nkcube 1/0\n"
+        "invariant F_0\nell infinite\npencils infinite\n"
+    )
+    monkeypatch.setenv("WFANO_DATA", str(data))
+    code, out, err = run(capsys, "verify")
+    assert (code, err) == (2, "error: 4:7: expected fraction p/q\n")
+    for body, where in [
+        ("class D 1/0\n", "2:9"),
+        ("center 3 1 track e1=1/0\n", "2:18"),
+        ("class D 1\ncurves L\nsurface D\nrestrict D = 1/0L\n", "5:"),
+    ]:
+        tower = tmp_path / "zero.tower"
+        tower.write_text("weights 1 1 2 3\n" + body)
+        code, out, err = run(capsys, "eval-tower", str(tower))
+        assert code == 2 and where in err, (body, err)
+
+
 def test_show(capsys):
     code, out, err = run(capsys, "show", "13")
     assert code == 0
@@ -106,6 +128,43 @@ def test_enumerate_bound(capsys):
         "1 1 1 2  degree=5  kcube=5/2",
         "1 1 2 2  degree=6  kcube=3/2",
     ]
+
+
+@pytest.mark.parametrize("bound", ["0", "-3", "x"])
+def test_enumerate_rejects_bad_bound(capsys, bound):
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--bound", bound])
+    assert exc.value.code == 2
+    assert "--bound" in capsys.readouterr().err
+
+
+def test_internal_error_is_not_bad_input(capsys, monkeypatch):
+    # family 13 is admissible, so a counting rule that fails on it is a bug
+    def broken(gimel, path=None):
+        raise NotApplicableError("broken rule")
+
+    monkeypatch.setattr(classifier, "halphen_pencils", broken)
+    with pytest.raises(NotApplicableError):
+        main(["show", "13"])
+
+
+@pytest.mark.parametrize(
+    "weights, row",
+    [
+        ("2 4 5 7", ""),  # no eliminator at P3
+        ("1 1 1 1", "row P4 1x 1/5(5,1,4)\n"),  # a local weight divisible by 5
+    ],
+)
+def test_inadmissible_record_is_bad_input(capsys, tmp_path, monkeypatch, weights, row):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(
+        f"family 1\nweights {weights}\ndegree 4\nkcube 4\n"
+        f"invariant F_0\nell 1\npencils 1\n{row}"
+    )
+    monkeypatch.setenv("WFANO_DATA", str(bad))
+    code, out, err = run(capsys, "verify")
+    assert code == 2
+    assert err.startswith("error: family 1: ")
 
 
 def test_export_json_roundtrip(capsys):

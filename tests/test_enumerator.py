@@ -1,5 +1,8 @@
+from functools import lru_cache
+
 import pytest
 
+from wfano import enumerator
 from wfano.classifier import load_families
 from wfano.core import NonTerminalError, Weights
 from wfano.enumerator import (
@@ -8,6 +11,69 @@ from wfano.enumerator import (
     is_quasismooth_general,
 )
 from wfano.singularities import NoEliminatorError, coordinate_point_type
+
+
+@lru_cache(maxsize=None)
+def quasismooth_systems(bound):
+    """Every 1 <= a1 <= a2 <= a3 <= a4 <= bound that passes the
+    quasismoothness criterion, with no pruning."""
+    return tuple(
+        w
+        for a4 in range(1, bound + 1)
+        for a3 in range(1, a4 + 1)
+        for a2 in range(1, a3 + 1)
+        for a1 in range(1, a2 + 1)
+        if is_quasismooth_general(w := Weights(a1, a2, a3, a4))
+    )
+
+
+def brute_force(bound):
+    """The search without pruning: both predicates on every candidate."""
+    found = [w for w in quasismooth_systems(bound) if has_only_terminal_isolated_sings(w)]
+    return sorted(found, key=lambda w: (w.degree, tuple(w)))
+
+
+@pytest.mark.parametrize("bound", [5, 12, 20, 33])
+def test_matches_brute_force(bound):
+    assert enumerate_families(bound) == brute_force(bound)
+
+
+def meets_vertex_conditions(a1, a2, a3, a4):
+    """Quasismoothness at P4 and at P3 alone: with d = a1+a2+a3+a4, a4
+    divides one of d, d-1, d-a1, d-a2, d-a3, and a3 one of d, d-1, d-a1,
+    d-a2, d-a4."""
+    d = a1 + a2 + a3 + a4
+    return any((d - e) % a4 == 0 for e in (0, 1, a1, a2, a3)) and any(
+        (d - e) % a3 == 0 for e in (0, 1, a1, a2, a4)
+    )
+
+
+def test_vertex_pruning_is_sound():
+    # enumerate_families takes a4 from the P4 condition and filters on the
+    # P3 condition; every quasismooth system meets both
+    assert all(meets_vertex_conditions(*w) for w in quasismooth_systems(33))
+
+
+def test_candidates_are_the_pruned_systems(monkeypatch):
+    # the predicates see each system that meets the P4 and P3 conditions
+    # once, and no other system
+    seen = []
+
+    def recording(w):
+        seen.append(tuple(w))
+        return is_quasismooth_general(w)
+
+    monkeypatch.setattr(enumerator, "is_quasismooth_general", recording)
+    enumerate_families(20)
+    expected = [
+        (a1, a2, a3, a4)
+        for a4 in range(1, 21)
+        for a3 in range(1, a4 + 1)
+        for a2 in range(1, a3 + 1)
+        for a1 in range(1, a2 + 1)
+        if meets_vertex_conditions(a1, a2, a3, a4)
+    ]
+    assert sorted(seen) == sorted(expected)
 
 
 def test_bound_validation():

@@ -1,7 +1,7 @@
 import pytest
 
 from wfano.classifier import family, load_families
-from wfano.core import QuotientSingularityType, Weights
+from wfano.core import QuotientSingularityType, Weights, normalize_singularity
 from wfano.singularities import (
     Basket,
     BasketEntry,
@@ -39,6 +39,44 @@ def test_no_eliminator_at_bad_vertex():
     # power of x3, so the general member is forced through a worse point
     with pytest.raises(NoEliminatorError):
         coordinate_point_type(Weights(2, 4, 5, 7), 3)
+
+
+def _normalized_or_error(r, qs):
+    try:
+        return normalize_singularity(r, *qs)
+    except ValueError as exc:
+        return type(exc)
+
+
+def test_every_eliminator_gives_the_same_point():
+    # coordinate_point_type eliminates only the first x_j with a monomial
+    # x_i^k x_j of degree d.  Every eliminator has weight = d mod a_i, so
+    # any of them leaves the same local weights mod a_i; check that on
+    # every singular vertex of every member with a4 <= 40
+    vertices = 0
+    for a4 in range(1, 41):
+        for a3 in range(1, a4 + 1):
+            for a2 in range(1, a3 + 1):
+                for a1 in range(1, a2 + 1):
+                    ws = (1, a1, a2, a3, a4)
+                    d = a1 + a2 + a3 + a4
+                    for i in range(1, 5):
+                        r = ws[i]
+                        if r < 2 or d % r == 0:
+                            continue
+                        eliminators = [
+                            j for j in range(5)
+                            if j != i and (d - ws[j]) % r == 0
+                        ]
+                        if len(eliminators) < 2:
+                            continue
+                        vertices += 1
+                        outcomes = {
+                            _normalized_or_error(r, [ws[m] for m in range(5) if m not in (i, j)])
+                            for j in eliminators
+                        }
+                        assert len(outcomes) == 1, (ws, i, outcomes)
+    assert vertices > 20000
 
 
 def test_stratum_points_example():
