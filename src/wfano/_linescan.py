@@ -1,8 +1,10 @@
 """Shared scanner for the line-oriented text formats (1-based positions)."""
 from __future__ import annotations
 
+from .core import InputError, Weights
 
-class PositionedError(ValueError):
+
+class PositionedError(InputError):
     """Parse failure carrying a 1-based line/column and what was expected."""
 
     def __init__(self, line: int, col: int, expected: str):
@@ -10,6 +12,12 @@ class PositionedError(ValueError):
         self.col = col
         self.expected = expected
         super().__init__(f"{line}:{col}: expected {expected}")
+
+
+def is_int(tok: str) -> bool:
+    """Is the token a non-negative integer in ASCII digits?  (`str.isdigit`
+    also accepts digits such as '²' that `int` rejects.)"""
+    return tok.isascii() and tok.isdigit()
 
 
 class LineCursor:
@@ -24,15 +32,34 @@ class LineCursor:
     def fail(self, expected: str, col: int | None = None):
         raise self._error(self.lineno, self.pos + 1 if col is None else col, expected)
 
-    def next_token(self, expected: str) -> tuple[str, int]:
+    def next_col(self) -> int:
+        """Skip whitespace; the 1-based column of the next token."""
         while self.pos < len(self.line) and self.line[self.pos].isspace():
             self.pos += 1
-        if self.pos >= len(self.line):
+        return self.pos + 1
+
+    def next_token(self, expected: str) -> tuple[str, int]:
+        start = self.next_col() - 1
+        if start >= len(self.line):
             self.fail(expected)
-        start = self.pos
         while self.pos < len(self.line) and not self.line[self.pos].isspace():
             self.pos += 1
         return self.line[start:self.pos], start + 1
+
+    def next_int(self, expected: str) -> int:
+        tok, col = self.next_token(expected)
+        if not is_int(tok):
+            self.fail(expected, col)
+        return int(tok)
+
+    def next_weights(self) -> Weights:
+        """Four weights; an invalid system fails at the first of them."""
+        col = self.next_col()
+        ws = [self.next_int("weight") for _ in range(4)]
+        try:
+            return Weights(*ws)
+        except ValueError as exc:
+            self.fail(f"valid weights ({exc})", col)
 
     def rest(self) -> str:
         return self.line[self.pos:].strip()

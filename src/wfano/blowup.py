@@ -29,7 +29,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import QuotientSingularityType, Weights, anticanonical_cube
+from .core import InputError, QuotientSingularityType, Weights, anticanonical_cube
 
 
 class InvalidStageError(ValueError):
@@ -40,11 +40,11 @@ class DimensionMismatchError(ValueError):
     """A divisor class has the wrong number of exceptional coefficients."""
 
 
-class UnderdeterminedError(ValueError):
+class UnderdeterminedError(InputError):
     """The decompositions do not pin down the full Gram matrix."""
 
 
-class InconsistentError(ValueError):
+class InconsistentError(InputError):
     """The decompositions contradict the triple products."""
 
 

@@ -36,8 +36,8 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
-from ._linescan import LineCursor, PositionedError, content_lines
-from .core import QuotientSingularityType, Weights, anticanonical_cube, normalize_singularity
+from ._linescan import LineCursor, PositionedError, content_lines, is_int
+from .core import InputError, QuotientSingularityType, Weights, anticanonical_cube, normalize_singularity
 from .singularities import basket
 
 
@@ -45,15 +45,15 @@ class TableSyntaxError(PositionedError):
     """A dataset line that does not match the grammar; 1-based position."""
 
 
-class DuplicateGimelError(ValueError):
+class DuplicateGimelError(InputError):
     pass
 
 
-class MissingGimelError(ValueError):
+class MissingGimelError(InputError):
     pass
 
 
-class UnknownGimelError(KeyError):
+class UnknownGimelError(InputError):
     pass
 
 
@@ -199,13 +199,7 @@ def _parse_row(cur: LineCursor) -> TableRow:
     if not cur.at_end():
         tag, col = cur.next_token("annotation tag")
         if tag == "BC":
-            b_tok, bcol = cur.next_token("integer b")
-            c_tok, ccol = cur.next_token("integer c")
-            if not b_tok.isdigit():
-                raise TableSyntaxError(cur.lineno, bcol, "integer b")
-            if not c_tok.isdigit():
-                raise TableSyntaxError(cur.lineno, ccol, "integer c")
-            annotation = BC(int(b_tok), int(c_tok))
+            annotation = BC(cur.next_int("integer b"), cur.next_int("integer c"))
         elif tag in ("QI", "EI"):
             text = cur.rest()
             if not text:
@@ -224,9 +218,10 @@ _SCALARS = ("weights", "degree", "kcube", "invariant", "ell", "pencils")
 def parse_table(source: str) -> list[FamilyRecord]:
     """Parse dataset text into records, gimel-sorted.
 
-    Raises TableSyntaxError with a 1-based line/column on malformed input,
+    Raises TableSyntaxError with a 1-based line/column on malformed input
+    (including a weight system that is not positive and ascending),
     DuplicateGimelError on repeated family numbers, MissingGimelError when
-    no record is present at all.
+    no record is present at all; all three are InputErrors.
     """
     records: dict[int, FamilyRecord] = {}
     current: dict | None = None
@@ -237,10 +232,9 @@ def parse_table(source: str) -> list[FamilyRecord]:
                 raise TableSyntaxError(cur["line"], 1, f"{field} for family {cur['gimel']}")
         if cur["gimel"] in records:
             raise DuplicateGimelError(f"family {cur['gimel']} appears twice")
-        ws = cur["weights"]
         records[cur["gimel"]] = FamilyRecord(
             gimel=cur["gimel"],
-            weights=Weights(*ws),
+            weights=cur["weights"],
             degree=cur["degree"],
             minus_k_cube=cur["kcube"],
             invariant=cur["invariant"],
@@ -253,13 +247,11 @@ def parse_table(source: str) -> list[FamilyRecord]:
         cur = LineCursor(lineno, raw, error=TableSyntaxError)
         key, col = cur.next_token("keyword")
         if key == "family":
-            tok, col = cur.next_token("family number")
-            if not tok.isdigit():
-                raise TableSyntaxError(lineno, col, "family number")
+            gimel = cur.next_int("family number")
             cur.expect_end()
             if current is not None:
                 finish(current)
-            current = {"gimel": int(tok), "line": lineno, "rows": []}
+            current = {"gimel": gimel, "line": lineno, "rows": []}
             continue
         if current is None:
             raise TableSyntaxError(lineno, col, "family")
@@ -271,18 +263,9 @@ def parse_table(source: str) -> list[FamilyRecord]:
         if key in current:
             raise TableSyntaxError(lineno, col, f"{key} only once per family")
         if key == "weights":
-            vals = []
-            for _ in range(4):
-                tok, wcol = cur.next_token("weight")
-                if not tok.isdigit():
-                    raise TableSyntaxError(lineno, wcol, "weight")
-                vals.append(int(tok))
-            current[key] = tuple(vals)
-        elif key in ("degree",):
-            tok, vcol = cur.next_token("integer")
-            if not tok.isdigit():
-                raise TableSyntaxError(lineno, vcol, "integer")
-            current[key] = int(tok)
+            current[key] = cur.next_weights()
+        elif key == "degree":
+            current[key] = cur.next_int("integer")
         elif key == "kcube":
             tok, vcol = cur.next_token("fraction")
             if not re.fullmatch(r"\d+(/0*[1-9]\d*)?", tok):
@@ -292,7 +275,7 @@ def parse_table(source: str) -> list[FamilyRecord]:
             tok, vcol = cur.next_token("count or 'infinite'")
             if tok == "infinite":
                 current[key] = INFINITE
-            elif tok.isdigit():
+            elif is_int(tok):
                 current[key] = int(tok)
             else:
                 raise TableSyntaxError(lineno, vcol, "count or 'infinite'")
@@ -411,7 +394,9 @@ def halphen_pencils(gimel: int, path: str | None = None) -> HalphenAnswer:
     then at least a net, and every pencil inside it qualifies); otherwise
     the principal pencil |-a1 K| plus, for the embedded membership lists,
     one extra pencil -- or the distinguished-point pencils for the three
-    a1 = a2 families.
+    a1 = a2 families.  A listed type-IV family whose weights have no
+    second-pencil presentation gets the principal pencil only, which the
+    "second pencil presentation" check of `verify_family` reports.
     """
     rec = family(gimel, path)
     w = rec.weights
@@ -446,9 +431,9 @@ def halphen_pencils(gimel: int, path: str | None = None) -> HalphenAnswer:
             PencilKind.TYPE_V, "lambda*x^6 + mu*f_6(x,y,z,t)", 6
         )
         return HalphenAnswer(gimel, 2, (principal, extra))
-    if gimel in TYPE_IV_GIMELS:
-        if unique_index_j(w, skipped=2) is None or w.a1 in (1, w.a2):
-            raise NotApplicableError(f"family {gimel} {w} has no second pencil presentation")
+    if gimel in TYPE_IV_GIMELS and (
+        w.a1 not in (1, w.a2) and unique_index_j(w, skipped=2) is not None
+    ):
         extra = PencilDescriptor(
             PencilKind.TYPE_IV, f"lambda*x^{w.a2} + mu*z", w.a2
         )

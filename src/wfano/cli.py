@@ -1,10 +1,11 @@
 """Command line surface.
 
 Subcommands: enumerate, show, basket, verify, eval-tower, export.
-Exit status: 0 all requested checks pass, 1 check failures, 2 bad input
-(unknown family, bad argument, malformed dataset or tower file, or a
-dataset record that is not an admissible family).  An error of the
-computation on an admissible family is a bug and propagates.  All numeric
+Exit status: 0 all requested checks pass, 1 check failures, 2 bad input:
+a bad argument, a file that cannot be read or is not UTF-8, or a
+`core.InputError` (unknown family, malformed dataset or tower text, a Gram
+block without a unique solution, or a dataset record that is not an
+admissible family).  Any other error is a bug and propagates.  All numeric
 output is exact ("p/q"); all orderings are deterministic.
 """
 from __future__ import annotations
@@ -17,41 +18,17 @@ import sys
 from contextlib import contextmanager
 
 from . import classifier
-from .blowup import InconsistentError, NotSymmetricError, UnderdeterminedError
-from .classifier import (
-    INFINITE,
-    NotApplicableError,
-    NotUniqueError,
-    PositionedError,
-    UnknownGimelError,
-    load_families,
-    verify_family,
-)
-from .core import NonTerminalError, WeightDivisibleError, anticanonical_cube
+from .classifier import INFINITE, load_families, verify_family
+from .core import InputError, anticanonical_cube
 from .enumerator import enumerate_families, has_only_terminal_isolated_sings, is_quasismooth_general
 from .fixtures import fixtures_for, load_fixture
-from .singularities import EmptyRestrictionError, NoEliminatorError, basket
+from .singularities import basket
 from .towers import evaluate, parse_tower_file
 
-# Raised by the geometry and the counting rules, never by a parser.  On an
-# admissible weight system each of them is a bug, so it is not bad input.
-_COMPUTATION_ERRORS = (
-    NoEliminatorError,
-    EmptyRestrictionError,
-    WeightDivisibleError,
-    NotUniqueError,
-    NotApplicableError,
-)
 
-
-class InadmissibleRecordError(ValueError):
+class InadmissibleRecordError(InputError):
     """A dataset record whose weights are not those of a quasismooth
     terminal family, or one of whose rows is not a terminal type."""
-
-
-def _fail_input(msg: str) -> int:
-    print(msg, file=sys.stderr)
-    return 2
 
 
 def _explains(rec) -> bool:
@@ -62,18 +39,19 @@ def _explains(rec) -> bool:
     try:
         for row in rec.basket_rows:
             row.sing_type()
-    except (NonTerminalError, WeightDivisibleError):
+    except ValueError:
         return True
     return False
 
 
 @contextmanager
 def _on_record(rec):
-    """Compute on one dataset record.  A computation error that the record
-    explains is bad input; any other propagates."""
+    """Compute on one dataset record.  An error that the record explains
+    is bad input; any other propagates.  Admissibility is checked only
+    after an error, so the common case pays nothing for it."""
     try:
         yield
-    except _COMPUTATION_ERRORS as exc:
+    except ValueError as exc:
         if not _explains(rec):
             raise
         raise InadmissibleRecordError(f"family {rec.gimel}: {exc}") from exc
@@ -304,22 +282,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _COMPUTATION_ERRORS:
-        raise
-    except (
-        PositionedError,
-        UnknownGimelError,
-        classifier.DuplicateGimelError,
-        classifier.MissingGimelError,
-        NonTerminalError,
-        InconsistentError,
-        UnderdeterminedError,
-        NotSymmetricError,
-        OSError,
-        ValueError,
-    ) as exc:
-        detail = exc.args[0] if exc.args else exc
-        return _fail_input(f"error: {detail}")
+    except (InputError, OSError, UnicodeDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

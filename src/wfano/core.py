@@ -11,7 +11,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-Rational = Fraction
+
+class InputError(ValueError):
+    """Bad input: malformed dataset or tower text, an unknown family, or a
+    dataset record that is not an admissible family.  The command line
+    reports it and exits 2; every other error is a bug."""
 
 
 class NonTerminalError(ValueError):

@@ -44,6 +44,7 @@ from .blowup import (
     solve_gram,
     triple,
 )
+from .classifier import family
 from .core import QuotientSingularityType, Weights
 
 
@@ -104,21 +105,10 @@ def parse_tower_text(source: str) -> TowerSpec:
             if base is not None:
                 cur.fail("a single family/weights header", kcol)
             if key == "family":
-                tok, col = cur.next_token("family number")
-                if not tok.isdigit():
-                    cur.fail("family number", col)
-                gimel = int(tok)
-                from .classifier import family  # deferred: avoids import cycle
-
+                gimel = cur.next_int("family number")
                 base = family(gimel).weights
             else:
-                vals = []
-                for _ in range(4):
-                    tok, col = cur.next_token("weight")
-                    if not tok.isdigit():
-                        cur.fail("weight", col)
-                    vals.append(int(tok))
-                base = Weights(*vals)
+                base = cur.next_weights()
             cur.expect_end()
             continue
 
@@ -128,12 +118,8 @@ def parse_tower_text(source: str) -> TowerSpec:
         if key == "center":
             if classes or triples or surface_name:
                 cur.fail("centers before classes", kcol)
-            r_tok, rcol = cur.next_token("index r")
-            a_tok, acol = cur.next_token("weight a")
-            if not r_tok.isdigit():
-                cur.fail("index r", rcol)
-            if not a_tok.isdigit():
-                cur.fail("weight a", acol)
+            rcol = cur.next_col()
+            r, a = cur.next_int("index r"), cur.next_int("weight a")
             tracked: list[tuple[int, Fraction]] = []
             if not cur.at_end():
                 tag, tcol = cur.next_token("track")
@@ -148,7 +134,7 @@ def parse_tower_text(source: str) -> TowerSpec:
                         cur.fail("tracked multiplicity like e1=1/4", col)
                     tracked.append((int(m.group(1)), Fraction(m.group(2))))
             try:
-                sing = QuotientSingularityType(int(r_tok), int(a_tok))
+                sing = QuotientSingularityType(r, a)
                 centers.append(
                     BlowupCenter(len(centers) + 1, sing, tuple(tracked))
                 )

@@ -95,6 +95,23 @@ def test_parse_errors_are_positioned():
     assert e.value.expected.startswith("one of family/row")
 
 
+@pytest.mark.parametrize(
+    "old, new, line, col, expected",
+    [
+        ("family 18", "family 1\u00b2", 2, 8, "family number"),
+        ("degree 12", "degree 1\u00b2", 4, 8, "integer"),
+        ("pencils 7", "pencils \u00b2", 8, 9, "count or 'infinite'"),
+        ("BC 2 0", "BC \u00b2 0", 10, 27, "integer b"),
+    ],
+    ids=["family", "degree", "pencils", "bc"],
+)
+def test_integers_are_ascii(old, new, line, col, expected):
+    # '²' passes str.isdigit but not int()
+    with pytest.raises(TableSyntaxError) as e:
+        parse_table(RECORD.replace(old, new))
+    assert (e.value.line, e.value.col, e.value.expected) == (line, col, expected)
+
+
 def test_parse_rejects_duplicates():
     with pytest.raises(DuplicateGimelError):
         parse_table(RECORD + "\n" + RECORD)

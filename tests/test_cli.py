@@ -70,8 +70,53 @@ def test_eval_tower_malformed(capsys, tmp_path):
 
 
 def test_eval_tower_missing_file(capsys, tmp_path):
-    code, out, err = run(capsys, "eval-tower", str(tmp_path / "nope.tower"))
+    missing = str(tmp_path / "nope.tower")
+    code, out, err = run(capsys, "eval-tower", missing)
+    assert (code, err) == (2, f"error: [Errno 2] No such file or directory: {missing!r}\n")
+
+
+def test_missing_dataset_file(capsys, tmp_path, monkeypatch):
+    missing = str(tmp_path / "nope.txt")
+    monkeypatch.setenv("WFANO_DATA", missing)
+    code, out, err = run(capsys, "verify")
+    assert (code, err) == (2, f"error: [Errno 2] No such file or directory: {missing!r}\n")
+
+
+def test_non_utf8_input_reports_the_decode_error(capsys, tmp_path, monkeypatch):
+    tower = tmp_path / "latin1.tower"
+    tower.write_bytes(b"weights 1 2 3 5\n# caf\xe9\n")
+    code, out, err = run(capsys, "eval-tower", str(tower))
     assert code == 2
+    assert err.startswith("error: 'utf-8' codec can't decode byte 0xe9 in position 21")
+    data = tmp_path / "latin1.txt"
+    data.write_bytes(b"family 1\n# caf\xe9\n")
+    monkeypatch.setenv("WFANO_DATA", str(data))
+    code, out, err = run(capsys, "verify")
+    assert code == 2
+    assert err.startswith("error: 'utf-8' codec can't decode byte 0xe9 in position 14")
+
+
+@pytest.mark.parametrize(
+    "weights, expected",
+    [
+        ("3 2 1 1", "9: expected valid weights (weights must be ascending, got (3, 2, 1, 1))"),
+        ("0 1 1 1", "9: expected valid weights (weights must be positive integers, got (0, 1, 1, 1))"),
+        ("1 1 2 \u00b2", "15: expected weight"),  # '²' passes str.isdigit but not int()
+    ],
+    ids=["descending", "zero", "superscript"],
+)
+def test_bad_weights_are_positioned(capsys, tmp_path, monkeypatch, weights, expected):
+    data = tmp_path / "bad.txt"
+    data.write_text(
+        f"family 1\nweights {weights}\ndegree 4\nkcube 4\n"
+        "invariant F_0\nell infinite\npencils infinite\n",
+        encoding="utf-8",
+    )
+    monkeypatch.setenv("WFANO_DATA", str(data))
+    assert run(capsys, "verify")[::2] == (2, f"error: 2:{expected}\n")
+    tower = tmp_path / "bad.tower"
+    tower.write_text(f"weights {weights}\n", encoding="utf-8")
+    assert run(capsys, "eval-tower", str(tower))[::2] == (2, f"error: 1:{expected}\n")
 
 
 def test_zero_denominator_is_bad_input(capsys, tmp_path, monkeypatch):
@@ -138,14 +183,36 @@ def test_enumerate_rejects_bad_bound(capsys, bound):
     assert "--bound" in capsys.readouterr().err
 
 
-def test_internal_error_is_not_bad_input(capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "error", [NotApplicableError, ValueError], ids=["NotApplicableError", "ValueError"]
+)
+def test_internal_error_is_not_bad_input(capsys, monkeypatch, error):
     # family 13 is admissible, so a counting rule that fails on it is a bug
     def broken(gimel, path=None):
-        raise NotApplicableError("broken rule")
+        raise error("broken rule")
 
     monkeypatch.setattr(classifier, "halphen_pencils", broken)
-    with pytest.raises(NotApplicableError):
+    with pytest.raises(error, match="broken rule"):
         main(["show", "13"])
+
+
+def test_listed_family_without_presentation_fails_checks(capsys, tmp_path, monkeypatch):
+    # family 45 is on the type-IV list, but with a1 = 1 the weights give no
+    # second pencil: the pencil checks FAIL, with no traceback
+    data = tmp_path / "f45.txt"
+    data.write_text(
+        "family 45\nweights 1 2 3 5\ndegree 11\nkcube 11/30\n"
+        "invariant F_0\nell 1\npencils 2\n"
+        "row P4 1x 1/5(1,2,3)\nrow P3 1x 1/3(1,1,2)\nrow P2 1x 1/2(1,1,1) BC 1 0\n"
+    )
+    monkeypatch.setenv("WFANO_DATA", str(data))
+    code, out, err = run(capsys, "verify")
+    assert (code, err) == (1, "")
+    failed = [l for l in out.splitlines() if ", FAIL, " in l]
+    assert failed == [
+        "45, pencil count rule, FAIL, 2, 1",
+        "45, second pencil presentation, FAIL, index j with a1+a3+a4 = m*a_j, j=3, m=3",
+    ]
 
 
 @pytest.mark.parametrize(
@@ -153,6 +220,7 @@ def test_internal_error_is_not_bad_input(capsys, monkeypatch):
     [
         ("2 4 5 7", ""),  # no eliminator at P3
         ("1 1 1 1", "row P4 1x 1/5(5,1,4)\n"),  # a local weight divisible by 5
+        ("1 1 1 1", "row P4 1x 1/4(2,1,3)\n"),  # not isolated-terminal
     ],
 )
 def test_inadmissible_record_is_bad_input(capsys, tmp_path, monkeypatch, weights, row):

@@ -4,7 +4,17 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
+from wfano.blowup import InconsistentError, NotSymmetricError, UnderdeterminedError
+from wfano.classifier import (
+    DuplicateGimelError,
+    MissingGimelError,
+    NotApplicableError,
+    TableSyntaxError,
+    UnknownGimelError,
+)
+from wfano.cli import InadmissibleRecordError
 from wfano.core import (
+    InputError,
     NonTerminalError,
     QuotientSingularityType,
     Weights,
@@ -12,6 +22,7 @@ from wfano.core import (
     is_representable,
     normalize_singularity,
 )
+from wfano.towers import TowerSpecError
 
 
 def test_weights_validation():
@@ -19,6 +30,18 @@ def test_weights_validation():
         Weights(2, 1, 3, 4)  # not ascending
     with pytest.raises(ValueError):
         Weights(0, 1, 2, 3)
+
+
+def test_one_class_of_bad_input():
+    # the command line exits 2 on exactly these; every other error is a bug
+    for bad_input in (
+        TableSyntaxError, TowerSpecError, DuplicateGimelError, MissingGimelError,
+        UnknownGimelError, InadmissibleRecordError, InconsistentError, UnderdeterminedError,
+    ):
+        assert issubclass(bad_input, InputError), bad_input
+    assert not issubclass(UnknownGimelError, KeyError)
+    for bug in (NonTerminalError, NotApplicableError, NotSymmetricError):
+        assert not issubclass(bug, InputError), bug
 
 
 def test_weights_str_and_degree():

@@ -81,6 +81,12 @@ def test_positioned_errors(mangle, line, expected_part):
     assert expected_part in e.value.expected
 
 
+def test_center_integers_are_ascii():
+    with pytest.raises(TowerSpecError) as e:
+        parse_tower_text(GOOD.replace("center 5 2", "center 5 \u00b2"))
+    assert (e.value.line, e.value.col, e.value.expected) == (3, 10, "weight a")
+
+
 def test_empty_input():
     with pytest.raises(TowerSpecError):
         parse_tower_text("# nothing\n")
