@@ -22,12 +22,20 @@ On a surface D in the tower, a Gram problem asks for the intersection
 matrix of its base curves given decompositions A_s.D = sum m_si C_i: every
 pair (A_s, A_t) yields one linear equation in the unknown pairings C_i.C_j,
 and the system is solved exactly.
+
+One elimination serves both the Gram solver and the definiteness test:
+fraction-free integer elimination (Bareiss, "Sylvester's identity and
+multistep integer-preserving Gaussian elimination", Math. Comp. 22, 1968).
+Each row is first cleared of its denominators; every later update divides
+exactly by the previous pivot, so no rational arithmetic and no gcd runs
+inside the loop.
 """
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .core import InputError, QuotientSingularityType, Weights, anticanonical_cube
 
@@ -218,31 +226,44 @@ class GramProblem:
                 )
 
 
-def _gauss_jordan(mat: list[list[Fraction]], n_cols: int) -> Iterator[tuple[Fraction, bool]]:
-    # Gauss-Jordan elimination over the rationals, in place, on the first
-    # n_cols columns.  Yields (value, moved up by a row swap) for each pivot
-    # as soon as it is found, so a caller may stop early; the k-th pivot
-    # ends up in row k.
-    row = 0
+def _integer_rows(rows: list[list[Fraction | int]]) -> list[list[int]]:
+    # clear each row of its denominators; a positive row factor keeps every
+    # solution and the sign of every leading principal minor
+    out = []
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (den // x.denominator) for x in row])
+    return out
+
+
+def _bareiss(mat: list[list[int]], n_cols: int) -> Iterator[tuple[int, bool]]:
+    # Fraction-free elimination (Bareiss 1968) of an integer matrix, in
+    # place, on the first n_cols columns.  Every update is divided exactly
+    # by the previous pivot, so the entries stay integers, and the pivot of
+    # step k is the k x k minor on the pivot rows and columns so far.
+    # Yields (pivot, moved up by a row swap) as soon as it is found, so a
+    # caller may stop early; the k-th pivot ends up in row k.
+    row, prev = 0, 1
     for col in range(n_cols):
         pivot = next((r for r in range(row, len(mat)) if mat[r][col] != 0), None)
         if pivot is None:
             continue
         yield mat[pivot][col], pivot != row
         mat[row], mat[pivot] = mat[pivot], mat[row]
-        inv = mat[row][col]
-        mat[row] = [x / inv for x in mat[row]]
-        for r in range(len(mat)):
-            if r != row and mat[r][col] != 0:
-                factor = mat[r][col]
-                mat[r] = [x - factor * y for x, y in zip(mat[r], mat[row])]
+        top = mat[row]
+        p = top[col]
+        for r in range(row + 1, len(mat)):
+            f = mat[r][col]
+            mat[r] = [(p * x - f * y) // prev for x, y in zip(mat[r], top)]
+        prev = p
         row += 1
 
 
-def _solve_exact(rows: list[list[Fraction]], n_unknowns: int) -> list[Fraction]:
+def _solve_exact(rows: list[list[Fraction | int]], n_unknowns: int) -> list[Fraction]:
     # solve the augmented system; with full rank, unknown k is pinned by row k
-    mat = [row[:] for row in rows]
-    rank = sum(1 for _ in _gauss_jordan(mat, n_unknowns))
+    mat = _integer_rows(rows)
+    pivots = [p for p, _ in _bareiss(mat, n_unknowns)]
+    rank = len(pivots)
     for r in range(rank, len(mat)):
         if mat[r][n_unknowns] != 0:
             raise InconsistentError("decompositions contradict the triple products")
@@ -250,7 +271,15 @@ def _solve_exact(rows: list[list[Fraction]], n_unknowns: int) -> list[Fraction]:
         raise UnderdeterminedError(
             f"{n_unknowns - rank} of {n_unknowns} Gram entries stay free"
         )
-    return [mat[k][n_unknowns] for k in range(n_unknowns)]
+    # by Cramer's rule det * x is integral, where det is the last pivot, the
+    # determinant of the pivot rows; back-substitute det * x in integers
+    det = pivots[-1] if pivots else 1
+    scaled = [0] * n_unknowns
+    for k in reversed(range(n_unknowns)):
+        row = mat[k]
+        rest = sum(row[j] * scaled[j] for j in range(k + 1, n_unknowns))
+        scaled[k] = (det * row[n_unknowns] - rest) // row[k]
+    return [Fraction(v, det) for v in scaled]
 
 
 def solve_gram(problem: GramProblem) -> tuple[tuple[Fraction, ...], ...]:
@@ -258,23 +287,28 @@ def solve_gram(problem: GramProblem) -> tuple[tuple[Fraction, ...], ...]:
 
     Every ordered pair of restrictions (s, t) with s <= t contributes the
     equation  sum_{i,j} m_si m_tj (C_i . C_j) = A_s . A_t . D, a linear
-    condition on the upper triangle of the Gram matrix.
+    condition on the upper triangle of the Gram matrix.  With L the lcm of
+    the denominators of the m_si, each equation is multiplied by L^2, so
+    its coefficients are integers N_si N_tj with N = L*m, and the system is
+    solved by fraction-free integer elimination (Bareiss 1968).
     """
     n = len(problem.curves)
     unknowns = [(i, j) for i in range(n) for j in range(i, n)]
     index = {u: k for k, u in enumerate(unknowns)}
-    rows = []
     rs = problem.restrictions
+    scale = lcm(*(m.denominator for r in rs for m in r.coefficients))
+    ns = [[m.numerator * (scale // m.denominator) for m in r.coefficients] for r in rs]
+    rows = []
     for s in range(len(rs)):
         for t in range(s, len(rs)):
-            coeff = [Fraction(0)] * len(unknowns)
+            coeff = [0] * len(unknowns)
             for i in range(n):
                 for j in range(n):
-                    mij = rs[s].coefficients[i] * rs[t].coefficients[j]
-                    if mij:
-                        coeff[index[(min(i, j), max(i, j))]] += mij
+                    nij = ns[s][i] * ns[t][j]
+                    if nij:
+                        coeff[index[(min(i, j), max(i, j))]] += nij
             rhs = triple(problem.tower, rs[s].divisor, rs[t].divisor, problem.surface)
-            rows.append(coeff + [rhs])
+            rows.append(coeff + [scale * scale * rhs])
     values = _solve_exact(rows, len(unknowns))
     gram = [[Fraction(0)] * n for _ in range(n)]
     for (i, j), k in index.items():
@@ -283,10 +317,13 @@ def solve_gram(problem: GramProblem) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def is_negative_definite(matrix) -> bool:
-    """Exact test by elimination: a symmetric matrix is negative definite
-    iff Gauss-Jordan elimination needs no row swap and all n pivots are
-    negative (pivot k is the ratio D_k/D_(k-1) of leading principal minors,
-    so this is Sylvester's criterion without computing n determinants)."""
+    """Exact test by Sylvester's criterion: a symmetric matrix is negative
+    definite iff its leading principal minors D_k alternate in sign,
+    (-1)^k D_k > 0 for k = 1..n.  Fraction-free elimination (Bareiss 1968)
+    of the matrix, with each row cleared of its denominators, yields D_k
+    (up to a positive factor) as its k-th pivot while it needs no row swap;
+    a swap at step k means D_k = 0.  So no determinant is computed on its
+    own."""
     m = [[Fraction(x) for x in row] for row in matrix]
     n = len(m)
     if any(len(row) != n for row in m):
@@ -296,8 +333,8 @@ def is_negative_definite(matrix) -> bool:
             if m[i][j] != m[j][i]:
                 raise NotSymmetricError(f"entries ({i},{j}) and ({j},{i}) differ")
     rank = 0
-    for value, swapped in _gauss_jordan(m, n):
-        if swapped or value >= 0:
+    for minor, swapped in _bareiss(_integer_rows(m), n):
+        if swapped or (minor if rank % 2 else -minor) <= 0:
             return False
         rank += 1
     return rank == n

@@ -535,13 +535,17 @@ def verify_family(gimel: int, path: str | None = None) -> tuple[FamilyCheck, ...
             )
         )
     if gimel in TYPE_IV_GIMELS:
-        res = unique_index_j(w, skipped=2)
+        try:
+            res = unique_index_j(w, skipped=2)
+            actual = "none" if res is None else f"j={res[0]}, m={res[1]}"
+        except NotUniqueError as exc:  # a tie is a failed check, not a crash
+            res, actual = None, str(exc)
         checks.append(
             FamilyCheck(
                 "second pencil presentation",
                 res is not None and w.a1 not in (1, w.a2),
                 "index j with a1+a3+a4 = m*a_j",
-                "none" if res is None else f"j={res[0]}, m={res[1]}",
+                actual,
             )
         )
     return tuple(checks)

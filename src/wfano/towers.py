@@ -52,11 +52,11 @@ class TowerSpecError(PositionedError):
     """A tower description line that does not match the grammar."""
 
 
-_RATIONAL = r"\d+(?:/0*[1-9]\d*)?"  # no zero denominator
-_FRACTION_RE = re.compile(rf"-?{_RATIONAL}")
-_TRACK_RE = re.compile(rf"e(\d+)=({_RATIONAL})")
+_RATIONAL = r"(\d+)(?:/(0*[1-9]\d*))?"  # numerator, denominator; never zero
+_FRACTION_RE = re.compile(rf"(-?){_RATIONAL}")
+_TRACK_RE = re.compile(rf"e(\d+)={_RATIONAL}")
 _NAME_RE = re.compile(r"[A-Za-z]\w*")
-_TERM_RE = re.compile(rf"({_RATIONAL})?\s*([A-Za-z]\w*)")
+_TERM_RE = re.compile(rf"(?:{_RATIONAL})?\s*([A-Za-z]\w*)")
 
 
 @dataclass(frozen=True)
@@ -79,11 +79,19 @@ class TowerEvaluation:
     negative_definite: bool | None
 
 
+def _rational(num: str, den: str | None) -> Fraction:
+    # from the digits a regex has already matched; `Fraction(text)` would
+    # parse the text a second time
+    return Fraction(int(num), int(den or 1))
+
+
 def _fraction(cur: LineCursor, what: str) -> Fraction:
     tok, col = cur.next_token(what)
-    if not _FRACTION_RE.fullmatch(tok):
+    m = _FRACTION_RE.fullmatch(tok)
+    if not m:
         cur.fail(what, col)
-    return Fraction(tok)
+    sign, num, den = m.groups()
+    return _rational(sign + num, den)
 
 
 def parse_tower_text(source: str) -> TowerSpec:
@@ -132,7 +140,7 @@ def parse_tower_text(source: str) -> TowerSpec:
                     m = _TRACK_RE.fullmatch(tok)
                     if not m:
                         cur.fail("tracked multiplicity like e1=1/4", col)
-                    tracked.append((int(m.group(1)), Fraction(m.group(2))))
+                    tracked.append((int(m.group(1)), _rational(m.group(2), m.group(3))))
             try:
                 sing = QuotientSingularityType(r, a)
                 centers.append(
@@ -205,9 +213,10 @@ def parse_tower_text(source: str) -> TowerSpec:
             for part in body.split("+"):
                 term = part.strip()
                 m = _TERM_RE.fullmatch(term)
-                if not m or m.group(2) not in coeffs:
+                if not m or m.group(3) not in coeffs:
                     cur.fail(f"term like 5L or C (got {term!r})")
-                coeffs[m.group(2)] += Fraction(m.group(1) or 1)
+                num, den, curve = m.groups()
+                coeffs[curve] += _rational(num, den) if num else 1
             restricted.add(name)
             restrictions.append(
                 Restriction(classes[name], tuple(coeffs[c] for c in curve_names))

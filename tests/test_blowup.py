@@ -1,7 +1,8 @@
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from wfano.blowup import (
     BlowupCenter,
@@ -190,8 +191,37 @@ def test_solve_gram_known_matrix():
 def test_solve_gram_underdetermined():
     tower, s, t = gram_13()
     problem = GramProblem(tower, s, ("C", "L"), (Restriction(s, (F(1), F(1))),))
-    with pytest.raises(UnderdeterminedError):
+    with pytest.raises(UnderdeterminedError) as e:
         solve_gram(problem)
+    assert str(e.value) == "2 of 3 Gram entries stay free"
+
+
+def test_solve_gram_zero_column():
+    # curve Z appears in no decomposition: its three Gram entries have all-zero
+    # columns, which the elimination skips before dividing by the pivots of
+    # the later columns
+    tower, s, t = gram_13()
+    problem = GramProblem(
+        tower, s, ("Z", "C", "L"),
+        (Restriction(s, (F(0), F(2), F(3))), Restriction(t, (F(0), F(1), F(2)))),
+    )
+    with pytest.raises(UnderdeterminedError) as e:
+        solve_gram(problem)
+    assert str(e.value) == "3 of 6 Gram entries stay free"
+
+
+def test_solve_gram_rank_deficient_and_inconsistent():
+    # one direction only, so rank 1 of 3; S.S.D != 0 then makes the scaled
+    # copy contradict it, and inconsistency is reported first
+    tower, s, t = gram_13()
+    assert triple(tower, s, s, s) != 0
+    problem = GramProblem(
+        tower, s, ("C", "L"),
+        (Restriction(s, (F(1), F(1))), Restriction(s, (F(2), F(2)))),
+    )
+    with pytest.raises(InconsistentError) as e:
+        solve_gram(problem)
+    assert str(e.value) == "decompositions contradict the triple products"
 
 
 def test_solve_gram_inconsistent():
@@ -205,8 +235,9 @@ def test_solve_gram_inconsistent():
             Restriction(t, (F(0), F(1))),
         ),
     )
-    with pytest.raises(InconsistentError):
+    with pytest.raises(InconsistentError) as e:
         solve_gram(problem)
+    assert str(e.value) == "decompositions contradict the triple products"
 
 
 def test_gram_problem_dimension_checks():
@@ -218,6 +249,7 @@ def test_gram_problem_dimension_checks():
 
 
 def test_negative_definite_cases():
+    assert is_negative_definite(())  # the empty matrix, vacuously
     assert is_negative_definite(((F(-1),),))
     assert not is_negative_definite(((F(1),),))
     assert is_negative_definite(((F(-2), F(1)), (F(1), F(-2))))
@@ -226,6 +258,93 @@ def test_negative_definite_cases():
     assert not is_negative_definite(((F(-1), F(1)), (F(1), F(-1))))
     with pytest.raises(NotSymmetricError):
         is_negative_definite(((F(-1), F(2)), (F(1), F(-1))))
+
+
+# ---------------------------------------------------------------------------
+# oracles for the elimination: Leibniz determinants and the Gram equations
+
+
+def leibniz_det(m):
+    """Determinant as the signed sum over permutations."""
+    total = F(0)
+    for perm in permutations(range(len(m))):
+        inversions = sum(
+            1 for i in range(len(perm)) for j in range(i + 1, len(perm)) if perm[i] > perm[j]
+        )
+        term = F(-1) ** inversions
+        for row, col in enumerate(perm):
+            term *= m[row][col]
+        total += term
+    return total
+
+
+def sylvester_negative_definite(m):
+    """(-1)^k D_k > 0 for every leading principal minor D_k."""
+    return all(
+        (-1) ** k * leibniz_det([row[:k] for row in m[:k]]) > 0
+        for k in range(1, len(m) + 1)
+    )
+
+
+small = st.builds(F, st.integers(min_value=-6, max_value=6), st.integers(min_value=1, max_value=3))
+
+
+@st.composite
+def symmetric_matrices(draw):
+    n = draw(st.integers(min_value=0, max_value=4))
+    if draw(st.booleans()):
+        # -B^T B with B of random rank: negative semidefinite, often singular
+        k = draw(st.integers(min_value=0, max_value=n))
+        b = [[draw(small) for _ in range(n)] for _ in range(k)]
+        return [[-sum((b[r][i] * b[r][j] for r in range(k)), F(0)) for j in range(n)]
+                for i in range(n)]
+    m = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = draw(small)
+    return m
+
+
+def tridiagonal(n):
+    """-2 on the diagonal and 1 beside it: D_k = (-1)^k (k+1)."""
+    return [[F(-2) if i == j else F(abs(i - j) == 1) for j in range(n)] for i in range(n)]
+
+
+@given(symmetric_matrices())
+@example(tridiagonal(3))  # a pivot that skipped Bareiss's division would be D_3 D_1 > 0
+@example(tridiagonal(4))
+@example([[F(0), F(-1)], [F(-1), F(0)]])  # indefinite; after the row swap both pivots look right
+def test_negative_definite_agrees_with_leading_minors(m):
+    assert is_negative_definite(m) == sylvester_negative_definite(m)
+
+
+@st.composite
+def invertible_restrictions(draw):
+    tower, surface, _ = gram_13()
+    n = draw(st.integers(min_value=2, max_value=3))
+    coeffs = [[draw(small) for _ in range(n)] for _ in range(n)]
+    assume(leibniz_det(coeffs) != 0)
+    divisors = [DivisorClass.of(draw(small), draw(small), draw(small)) for _ in range(n)]
+    return tower, surface, divisors, coeffs
+
+
+@given(invertible_restrictions())
+def test_solve_gram_satisfies_its_equations(problem_data):
+    tower, surface, divisors, coeffs = problem_data
+    n = len(coeffs)
+    problem = GramProblem(
+        tower, surface, tuple(f"C{i}" for i in range(n)),
+        tuple(Restriction(d, tuple(row)) for d, row in zip(divisors, coeffs)),
+    )
+    g = solve_gram(problem)
+    assert all(isinstance(x, Fraction) for row in g for x in row)
+    for s in range(n):
+        for t in range(s, n):
+            lhs = sum(
+                (coeffs[s][i] * coeffs[t][j] * g[i][j] for i in range(n) for j in range(n)),
+                F(0),
+            )
+            assert lhs == triple(tower, divisors[s], divisors[t], surface)
 
 
 def test_divisor_class_str():

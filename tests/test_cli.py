@@ -215,6 +215,25 @@ def test_listed_family_without_presentation_fails_checks(capsys, tmp_path, monke
     ]
 
 
+def test_listed_family_with_tied_presentation_fails_check(capsys, tmp_path, monkeypatch):
+    # family 5's record renumbered onto the type-IV list: both a3 and a4
+    # divide a1+a3+a4 = 6, and the tie is the check's value, not a crash
+    data = tmp_path / "f45.txt"
+    data.write_text(
+        "family 45\nweights 1 1 2 3\ndegree 7\nkcube 7/6\n"
+        "invariant F_2\nell 1\npencils infinite\n"
+        "row P4 1x 1/3(1,1,2) QI xw^2,4,7\nrow P3 1x 1/2(1,1,1) QI *wt^2,5,7\n"
+    )
+    monkeypatch.setenv("WFANO_DATA", str(data))
+    code, out, err = run(capsys, "verify")
+    assert (code, err) == (1, "")
+    failed = [l for l in out.splitlines() if ", FAIL, " in l]
+    assert failed == [
+        "45, second pencil presentation, FAIL, index j with a1+a3+a4 = m*a_j, "
+        "indices [3, 4] both divide 6 for P(1,1,1,2,3)",
+    ]
+
+
 @pytest.mark.parametrize(
     "weights, row",
     [
