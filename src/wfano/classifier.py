@@ -1,13 +1,14 @@
 """The classification dataset and the Halphen pencil counting rules.
 
 The dataset is a small line-oriented text file shipped with the package
-(`data/families.txt`, override with the WFANO_DATA environment variable).
-One record per family: the weight system, exact -K^3, two opaque columns
-('invariant' and 'ell', stored verbatim), the pencil count, and one line per
-singular locus with its verbatim local type and optional annotation:
+(`data/families.txt`; the WFANO_DATA environment variable names another
+file).  One record per family: the weight system, exact -K^3, two opaque
+columns ('invariant' and 'ell', stored verbatim), the pencil count, and one
+line per singular locus with its verbatim local type and optional
+annotation:
 
     family 13
-    weights 1 1 2 3 5
+    weights 1 2 3 5
     degree 11
     kcube 11/30
     invariant F_2
@@ -22,9 +23,10 @@ to a blow up whose anticanonical cube goes negative, `QI`/`EI` record
 untwisting involution data (kept verbatim, no semantics attached), and an
 absent annotation means none is needed.
 
-The counting rules themselves are pure weight combinatorics plus two
-embedded membership lists; `verify_family` cross-checks every rule against
-the dataset, and the dataset against recomputation.
+Only `load_families` and `family` read the dataset.  The counting rules
+are pure functions of a weight system or a record: weight combinatorics
+plus two embedded membership lists.  `verify_family` cross-checks every
+rule against the record, and the record against recomputation.
 """
 from __future__ import annotations
 
@@ -65,8 +67,14 @@ class NotApplicableError(ValueError):
     """A counting rule does not apply to the weight system it was given."""
 
 
-class PencilCount(enum.Enum):
+class PencilCount(str, enum.Enum):
+    """A count that is not a number.  It renders as its value, so a count
+    prints, serializes and exports the same way whether int or not."""
+
     INFINITE = "infinite"
+
+    def __str__(self):
+        return self.value
 
 
 INFINITE = PencilCount.INFINITE
@@ -176,8 +184,8 @@ TYPE_V_GIMEL = 60
 
 
 _TYPE_RE = re.compile(r"1/(\d+)\((\d+),(\d+),(\d+)\)")
-_LOCUS_RE = re.compile(r"P[1-4](?:P[1-4])?")
-_COUNT_RE = re.compile(r"(\d+)x")
+_LOCUS_RE = re.compile(r"P[1-4]|P1P[2-4]|P2P[34]|P3P4")  # edges ascend
+_COUNT_RE = re.compile(r"(0*[1-9]\d*)x")  # a locus carries at least one point
 
 
 def _parse_row(cur: LineCursor) -> TableRow:
@@ -302,17 +310,11 @@ def serialize_table(records) -> str:
             f"kcube {rec.minus_k_cube}",
             f"invariant {rec.invariant}",
             f"ell {rec.ell}",
-            "pencils "
-            + ("infinite" if rec.halphen_count is INFINITE else str(rec.halphen_count)),
+            f"pencils {rec.halphen_count}",
         ]
         lines += [f"row {row}" for row in rec.basket_rows]
         chunks.append("\n".join(lines))
     return "\n\n".join(chunks) + "\n"
-
-
-def default_dataset_path() -> str | None:
-    """Path override from the WFANO_DATA environment variable, if set."""
-    return os.environ.get("WFANO_DATA") or None
 
 
 @lru_cache(maxsize=None)
@@ -325,14 +327,14 @@ def _load(path: str | None) -> tuple[FamilyRecord, ...]:
     return tuple(parse_table(text))
 
 
-def load_families(path: str | None = None) -> tuple[FamilyRecord, ...]:
-    """The dataset records, cached per path.  With no explicit path, the
-    WFANO_DATA environment variable wins over the packaged file."""
-    return _load(path or default_dataset_path())
+def load_families() -> tuple[FamilyRecord, ...]:
+    """The dataset records, cached per file: the file the WFANO_DATA
+    environment variable names, or else the packaged one."""
+    return _load(os.environ.get("WFANO_DATA") or None)
 
 
-def family(gimel: int, path: str | None = None) -> FamilyRecord:
-    for rec in load_families(path):
+def family(gimel: int) -> FamilyRecord:
+    for rec in load_families():
         if rec.gimel == gimel:
             return rec
     raise UnknownGimelError(f"no family {gimel} in the dataset")
@@ -342,40 +344,50 @@ def family(gimel: int, path: str | None = None) -> FamilyRecord:
 # counting rules
 
 
-def unique_index_j(w: Weights, skipped: int) -> tuple[int, int] | None:
-    """The distinguished index j with  (sum of the other three weights) = m*a_j.
+def unique_index_j(w: Weights) -> tuple[int, int] | None:
+    """The distinguished index j with  a1 + a3 + a4 = m*a_j.
 
-    `skipped` is 1 or 2: the weight left out of the sum.  Candidates must
-    differ from the skipped index *and* from its weight (a duplicate weight
-    would make the presentation collide with the skipped variable).  When
-    both a high index (3 or 4) and index 1 divide the sum, the high index
-    wins -- the defining equation is then organized by the bigger variable.
-    A tie between indices 3 and 4 admits no canonical choice and errors.
+    The second weight is left out of the sum.  Candidates are the indices
+    1, 3 and 4 whose weight differs from a2 (a weight equal to a2 would make
+    the presentation collide with that variable).  When both a high index
+    (3 or 4) and index 1 divide the sum, the high index wins -- the
+    defining equation is then organized by the bigger variable.  A tie
+    between indices 3 and 4 admits no canonical choice and errors.
 
     Returns (j, m), or None when nothing divides.
     """
-    if skipped not in (1, 2):
-        raise ValueError(f"skipped must be 1 or 2, got {skipped}")
-    a = dict(enumerate(w, start=1))
-    total = sum(v for k, v in a.items() if k != skipped)
-    cand = [
-        j for j in (1, 2, 3, 4)
-        if j != skipped and a[j] != a[skipped] and total % a[j] == 0
-    ]
+    a = {1: w.a1, 3: w.a3, 4: w.a4}
+    total = sum(a.values())
+    cand = [j for j in a if a[j] != w.a2 and total % a[j] == 0]
     high = [j for j in cand if j >= 3]
     if len(high) > 1:
         raise NotUniqueError(f"indices {high} both divide {total} for {w}")
-    if high:
-        return high[0], total // a[high[0]]
     if cand:
-        return cand[0], total // a[cand[0]]
+        j = cand[-1]  # a high index wins over index 1
+        return j, total // a[j]
     return None
+
+
+def type_iv_presentation(w: Weights) -> tuple[int, int] | str:
+    """The presentation (j, m) that cuts the second pencil
+    lambda*x^a2 + mu*z, or the reason there is none: a tie in
+    `unique_index_j` (reported first), a1 = 1, a1 = a2, or no dividing
+    index."""
+    try:
+        res = unique_index_j(w)
+    except NotUniqueError as exc:
+        return str(exc)
+    if w.a1 == 1:
+        return "a1 = 1"
+    if w.a1 == w.a2:
+        return "a1 = a2"
+    return res or f"no index divides {w.a1 + w.a3 + w.a4}"
 
 
 def type_iii_point_count(w: Weights) -> int:
     """Number of distinguished 1/a1(1,1,a1-1) points for the three families
     with a1 = a2 != 1 and a3 = a1 + 1; equals (3*a1 + a4 + 1)/a1."""
-    if not (w.a1 == w.a2 != 1 and w.a3 == w.a1 + 1):
+    if not is_type_iii(w):
         raise NotApplicableError(f"{w} is not of the a1=a2, a3=a1+1 shape")
     count, rem = divmod(3 * w.a1 + w.a4 + 1, w.a1)
     if rem:
@@ -387,7 +399,7 @@ def is_type_iii(w: Weights) -> bool:
     return w.a1 == w.a2 != 1 and w.a3 == w.a1 + 1
 
 
-def halphen_pencils(gimel: int, path: str | None = None) -> HalphenAnswer:
+def halphen_pencils(rec: FamilyRecord) -> HalphenAnswer:
     """Count and describe the Halphen pencils on the general member.
 
     Infinitely many exactly when a2 = 1 (the full anticanonical system is
@@ -398,8 +410,7 @@ def halphen_pencils(gimel: int, path: str | None = None) -> HalphenAnswer:
     second-pencil presentation gets the principal pencil only, which the
     "second pencil presentation" check of `verify_family` reports.
     """
-    rec = family(gimel, path)
-    w = rec.weights
+    gimel, w = rec.gimel, rec.weights
     if w.a2 == 1:
         return HalphenAnswer(gimel, INFINITE, ())
     if is_type_iii(w):
@@ -431,9 +442,7 @@ def halphen_pencils(gimel: int, path: str | None = None) -> HalphenAnswer:
             PencilKind.TYPE_V, "lambda*x^6 + mu*f_6(x,y,z,t)", 6
         )
         return HalphenAnswer(gimel, 2, (principal, extra))
-    if gimel in TYPE_IV_GIMELS and (
-        w.a1 not in (1, w.a2) and unique_index_j(w, skipped=2) is not None
-    ):
+    if gimel in TYPE_IV_GIMELS and isinstance(type_iv_presentation(w), tuple):
         extra = PencilDescriptor(
             PencilKind.TYPE_IV, f"lambda*x^{w.a2} + mu*z", w.a2
         )
@@ -443,16 +452,13 @@ def halphen_pencils(gimel: int, path: str | None = None) -> HalphenAnswer:
 
 def derived_type_iv_set(records) -> set[int]:
     """Cross-derivation of the two-pencil membership list from the record
-    data: weight shape, existence of the distinguished index, a two-pencil
-    count, and not being the type-V family."""
-    out = set()
-    for rec in records:
-        w = rec.weights
-        if w.a1 in (1, w.a2) or rec.gimel == TYPE_V_GIMEL or is_type_iii(w):
-            continue
-        if rec.halphen_count == 2 and unique_index_j(w, skipped=2) is not None:
-            out.add(rec.gimel)
-    return out
+    data: a two-pencil count, not being the type-V family, and a
+    second-pencil presentation."""
+    return {
+        rec.gimel for rec in records
+        if rec.halphen_count == 2 and rec.gimel != TYPE_V_GIMEL
+        and isinstance(type_iv_presentation(rec.weights), tuple)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -467,12 +473,11 @@ class FamilyCheck:
     actual: str
 
 
-def verify_family(gimel: int, path: str | None = None) -> tuple[FamilyCheck, ...]:
+def verify_family(rec: FamilyRecord) -> tuple[FamilyCheck, ...]:
     """Recompute everything recomputable about one family and compare with
-    the dataset: the anticanonical cube, the degree, the singular loci
+    its record: the anticanonical cube, the degree, the singular loci
     (counts and normalized types), the presence rule for BC annotations,
     and the pencil-count rule."""
-    rec = family(gimel, path)
     w = rec.weights
     checks = []
 
@@ -513,17 +518,9 @@ def verify_family(gimel: int, path: str | None = None) -> tuple[FamilyCheck, ...
             )
         )
 
-    answer = halphen_pencils(gimel, path)
     want = rec.halphen_count
-    got = answer.count
-    checks.append(
-        FamilyCheck(
-            "pencil count rule",
-            got == want,
-            "infinite" if want is INFINITE else str(want),
-            "infinite" if got is INFINITE else str(got),
-        )
-    )
+    got = halphen_pencils(rec).count
+    checks.append(FamilyCheck("pencil count rule", got == want, str(want), str(got)))
     if is_type_iii(w):
         r = type_iii_point_count(w)
         checks.append(
@@ -534,18 +531,10 @@ def verify_family(gimel: int, path: str | None = None) -> tuple[FamilyCheck, ...
                 f"1 + {r}",
             )
         )
-    if gimel in TYPE_IV_GIMELS:
-        try:
-            res = unique_index_j(w, skipped=2)
-            actual = "none" if res is None else f"j={res[0]}, m={res[1]}"
-        except NotUniqueError as exc:  # a tie is a failed check, not a crash
-            res, actual = None, str(exc)
-        checks.append(
-            FamilyCheck(
-                "second pencil presentation",
-                res is not None and w.a1 not in (1, w.a2),
-                "index j with a1+a3+a4 = m*a_j",
-                actual,
-            )
-        )
+    if rec.gimel in TYPE_IV_GIMELS:
+        res = type_iv_presentation(w)
+        passed = isinstance(res, tuple)
+        actual = f"j={res[0]}, m={res[1]}" if passed else res
+        expected = "index j with a1+a3+a4 = m*a_j"
+        checks.append(FamilyCheck("second pencil presentation", passed, expected, actual))
     return tuple(checks)

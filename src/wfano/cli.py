@@ -18,10 +18,10 @@ import sys
 from contextlib import contextmanager
 
 from . import classifier
-from .classifier import INFINITE, load_families, verify_family
+from .classifier import load_families, verify_family
 from .core import InputError, anticanonical_cube
 from .enumerator import enumerate_families, has_only_terminal_isolated_sings, is_quasismooth_general
-from .fixtures import fixtures_for, load_fixture
+from .fixtures import fixture_checks
 from .singularities import basket
 from .towers import evaluate, parse_tower_file
 
@@ -77,19 +77,16 @@ def cmd_enumerate(args) -> int:
 def cmd_show(args) -> int:
     rec = classifier.family(args.gimel)
     with _on_record(rec):
-        answer = classifier.halphen_pencils(args.gimel)
+        answer = classifier.halphen_pencils(rec)
     print(f"family {rec.gimel}")
     print(f"weights {rec.weights}")
     print(f"degree {rec.degree}")
     print(f"kcube {rec.minus_k_cube}")
     print(f"invariant {rec.invariant}")
     print(f"ell {rec.ell}")
-    if answer.count is INFINITE:
-        print("pencils infinite")
-    else:
-        print(f"pencils {answer.count}")
-        for p in answer.pencils:
-            print(f"  |-{p.n}K| {p.kind.value}: {p.generator_text}")
+    print(f"pencils {answer.count}")
+    for p in answer.pencils:
+        print(f"  |-{p.n}K| {p.kind.value}: {p.generator_text}")
     for row in rec.basket_rows:
         print(f"row {row.locus} {row.count}x {row.type_text()}")
     return 0
@@ -106,41 +103,6 @@ def cmd_basket(args) -> int:
     return 0
 
 
-def _matrix_text(matrix) -> str:
-    return " / ".join(" ".join(str(v) for v in row) for row in matrix)
-
-
-def _fixture_check_lines(gimel: int):
-    checks = []
-    for f in fixtures_for(gimel):
-        spec = load_fixture(f)
-        ev = evaluate(spec)
-        types = ",".join(str(c.sing_type) for c in spec.tower.centers)
-        checks.append(
-            (
-                f"neg_k_cube tower [{types}] = {f.neg_k_cube}",
-                ev.neg_k_cube == f.neg_k_cube,
-                str(f.neg_k_cube),
-                str(ev.neg_k_cube),
-            )
-        )
-        if f.gram is not None:
-            checks.append(
-                (
-                    f"gram tower [{types}]",
-                    ev.gram_matrix == f.gram and ev.negative_definite is True,
-                    _matrix_text(f.gram) + ", negative-definite",
-                    _matrix_text(ev.gram_matrix)
-                    + (
-                        ", negative-definite"
-                        if ev.negative_definite
-                        else ", not negative-definite"
-                    ),
-                )
-            )
-    return checks
-
-
 def cmd_verify(args) -> int:
     if args.gimel is not None:
         records = [classifier.family(args.gimel)]
@@ -149,13 +111,11 @@ def cmd_verify(args) -> int:
     failures = 0
     for rec in records:
         with _on_record(rec):
-            checks = verify_family(rec.gimel)
-        rows = [(c.name, c.passed, c.expected, c.actual) for c in checks]
-        rows.extend(_fixture_check_lines(rec.gimel))
-        for name, passed, expected, actual in rows:
-            status = "PASS" if passed else "FAIL"
-            print(f"{rec.gimel}, {name}, {status}, {expected}, {actual}")
-            failures += not passed
+            checks = verify_family(rec)
+        for c in checks + fixture_checks(rec.gimel):
+            status = "PASS" if c.passed else "FAIL"
+            print(f"{rec.gimel}, {c.name}, {status}, {c.expected}, {c.actual}")
+            failures += not c.passed
     return 1 if failures else 0
 
 
@@ -189,11 +149,7 @@ def cmd_export(args) -> int:
                     "kcube": str(rec.minus_k_cube),
                     "invariant": rec.invariant,
                     "ell": rec.ell,
-                    "pencils": (
-                        "infinite"
-                        if rec.halphen_count is INFINITE
-                        else rec.halphen_count
-                    ),
+                    "pencils": rec.halphen_count,
                     "rows": [
                         {
                             "locus": row.locus,
@@ -229,7 +185,7 @@ def cmd_export(args) -> int:
                     str(rec.minus_k_cube),
                     rec.invariant,
                     rec.ell,
-                    "infinite" if rec.halphen_count is INFINITE else rec.halphen_count,
+                    rec.halphen_count,
                     "; ".join(str(row) for row in rec.basket_rows),
                 ]
             )

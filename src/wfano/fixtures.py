@@ -6,7 +6,8 @@ values its evaluation must reproduce: the anticanonical cube on top of
 the chain and, for Gram fixtures, the solved intersection matrix of the
 base curves (all of which are negative definite).  The verify command
 re-evaluates every fixture of a family; the numbers here were computed
-once with this package and frozen.
+once with this package and frozen, and `fixture_checks` compares them
+as `FamilyCheck`s.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
+from .classifier import FamilyCheck
 from .towers import TowerEvaluation, TowerSpec, evaluate, parse_tower_text
 
 F = Fraction
@@ -45,10 +47,6 @@ FIXTURES: tuple[TowerFixture, ...] = (
 )
 
 
-def fixtures_for(gimel: int) -> tuple[TowerFixture, ...]:
-    return tuple(f for f in FIXTURES if f.gimel == gimel)
-
-
 def load_fixture(fixture: TowerFixture) -> TowerSpec:
     text = (
         resources.files("wfano")
@@ -60,3 +58,37 @@ def load_fixture(fixture: TowerFixture) -> TowerSpec:
 
 def evaluate_fixture(fixture: TowerFixture) -> TowerEvaluation:
     return evaluate(load_fixture(fixture))
+
+
+def _matrix_text(matrix) -> str:
+    return " / ".join(" ".join(str(v) for v in row) for row in matrix)
+
+
+def fixture_checks(gimel: int) -> tuple[FamilyCheck, ...]:
+    """Every fixture of a family evaluated against its frozen values: the
+    cube on top of the chain and, for a Gram fixture, the matrix and its
+    negative definiteness."""
+    checks = []
+    for f in (f for f in FIXTURES if f.gimel == gimel):
+        spec = load_fixture(f)
+        ev = evaluate(spec)
+        types = ",".join(str(c.sing_type) for c in spec.tower.centers)
+        checks.append(
+            FamilyCheck(
+                f"neg_k_cube tower [{types}] = {f.neg_k_cube}",
+                ev.neg_k_cube == f.neg_k_cube,
+                str(f.neg_k_cube),
+                str(ev.neg_k_cube),
+            )
+        )
+        if f.gram is not None:
+            verdict = "negative-definite" if ev.negative_definite else "not negative-definite"
+            checks.append(
+                FamilyCheck(
+                    f"gram tower [{types}]",
+                    ev.gram_matrix == f.gram and ev.negative_definite is True,
+                    _matrix_text(f.gram) + ", negative-definite",
+                    f"{_matrix_text(ev.gram_matrix)}, {verdict}",
+                )
+            )
+    return tuple(checks)

@@ -44,7 +44,7 @@ from .blowup import (
     solve_gram,
     triple,
 )
-from .classifier import family
+from .classifier import UnknownGimelError, family
 from .core import QuotientSingularityType, Weights
 
 
@@ -113,8 +113,12 @@ def parse_tower_text(source: str) -> TowerSpec:
             if base is not None:
                 cur.fail("a single family/weights header", kcol)
             if key == "family":
+                col = cur.next_col()
                 gimel = cur.next_int("family number")
-                base = family(gimel).weights
+                try:
+                    base = family(gimel).weights
+                except UnknownGimelError as exc:
+                    cur.fail(f"a known family ({exc})", col)
             else:
                 base = cur.next_weights()
             cur.expect_end()

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import wfano
+from wfano import classifier
 from wfano.classifier import (
     BC,
     EI,
@@ -95,6 +96,30 @@ def test_parse_errors_are_positioned():
     assert e.value.expected.startswith("one of family/row")
 
 
+COUNT, LOCUS = "count like 3x", "locus label like P4 or P2P3"
+
+
+@pytest.mark.parametrize(
+    "old, new, line, col, expected",
+    [
+        ("P4 1x", "P4 0x", 9, 8, COUNT),  # a locus with no point
+        ("P4 1x", "P4 00x", 9, 8, COUNT),
+        ("P1P2 6x", "P4P4 6x", 10, 5, LOCUS),  # one coordinate twice
+        ("P1P2 6x", "P3P1 6x", 10, 5, LOCUS),  # descending
+    ],
+    ids=["zero-count", "zero-count-padded", "repeated-locus", "descending-locus"],
+)
+def test_malformed_rows_are_positioned(old, new, line, col, expected):
+    with pytest.raises(TableSyntaxError) as e:
+        parse_table(RECORD.replace(old, new))
+    assert (e.value.line, e.value.col, e.value.expected) == (line, col, expected)
+
+
+def test_padded_count_still_parses():
+    (rec,) = parse_table(RECORD.replace("P1P2 6x", "P1P2 06x"))
+    assert rec.basket_rows[1].count == 6
+
+
 @pytest.mark.parametrize(
     "old, new, line, col, expected",
     [
@@ -144,15 +169,17 @@ def test_unknown_gimel():
 
 
 def test_unique_index_j_examples():
-    assert unique_index_j(Weights(2, 2, 3, 5), skipped=1) == (4, 2)
-    assert unique_index_j(Weights(3, 4, 5, 8), skipped=2) == (4, 2)
+    assert unique_index_j(Weights(2, 2, 3, 5)) == (4, 2)
+    assert unique_index_j(Weights(3, 4, 5, 8)) == (4, 2)
     # family 95: only the first weight divides; m = 60/5
-    assert unique_index_j(Weights(5, 6, 22, 33), skipped=2) == (1, 12)
-    assert unique_index_j(Weights(2, 3, 4, 5), skipped=2) is None
+    assert unique_index_j(Weights(5, 6, 22, 33)) == (1, 12)
+    assert unique_index_j(Weights(2, 3, 4, 5)) is None
+    # index 1 and index 3 both divide 20: the high index wins
+    assert unique_index_j(Weights(2, 3, 5, 13)) == (3, 4)
+    # a1 = 2 divides 16 but equals a2, so it is no candidate
+    assert unique_index_j(Weights(2, 2, 5, 9)) is None
     with pytest.raises(NotUniqueError):
-        unique_index_j(Weights(2, 3, 6, 9), skipped=1)
-    with pytest.raises(ValueError):
-        unique_index_j(Weights(1, 2, 3, 4), skipped=3)
+        unique_index_j(Weights(2, 3, 4, 6))
 
 
 def test_type_iii_point_count():
@@ -185,13 +212,13 @@ def test_count_formula_check_survives_optimize():
 
 def test_counts_match_dataset_everywhere():
     for rec in load_families():
-        assert halphen_pencils(rec.gimel).count == rec.halphen_count, rec.gimel
+        assert halphen_pencils(rec).count == rec.halphen_count, rec.gimel
 
 
 def test_infinite_exactly_when_second_weight_is_one():
     infinite = {
         rec.gimel for rec in load_families()
-        if halphen_pencils(rec.gimel).count is INFINITE
+        if halphen_pencils(rec).count is INFINITE
     }
     assert infinite == {1, 2, 3, 4, 5, 6, 8, 10, 14}
     for rec in load_families():
@@ -200,7 +227,7 @@ def test_infinite_exactly_when_second_weight_is_one():
 
 def test_triple_point_families():
     for gimel, total in ((18, 7), (22, 8), (28, 6)):
-        ans = halphen_pencils(gimel)
+        ans = halphen_pencils(family(gimel))
         assert ans.count == total
         kinds = [p.kind for p in ans.pencils]
         assert kinds[0] == PencilKind.TYPE_III_P
@@ -227,13 +254,13 @@ def test_divisibility_alone_does_not_give_membership():
         w = rec.weights
         assert w.a1 not in (1, w.a2)
         assert not is_type_iii(w)
-        assert unique_index_j(w, skipped=2) is not None
+        assert unique_index_j(w) is not None
         assert rec.halphen_count == 1
         assert gimel not in TYPE_IV_GIMELS
 
 
 def test_type_iv_descriptor_shape():
-    ans = halphen_pencils(91)
+    ans = halphen_pencils(family(91))
     assert ans.count == 2
     principal, extra = ans.pencils
     assert principal.kind == PencilKind.PRINCIPAL
@@ -244,7 +271,7 @@ def test_type_iv_descriptor_shape():
 
 
 def test_type_v_family():
-    ans = halphen_pencils(60)
+    ans = halphen_pencils(family(60))
     assert ans.count == 2
     kinds = {p.kind for p in ans.pencils}
     assert kinds == {PencilKind.PRINCIPAL, PencilKind.TYPE_V}
@@ -254,7 +281,7 @@ def test_type_v_family():
 
 def test_pencil_degrees_are_expected_values():
     for rec in load_families():
-        ans = halphen_pencils(rec.gimel)
+        ans = halphen_pencils(rec)
         w = rec.weights
         for p in ans.pencils:
             assert p.n in {1, w.a1, w.a2, 6}
@@ -272,21 +299,21 @@ def test_weight_one_families_have_one_principal_pencil():
     for rec in load_families():
         w = rec.weights
         if w.a1 == 1 and w.a2 != 1:
-            ans = halphen_pencils(rec.gimel)
+            ans = halphen_pencils(rec)
             assert ans.count == 1
             (p,) = ans.pencils
             assert p.kind == PencilKind.PRINCIPAL and p.n == 1
 
 
 def test_infinite_families_have_no_descriptors():
-    ans = halphen_pencils(5)
+    ans = halphen_pencils(family(5))
     assert ans.count is INFINITE and ans.pencils == ()
     # the caller guard: nothing to disambiguate on the quartic
-    assert unique_index_j(Weights(1, 1, 1, 1), skipped=2) is None
+    assert unique_index_j(Weights(1, 1, 1, 1)) is None
 
 
 def test_verify_family_18_passes():
-    checks = verify_family(18)
+    checks = verify_family(family(18))
     names = [c.name for c in checks]
     assert "kcube" in names
     assert "basket types" in names
@@ -297,10 +324,64 @@ def test_verify_family_18_passes():
 
 def test_verify_family_95_has_negative_blowup_row():
     # 1/330 - 1/30 = -1/33 at the 1/5(1,2,3) point, hence its BC entry
-    checks = {c.name: c for c in verify_family(95)}
+    checks = {c.name: c for c in verify_family(family(95))}
     c = checks["bc presence P1 1/5(1,2,3)"]
     assert c.passed
     assert "-1/33" in c.actual
+
+
+def listed(weights, degree, kcube, pencils):
+    """A record on the type-IV list, parsed from text; no basket rows."""
+    (rec,) = parse_table(
+        f"family 45\nweights {weights}\ndegree {degree}\nkcube {kcube}\n"
+        f"invariant F_0\nell 1\npencils {pencils}\n"
+    )
+    return rec
+
+
+@pytest.fixture
+def no_dataset(monkeypatch):
+    # the rules are functions of the record: reading the dataset is a bug
+    def unreachable(*args):
+        raise AssertionError("the dataset was read")
+
+    monkeypatch.setattr(classifier, "family", unreachable)
+    monkeypatch.setattr(classifier, "load_families", unreachable)
+
+
+@pytest.mark.parametrize(
+    "weights, degree, kcube, actual",
+    [
+        ("1 1 2 3", 7, "7/6", "indices [3, 4] both divide 6 for P(1,1,1,2,3)"),
+        ("1 2 3 5", 11, "11/30", "a1 = 1"),
+        ("2 2 3 5", 12, "1/5", "a1 = a2"),
+        ("2 3 4 5", 14, "7/60", "no index divides 11"),
+    ],
+    ids=["tie", "a1-is-1", "a1-is-a2", "no-divisor"],
+)
+def test_missing_presentation_gives_its_reason(no_dataset, weights, degree, kcube, actual):
+    checks = {c.name: c for c in verify_family(listed(weights, degree, kcube, 2))}
+    check = checks["second pencil presentation"]
+    assert not check.passed
+    assert (check.expected, check.actual) == ("index j with a1+a3+a4 = m*a_j", actual)
+
+
+def test_listed_presentation_passes(no_dataset):
+    # family 91's weights, on the list under another number
+    checks = {c.name: c for c in verify_family(listed("4 5 13 22", 44, "1/130", 2))}
+    check = checks["second pencil presentation"]
+    assert check.passed and check.actual == "j=3, m=3"
+    assert checks["pencil count rule"].passed
+
+
+@pytest.mark.parametrize(
+    "weights", ["1 2 3 5", "2 3 4 5", "2 3 4 6"], ids=["a1-is-1", "no-divisor", "tie"]
+)
+def test_listed_record_without_presentation_has_one_pencil(no_dataset, weights):
+    ans = halphen_pencils(listed(weights, 1, 1, 2))
+    assert ans.gimel == 45 and ans.count == 1
+    (p,) = ans.pencils
+    assert p.kind == PencilKind.PRINCIPAL
 
 
 def test_env_var_overrides_dataset(tmp_path, monkeypatch):

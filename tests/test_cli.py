@@ -119,6 +119,33 @@ def test_bad_weights_are_positioned(capsys, tmp_path, monkeypatch, weights, expe
     assert run(capsys, "eval-tower", str(tower))[::2] == (2, f"error: 1:{expected}\n")
 
 
+@pytest.mark.parametrize(
+    "row, expected",
+    [
+        ("P4 0x 1/5(1,2,3)", "8:8: expected count like 3x"),
+        ("P4P4 1x 1/5(1,2,3)", "8:5: expected locus label like P4 or P2P3"),
+        ("P3P1 1x 1/5(1,2,3)", "8:5: expected locus label like P4 or P2P3"),
+    ],
+    ids=["zero-count", "repeated-locus", "descending-locus"],
+)
+def test_malformed_dataset_row_is_bad_input(capsys, tmp_path, monkeypatch, row, expected):
+    data = tmp_path / "bad.txt"
+    data.write_text(
+        "family 13\nweights 1 2 3 5\ndegree 11\nkcube 11/30\n"
+        f"invariant F_2\nell 1\npencils 1\nrow {row}\n"
+    )
+    monkeypatch.setenv("WFANO_DATA", str(data))
+    assert run(capsys, "verify")[::2] == (2, f"error: {expected}\n")
+
+
+def test_tower_over_unknown_family_is_positioned(capsys, tmp_path):
+    tower = tmp_path / "unknown.tower"
+    tower.write_text("# no such family\nfamily  999\ncenter 5 2\n")
+    assert run(capsys, "eval-tower", str(tower))[::2] == (
+        2, "error: 2:9: expected a known family (no family 999 in the dataset)\n"
+    )
+
+
 def test_zero_denominator_is_bad_input(capsys, tmp_path, monkeypatch):
     data = tmp_path / "zero.txt"
     data.write_text(
@@ -188,7 +215,7 @@ def test_enumerate_rejects_bad_bound(capsys, bound):
 )
 def test_internal_error_is_not_bad_input(capsys, monkeypatch, error):
     # family 13 is admissible, so a counting rule that fails on it is a bug
-    def broken(gimel, path=None):
+    def broken(rec):
         raise error("broken rule")
 
     monkeypatch.setattr(classifier, "halphen_pencils", broken)
@@ -211,7 +238,7 @@ def test_listed_family_without_presentation_fails_checks(capsys, tmp_path, monke
     failed = [l for l in out.splitlines() if ", FAIL, " in l]
     assert failed == [
         "45, pencil count rule, FAIL, 2, 1",
-        "45, second pencil presentation, FAIL, index j with a1+a3+a4 = m*a_j, j=3, m=3",
+        "45, second pencil presentation, FAIL, index j with a1+a3+a4 = m*a_j, a1 = 1",
     ]
 
 
@@ -261,6 +288,7 @@ def test_export_json_roundtrip(capsys):
     assert len(data["families"]) == 95
     g7 = data["families"][6]
     assert g7["gimel"] == 7 and g7["kcube"] == "2/3"
+    assert (data["families"][0]["pencils"], data["families"][17]["pencils"]) == ("infinite", 7)
 
 
 def test_export_csv_anchors(capsys):
@@ -271,6 +299,8 @@ def test_export_csv_anchors(capsys):
     assert "2/3" in g7
     (g18,) = [r for r in rows if r.startswith("18,")]
     assert ",7," in g18
+    (g1,) = [r for r in rows if r.startswith("1,")]
+    assert g1.split(",")[rows[0].split(",").index("pencils")] == "infinite"
 
 
 def test_export_deterministic(capsys, tmp_path):

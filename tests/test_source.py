@@ -1,0 +1,19 @@
+"""Checks on the library's source text."""
+import ast
+from pathlib import Path
+
+import wfano
+
+SOURCES = sorted(Path(wfano.__file__).parent.glob("*.py"))
+
+
+def test_library_has_no_assert_statements():
+    # `python -O` strips asserts, and the library's invariants must survive it
+    assert {"classifier.py", "core.py", "singularities.py"} <= {p.name for p in SOURCES}
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

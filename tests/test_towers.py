@@ -121,3 +121,10 @@ def test_duplicate_class_and_restrict():
     with pytest.raises(TowerSpecError) as e:
         parse_tower_text(GOOD + "restrict T = L\n")
     assert "restricted once" in e.value.expected
+
+
+def test_unknown_family_header_is_positioned():
+    with pytest.raises(TowerSpecError) as e:
+        parse_tower_text("family 999\n")
+    assert (e.value.line, e.value.col) == (1, 8)
+    assert e.value.expected == "a known family (no family 999 in the dataset)"
