@@ -114,9 +114,6 @@ class Tower:
                     f"center #{idx + 1} carries stage {c.stage}"
                 )
 
-    def __len__(self):
-        return len(self.centers)
-
 
 @dataclass(frozen=True)
 class DivisorClass:

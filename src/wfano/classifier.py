@@ -59,10 +59,6 @@ class UnknownGimelError(InputError):
     pass
 
 
-class NotUniqueError(ValueError):
-    """Two admissible high indices divide the weight sum."""
-
-
 class NotApplicableError(ValueError):
     """A counting rule does not apply to the weight system it was given."""
 
@@ -144,7 +140,6 @@ class FamilyRecord:
 
 
 class PencilKind(enum.Enum):
-    FULL_ANTICANONICAL_SYSTEM_PENCILS = "full anticanonical system of pencils"
     PRINCIPAL = "principal"
     TYPE_III_P = "type III distinguished"
     TYPE_III_POINT = "type III point"
@@ -172,7 +167,7 @@ class HalphenAnswer:
 
 
 # families with a second pencil cut by lambda*x^a2 + mu*z (see
-# `unique_index_j` for the presentation of the defining equation)
+# `type_iv_presentation` for the presentation of the defining equation)
 TYPE_IV_GIMELS = frozenset(
     {45, 48, 55, 57, 58, 66, 69, 74, 76, 79, 80, 81, 84, 86, 91, 93, 95}
 )
@@ -183,9 +178,11 @@ TYPE_V_GIMEL = 60
 # dataset parsing
 
 
-_TYPE_RE = re.compile(r"1/(\d+)\((\d+),(\d+),(\d+)\)")
 _LOCUS_RE = re.compile(r"P[1-4]|P1P[2-4]|P2P[34]|P3P4")  # edges ascend
-_COUNT_RE = re.compile(r"(0*[1-9]\d*)x")  # a locus carries at least one point
+# numbers are ASCII digits: without re.ASCII, \d matches any decimal digit
+_TYPE_RE = re.compile(r"1/(\d+)\((\d+),(\d+),(\d+)\)", re.ASCII)
+_COUNT_RE = re.compile(r"(0*[1-9]\d*)x", re.ASCII)  # a locus carries at least one point
+_KCUBE_RE = re.compile(r"\d+(/0*[1-9]\d*)?", re.ASCII)
 
 
 def _parse_row(cur: LineCursor) -> TableRow:
@@ -276,7 +273,7 @@ def parse_table(source: str) -> list[FamilyRecord]:
             current[key] = cur.next_int("integer")
         elif key == "kcube":
             tok, vcol = cur.next_token("fraction")
-            if not re.fullmatch(r"\d+(/0*[1-9]\d*)?", tok):
+            if not _KCUBE_RE.fullmatch(tok):
                 raise TableSyntaxError(lineno, vcol, "fraction p/q")
             current[key] = Fraction(tok)
         elif key == "pencils":
@@ -344,44 +341,32 @@ def family(gimel: int) -> FamilyRecord:
 # counting rules
 
 
-def unique_index_j(w: Weights) -> tuple[int, int] | None:
-    """The distinguished index j with  a1 + a3 + a4 = m*a_j.
+def type_iv_presentation(w: Weights) -> tuple[int, int] | str:
+    """The presentation (j, m) with a1 + a3 + a4 = m*a_j that cuts the
+    second pencil lambda*x^a2 + mu*z, or the reason there is none.
 
     The second weight is left out of the sum.  Candidates are the indices
     1, 3 and 4 whose weight differs from a2 (a weight equal to a2 would make
     the presentation collide with that variable).  When both a high index
     (3 or 4) and index 1 divide the sum, the high index wins -- the
-    defining equation is then organized by the bigger variable.  A tie
-    between indices 3 and 4 admits no canonical choice and errors.
-
-    Returns (j, m), or None when nothing divides.
+    defining equation is then organized by the bigger variable.  The
+    reasons, in the order they are tested: a tie between indices 3 and 4,
+    which admits no canonical choice; a1 = 1; a1 = a2; no dividing index.
     """
     a = {1: w.a1, 3: w.a3, 4: w.a4}
     total = sum(a.values())
     cand = [j for j in a if a[j] != w.a2 and total % a[j] == 0]
     high = [j for j in cand if j >= 3]
     if len(high) > 1:
-        raise NotUniqueError(f"indices {high} both divide {total} for {w}")
-    if cand:
-        j = cand[-1]  # a high index wins over index 1
-        return j, total // a[j]
-    return None
-
-
-def type_iv_presentation(w: Weights) -> tuple[int, int] | str:
-    """The presentation (j, m) that cuts the second pencil
-    lambda*x^a2 + mu*z, or the reason there is none: a tie in
-    `unique_index_j` (reported first), a1 = 1, a1 = a2, or no dividing
-    index."""
-    try:
-        res = unique_index_j(w)
-    except NotUniqueError as exc:
-        return str(exc)
+        return f"indices {high} both divide {total} for {w}"
     if w.a1 == 1:
         return "a1 = 1"
     if w.a1 == w.a2:
         return "a1 = a2"
-    return res or f"no index divides {w.a1 + w.a3 + w.a4}"
+    if not cand:
+        return f"no index divides {total}"
+    j = cand[-1]  # a high index wins over index 1
+    return j, total // a[j]
 
 
 def type_iii_point_count(w: Weights) -> int:

@@ -19,11 +19,12 @@ class InputError(ValueError):
 
 
 class NonTerminalError(ValueError):
-    """A quotient singularity that admits no 1/r(1, a, r-a) presentation."""
-
-
-class WeightDivisibleError(ValueError):
-    """A local weight is divisible by r, so the singularity is not isolated."""
+    """A point of the general member that is not an isolated terminal
+    quotient 1/r(1, a, r-a).  It fails in one of four ways: a local weight
+    is 0 mod r or not prime to r; no unit of Z/r brings the local weights
+    to (1, a, r-a); no variable can be eliminated at a vertex, so the
+    member is not quasismooth there; or a whole stratum curve lies inside
+    the member."""
 
 
 @dataclass(frozen=True, order=True)
@@ -118,15 +119,15 @@ def normalize_singularity(r: int, q1: int, q2: int, q3: int) -> QuotientSingular
 
     The defining data is only determined up to multiplying all three local
     weights by a unit of Z/r, so we search the units.  Raises
-    WeightDivisibleError when some local weight is 0 mod r (the singular
-    locus would be positive-dimensional) and NonTerminalError when no unit
+    NonTerminalError when some local weight is 0 mod r (the singular locus
+    would be positive-dimensional) or not prime to r, and when no unit
     produces the (1, a, r-a) shape.
     """
     if r < 2:
         raise ValueError(f"index must be >= 2, got {r}")
     qs = [q % r for q in (q1, q2, q3)]
     if any(q == 0 for q in qs):
-        raise WeightDivisibleError(f"1/{r}({q1},{q2},{q3}) has a weight divisible by {r}")
+        raise NonTerminalError(f"1/{r}({q1},{q2},{q3}) has a weight divisible by {r}")
     if any(gcd(q, r) != 1 for q in qs):
         raise NonTerminalError(f"1/{r}({q1},{q2},{q3}) is not isolated-terminal")
     for u in range(1, r):

@@ -17,8 +17,8 @@ from __future__ import annotations
 from itertools import combinations
 from math import gcd
 
-from .core import NonTerminalError, Weights, WeightDivisibleError, is_representable
-from .singularities import EmptyRestrictionError, NoEliminatorError, singular_points
+from .core import NonTerminalError, Weights, is_representable
+from .singularities import singular_points
 
 
 def is_quasismooth_general(w: Weights) -> bool:
@@ -48,18 +48,18 @@ def has_only_terminal_isolated_sings(w: Weights) -> bool:
     """Do the quotient points cut out on a general member stay terminal?
 
     The weights must be globally coprime, and the walk over the singular
-    points of the member (`singularities.singular_points`) must find a
-    1/r(1, a, r-a) quotient at every vertex and along every singular
-    stratum, with no stratum curve inside the member.  Three weights with a
-    common factor need no separate test: the stratum of two of them then
-    has a local weight not prime to its index.
+    points of the member (`singularities.singular_points`) must finish
+    without a NonTerminalError: a 1/r(1, a, r-a) quotient at every vertex
+    and along every singular stratum, with no stratum curve inside the
+    member.  Three weights with a common factor need no separate test: the
+    stratum of two of them then has a local weight not prime to its index.
     """
     if gcd(*w) != 1:
         return False
     try:
         for _point in singular_points(w):
             pass
-    except (NonTerminalError, WeightDivisibleError, EmptyRestrictionError, NoEliminatorError):
+    except NonTerminalError:
         return False
     return True
 

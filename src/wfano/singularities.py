@@ -9,52 +9,16 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import combinations
 from math import gcd, lcm
 
-from .core import QuotientSingularityType, Weights, normalize_singularity
-
-
-class NoEliminatorError(ValueError):
-    """No variable can be eliminated at the vertex: the general member is
-    not quasismooth there."""
-
-
-class EmptyRestrictionError(ValueError):
-    """The defining polynomial restricts to zero on a stratum, so the whole
-    stratum curve lies inside the hypersurface."""
+from .core import NonTerminalError, QuotientSingularityType, Weights, normalize_singularity
 
 
 class InconsistentPointError(RuntimeError):
     """Two computations of the same singular point disagree.  The geometry
     rules this out for every weight system, so it signals a bug here, not
     bad input."""
-
-
-@dataclass(frozen=True)
-class Stratum:
-    """A one-dimensional coordinate stratum {x_k = 0 for k outside {i, j}}
-    along which the ambient space has a transverse 1/r quotient."""
-
-    i: int  # ambient indices, 1-based into (a1..a4)
-    j: int
-    r: int
-
-    def __post_init__(self):
-        if not (1 <= self.i < self.j <= 4):
-            raise ValueError(f"bad stratum indices ({self.i}, {self.j})")
-        if self.r < 2:
-            raise ValueError("a stratum needs a common weight factor >= 2")
-
-
-def singular_strata(w: Weights) -> list[Stratum]:
-    """The coordinate strata of P(1,a1,..,a4) with non-trivial stabilizer."""
-    ws = w.ambient
-    return [
-        Stratum(i, j, gcd(ws[i], ws[j]))
-        for i in range(1, 5)
-        for j in range(i + 1, 5)
-        if gcd(ws[i], ws[j]) >= 2
-    ]
 
 
 @dataclass(frozen=True)
@@ -73,29 +37,13 @@ class BasketEntry:
 
 @dataclass(frozen=True)
 class Basket:
-    """The multiset of quotient points on a general member, as sorted entries.
-
-    Entries are sorted by descending index r, then ascending count, then
-    locus; identical (type, locus) pairs are merged on construction.
-    """
+    """The multiset of quotient points on a general member, as entries
+    sorted by descending index r, then ascending count, a and locus."""
 
     entries: tuple[BasketEntry, ...]
 
-    @classmethod
-    def from_entries(cls, entries) -> "Basket":
-        merged: dict[tuple[QuotientSingularityType, str], int] = {}
-        for e in entries:
-            key = (e.sing_type, e.locus)
-            merged[key] = merged.get(key, 0) + e.count
-        out = [BasketEntry(c, t, l) for (t, l), c in merged.items()]
-        out.sort(key=lambda e: (-e.sing_type.r, e.count, e.sing_type.a, e.locus))
-        return cls(tuple(out))
-
     def __iter__(self):
         return iter(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
 
     def type_multiset(self) -> tuple[tuple[QuotientSingularityType, int], ...]:
         """Aggregate counts per singularity type, locus forgotten."""
@@ -105,36 +53,31 @@ class Basket:
         return tuple(sorted(agg.items(), key=lambda kv: (-kv[0].r, kv[0].a)))
 
 
-def vertex_on_member(w: Weights, i: int) -> bool:
-    """Is the vertex P_i on the general member?  It is unless a pure power
-    x_i^k has degree d."""
-    if not 1 <= i <= 4:
-        raise ValueError(f"vertex index must be in 1..4, got {i}")
-    return w.degree % w.ambient[i] != 0
-
-
 def coordinate_point_type(w: Weights, i: int) -> QuotientSingularityType:
     """Transverse quotient type of the general member at the vertex P_i.
 
     Requires the vertex to be a singular point of the member (weight >= 2
-    and no pure power of degree d).  The type is read off by eliminating
+    and no pure power x_i^k of degree d).  The type is read off by eliminating
     one variable x_j with a monomial x_i^k x_j of degree d; as d exceeds
     every weight, a_i dividing d - a_j is enough.  Every eliminator has
     weight = d mod a_i, so removing any of them leaves the same local
-    weights mod a_i; the first one is used.
+    weights mod a_i; the first one is used.  With no eliminator the member
+    is not quasismooth at P_i, a NonTerminalError.
     """
     ws = w.ambient
     r = ws[i]
     if r < 2:
         raise ValueError(f"vertex P{i} has weight {r}; nothing to compute")
-    if not vertex_on_member(w, i):
-        raise ValueError(f"vertex P{i} does not lie on the general member")
+    if not 1 <= i <= 4:
+        raise ValueError(f"vertex index must be in 1..4, got {i}")
     d = w.degree
+    if d % r == 0:
+        raise ValueError(f"vertex P{i} does not lie on the general member")
     for j in range(5):
         if j != i and (d - ws[j]) % r == 0:
             others = [ws[m] for m in range(5) if m not in (i, j)]
             return normalize_singularity(r, *others)
-    raise NoEliminatorError(f"no monomial x_{i}^k*x_j of degree {d} for {w}")
+    raise NonTerminalError(f"no monomial x_{i}^k*x_j of degree {d} for {w}")
 
 
 def stratum_points(w: Weights, i: int, j: int) -> tuple[int, QuotientSingularityType]:
@@ -145,7 +88,9 @@ def stratum_points(w: Weights, i: int, j: int) -> tuple[int, QuotientSingularity
     factors as x_i^ei * x_j^ej * g; the residual degree of g, divided by
     lcm(a_i, a_j), counts the points with both coordinates non-zero.  The
     vertices, when they lie on the member, show up through ei/ej instead
-    and are reported by `coordinate_point_type`.
+    and are reported by `coordinate_point_type`.  When no monomial of
+    degree d lives on the stratum, the whole stratum curve lies inside
+    the member, a NonTerminalError.
     """
     ws = w.ambient
     r = gcd(ws[i], ws[j])
@@ -158,7 +103,7 @@ def stratum_points(w: Weights, i: int, j: int) -> tuple[int, QuotientSingularity
         if (d - m * ws[i]) % ws[j] == 0
     ]
     if not exps:
-        raise EmptyRestrictionError(f"stratum P{i}P{j} lies inside the general member of {w}")
+        raise NonTerminalError(f"stratum P{i}P{j} lies inside the general member of {w}")
     ei = min(m for m, _ in exps)
     ej = min(n for _, n in exps)
     residual = d - ei * ws[i] - ej * ws[j]
@@ -173,25 +118,29 @@ def stratum_points(w: Weights, i: int, j: int) -> tuple[int, QuotientSingularity
 
 def singular_points(w: Weights) -> Iterator[tuple[int, QuotientSingularityType, str]]:
     """Walk the quotient points of the general member: (count, type, locus)
-    for each singular vertex on the member, then for each singular stratum.
+    for each singular vertex on the member (weight >= 2, no pure power of
+    degree d), then for each singular stratum (two weights with a common
+    factor), each locus once.
 
     A stratum that meets the member only at vertices yields count 0, and
     its transverse type is checked all the same; this is what rejects
-    three weights with a common factor.  Raises the errors of
-    `coordinate_point_type`, `stratum_points` and `normalize_singularity`
-    at the first point that is not a terminal quotient point.
+    three weights with a common factor.  Raises one NonTerminalError at
+    the first point that is not a terminal quotient point.
     """
     ws = w.ambient
     for i in range(1, 5):
-        if ws[i] >= 2 and vertex_on_member(w, i):
+        if ws[i] >= 2 and w.degree % ws[i]:
             yield 1, coordinate_point_type(w, i), f"P{i}"
-    for st in singular_strata(w):
-        count, typ = stratum_points(w, st.i, st.j)
-        yield count, typ, f"P{st.i}P{st.j}"
+    for i, j in combinations(range(1, 5), 2):
+        if gcd(ws[i], ws[j]) >= 2:
+            count, typ = stratum_points(w, i, j)
+            yield count, typ, f"P{i}P{j}"
 
 
 def basket(w: Weights) -> Basket:
-    """All quotient points of the general member, vertices and strata."""
-    return Basket.from_entries(
-        BasketEntry(count, typ, locus) for count, typ, locus in singular_points(w) if count > 0
-    )
+    """All quotient points of the general member, vertices and strata, in
+    the order of `Basket`.  The walk names each locus once, so no two
+    entries need merging."""
+    entries = [BasketEntry(c, t, locus) for c, t, locus in singular_points(w) if c > 0]
+    entries.sort(key=lambda e: (-e.sing_type.r, e.count, e.sing_type.a, e.locus))
+    return Basket(tuple(entries))

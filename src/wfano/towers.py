@@ -52,11 +52,12 @@ class TowerSpecError(PositionedError):
     """A tower description line that does not match the grammar."""
 
 
+# ASCII only: without re.ASCII, \d and \w match any decimal digit or letter
 _RATIONAL = r"(\d+)(?:/(0*[1-9]\d*))?"  # numerator, denominator; never zero
-_FRACTION_RE = re.compile(rf"(-?){_RATIONAL}")
-_TRACK_RE = re.compile(rf"e(\d+)={_RATIONAL}")
-_NAME_RE = re.compile(r"[A-Za-z]\w*")
-_TERM_RE = re.compile(rf"(?:{_RATIONAL})?\s*([A-Za-z]\w*)")
+_FRACTION_RE = re.compile(rf"(-?){_RATIONAL}", re.ASCII)
+_TRACK_RE = re.compile(rf"e(\d+)={_RATIONAL}", re.ASCII)
+_NAME_RE = re.compile(r"[A-Za-z]\w*", re.ASCII)
+_TERM_RE = re.compile(rf"(?:{_RATIONAL})?\s*([A-Za-z]\w*)", re.ASCII)
 
 
 @dataclass(frozen=True)
@@ -210,7 +211,7 @@ def parse_tower_text(source: str) -> TowerSpec:
             eq, col = cur.next_token("=")
             if eq != "=":
                 cur.fail("=", col)
-            body = cur.rest()
+            col, body = cur.next_col(), cur.rest()
             if not body:
                 cur.fail("curve decomposition")
             coeffs = {c: Fraction(0) for c in curve_names}
@@ -218,7 +219,9 @@ def parse_tower_text(source: str) -> TowerSpec:
                 term = part.strip()
                 m = _TERM_RE.fullmatch(term)
                 if not m or m.group(3) not in coeffs:
-                    cur.fail(f"term like 5L or C (got {term!r})")
+                    col += len(part) - len(part.lstrip())
+                    cur.fail(f"term like 5L or C (got {term!r})", col)
+                col += len(part) + 1
                 num, den, curve = m.groups()
                 coeffs[curve] += _rational(num, den) if num else 1
             restricted.add(name)

@@ -17,7 +17,6 @@ from wfano.classifier import (
     DuplicateGimelError,
     MissingGimelError,
     NotApplicableError,
-    NotUniqueError,
     PencilKind,
     TableSyntaxError,
     UnknownGimelError,
@@ -29,7 +28,7 @@ from wfano.classifier import (
     parse_table,
     serialize_table,
     type_iii_point_count,
-    unique_index_j,
+    type_iv_presentation,
     verify_family,
 )
 from wfano.core import Weights
@@ -127,11 +126,18 @@ def test_padded_count_still_parses():
         ("degree 12", "degree 1\u00b2", 4, 8, "integer"),
         ("pencils 7", "pencils \u00b2", 8, 9, "count or 'infinite'"),
         ("BC 2 0", "BC \u00b2 0", 10, 27, "integer b"),
+        ("kcube 1/5", "kcube \u0661/5", 5, 7, "fraction p/q"),
+        ("kcube 1/5", "kcube 1/5\u0660", 5, 7, "fraction p/q"),
+        ("P4 1x", "P4 1\u0660x", 9, 8, "count like 3x"),
+        ("1/5(1,2,3)", "1/\u0665(1,2,3)", 9, 11, "type like 1/5(1,2,3)"),
+        ("1/5(1,2,3)", "1/5(1,\u0662,3)", 9, 11, "type like 1/5(1,2,3)"),
     ],
-    ids=["family", "degree", "pencils", "bc"],
+    ids=["family", "degree", "pencils", "bc", "kcube-numerator", "kcube-denominator",
+         "count", "type-index", "type-weight"],
 )
 def test_integers_are_ascii(old, new, line, col, expected):
-    # '²' passes str.isdigit but not int()
+    # '²' passes str.isdigit but not int(); '\u0661' (ARABIC-INDIC DIGIT
+    # ONE) matches a plain regex \d, and int() reads it
     with pytest.raises(TableSyntaxError) as e:
         parse_table(RECORD.replace(old, new))
     assert (e.value.line, e.value.col, e.value.expected) == (line, col, expected)
@@ -168,18 +174,24 @@ def test_unknown_gimel():
         family(999)
 
 
-def test_unique_index_j_examples():
-    assert unique_index_j(Weights(2, 2, 3, 5)) == (4, 2)
-    assert unique_index_j(Weights(3, 4, 5, 8)) == (4, 2)
+def test_type_iv_presentation_examples():
+    assert type_iv_presentation(Weights(3, 4, 5, 8)) == (4, 2)
     # family 95: only the first weight divides; m = 60/5
-    assert unique_index_j(Weights(5, 6, 22, 33)) == (1, 12)
-    assert unique_index_j(Weights(2, 3, 4, 5)) is None
+    assert type_iv_presentation(Weights(5, 6, 22, 33)) == (1, 12)
+    assert type_iv_presentation(Weights(2, 3, 4, 5)) == "no index divides 11"
     # index 1 and index 3 both divide 20: the high index wins
-    assert unique_index_j(Weights(2, 3, 5, 13)) == (3, 4)
-    # a1 = 2 divides 16 but equals a2, so it is no candidate
-    assert unique_index_j(Weights(2, 2, 5, 9)) is None
-    with pytest.raises(NotUniqueError):
-        unique_index_j(Weights(2, 3, 4, 6))
+    assert type_iv_presentation(Weights(2, 3, 5, 13)) == (3, 4)
+    # index 4 divides 10, but a1 = a2 rules the presentation out
+    assert type_iv_presentation(Weights(2, 2, 3, 5)) == "a1 = a2"
+    # a3 = 3 divides 9 but equals a2, so it is no candidate
+    assert type_iv_presentation(Weights(2, 3, 3, 4)) == "no index divides 9"
+    # indices 3 and 4 both divide 12: a tie, reported before anything else
+    assert type_iv_presentation(Weights(2, 3, 4, 6)) == (
+        "indices [3, 4] both divide 12 for P(1,2,3,4,6)"
+    )
+    assert type_iv_presentation(Weights(1, 1, 2, 3)) == (
+        "indices [3, 4] both divide 6 for P(1,1,1,2,3)"
+    )
 
 
 def test_type_iii_point_count():
@@ -254,7 +266,7 @@ def test_divisibility_alone_does_not_give_membership():
         w = rec.weights
         assert w.a1 not in (1, w.a2)
         assert not is_type_iii(w)
-        assert unique_index_j(w) is not None
+        assert isinstance(type_iv_presentation(w), tuple)
         assert rec.halphen_count == 1
         assert gimel not in TYPE_IV_GIMELS
 
@@ -309,7 +321,7 @@ def test_infinite_families_have_no_descriptors():
     ans = halphen_pencils(family(5))
     assert ans.count is INFINITE and ans.pencils == ()
     # the caller guard: nothing to disambiguate on the quartic
-    assert unique_index_j(Weights(1, 1, 1, 1)) is None
+    assert type_iv_presentation(Weights(1, 1, 1, 1)) == "a1 = 1"
 
 
 def test_verify_family_18_passes():

@@ -138,6 +138,43 @@ def test_malformed_dataset_row_is_bad_input(capsys, tmp_path, monkeypatch, row, 
     assert run(capsys, "verify")[::2] == (2, f"error: {expected}\n")
 
 
+@pytest.mark.parametrize(
+    "old, new, expected",
+    [
+        ("kcube 11/30", "kcube \u0661\u0661/30", "4:7: expected fraction p/q"),
+        ("P4 1x", "P4 1\u0660x", "8:8: expected count like 3x"),
+        ("1/5(1,2,3)", "1/\u0665(1,2,3)", "8:11: expected type like 1/5(1,2,3)"),
+    ],
+    ids=["kcube", "count", "type"],
+)
+def test_non_ascii_digits_in_dataset_are_bad_input(capsys, tmp_path, monkeypatch, old, new, expected):
+    data = tmp_path / "bad.txt"
+    data.write_text(
+        "family 13\nweights 1 2 3 5\ndegree 11\nkcube 11/30\n"
+        "invariant F_2\nell 1\npencils 1\nrow P4 1x 1/5(1,2,3)\n".replace(old, new),
+        encoding="utf-8",
+    )
+    monkeypatch.setenv("WFANO_DATA", str(data))
+    assert run(capsys, "verify")[::2] == (2, f"error: {expected}\n")
+
+
+@pytest.mark.parametrize(
+    "line, expected",
+    [
+        ("center 2 1 track e1=\u0661/5", "3:18: expected tracked multiplicity like e1=1/4"),
+        ("class S \u0661 0", "3:9: expected coefficient of H"),
+        ("class S 1 -\u0661/5", "3:11: expected exceptional coefficient"),
+        ("class S 1 0\nsurface S\ncurves L\nrestrict S = \u0662L",
+         "6:14: expected term like 5L or C (got '\u0662L')"),
+    ],
+    ids=["track", "h-coefficient", "e-coefficient", "term"],
+)
+def test_non_ascii_digits_in_tower_are_bad_input(capsys, tmp_path, line, expected):
+    tower = tmp_path / "bad.tower"
+    tower.write_text(f"weights 1 2 3 5\ncenter 5 2\n{line}\n", encoding="utf-8")
+    assert run(capsys, "eval-tower", str(tower))[::2] == (2, f"error: {expected}\n")
+
+
 def test_tower_over_unknown_family_is_positioned(capsys, tmp_path):
     tower = tmp_path / "unknown.tower"
     tower.write_text("# no such family\nfamily  999\ncenter 5 2\n")
@@ -267,6 +304,8 @@ def test_listed_family_with_tied_presentation_fails_check(capsys, tmp_path, monk
         ("2 4 5 7", ""),  # no eliminator at P3
         ("1 1 1 1", "row P4 1x 1/5(5,1,4)\n"),  # a local weight divisible by 5
         ("1 1 1 1", "row P4 1x 1/4(2,1,3)\n"),  # not isolated-terminal
+        ("3 4 4 5", ""),  # quasismooth, but P4 is 1/5(3,4,4)
+        ("2 2 2 2", ""),  # quasismooth, but P1P2 is 1/2(1,2,2)
     ],
 )
 def test_inadmissible_record_is_bad_input(capsys, tmp_path, monkeypatch, weights, row):
@@ -276,9 +315,13 @@ def test_inadmissible_record_is_bad_input(capsys, tmp_path, monkeypatch, weights
         f"invariant F_0\nell 1\npencils 1\n{row}"
     )
     monkeypatch.setenv("WFANO_DATA", str(bad))
-    code, out, err = run(capsys, "verify")
-    assert code == 2
-    assert err.startswith("error: family 1: ")
+    # `basket` reads only the weights, so only a bad weight system fails it
+    for argv in [["verify"]] + ([["basket", "1"]] if not row else []):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith("error: family 1: "), argv
+        if weights != "2 4 5 7":  # every failure but the missing eliminator names the point
+            assert err.startswith("error: family 1: 1/"), argv
 
 
 def test_export_json_roundtrip(capsys):

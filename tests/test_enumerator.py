@@ -10,7 +10,7 @@ from wfano.enumerator import (
     has_only_terminal_isolated_sings,
     is_quasismooth_general,
 )
-from wfano.singularities import NoEliminatorError, coordinate_point_type
+from wfano.singularities import coordinate_point_type
 
 
 @lru_cache(maxsize=None)
@@ -122,7 +122,7 @@ def test_terminality_examples():
         coordinate_point_type(Weights(3, 4, 4, 5), 4)
     assert not has_only_terminal_isolated_sings(Weights(3, 4, 4, 5))
     # not quasismooth at P3: no eliminator there, so no terminal point
-    with pytest.raises(NoEliminatorError):
+    with pytest.raises(NonTerminalError):
         coordinate_point_type(Weights(2, 4, 5, 7), 3)
     assert not has_only_terminal_isolated_sings(Weights(2, 4, 5, 7))
 

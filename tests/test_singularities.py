@@ -1,30 +1,13 @@
 import pytest
 
 from wfano.classifier import family, load_families
-from wfano.core import QuotientSingularityType, Weights, normalize_singularity
+from wfano.core import NonTerminalError, QuotientSingularityType, Weights, normalize_singularity
 from wfano.singularities import (
-    Basket,
-    BasketEntry,
-    EmptyRestrictionError,
-    NoEliminatorError,
-    Stratum,
     basket,
     coordinate_point_type,
     singular_points,
-    singular_strata,
     stratum_points,
-    vertex_on_member,
 )
-
-
-def test_vertex_on_member():
-    w = Weights(1, 2, 3, 5)  # degree 11
-    assert not vertex_on_member(w, 1)  # weight 1 divides everything
-    assert vertex_on_member(w, 2)
-    assert vertex_on_member(w, 3)
-    assert vertex_on_member(w, 4)
-    with pytest.raises(ValueError):
-        vertex_on_member(w, 5)
 
 
 def test_coordinate_point_types():
@@ -37,7 +20,7 @@ def test_coordinate_point_types():
 def test_no_eliminator_at_bad_vertex():
     # degree 18, weight-5 vertex: no other coordinate can pair with a
     # power of x3, so the general member is forced through a worse point
-    with pytest.raises(NoEliminatorError):
+    with pytest.raises(NonTerminalError, match="no monomial x_3"):
         coordinate_point_type(Weights(2, 4, 5, 7), 3)
 
 
@@ -88,16 +71,18 @@ def test_stratum_points_example():
 
 def test_stratum_empty_restriction():
     # no monomial of degree 10 in two weight-3 variables
-    with pytest.raises(EmptyRestrictionError):
+    with pytest.raises(NonTerminalError, match="stratum P2P3 lies inside"):
         stratum_points(Weights(1, 3, 3, 3), 2, 3)
 
 
-def test_singular_strata():
-    # family 7 = P(1,1,2,2,3): only the (2,2) edge has a stabilizer
-    assert singular_strata(Weights(1, 2, 2, 3)) == [Stratum(2, 3, 2)]
-    assert singular_strata(Weights(1, 2, 3, 5)) == []
-    with pytest.raises(ValueError):
-        Stratum(2, 2, 2)
+def test_vertex_preconditions():
+    w = Weights(1, 2, 3, 6)  # degree 12
+    with pytest.raises(ValueError, match="nothing to compute"):
+        coordinate_point_type(w, 1)  # weight 1
+    with pytest.raises(ValueError, match="does not lie on"):
+        coordinate_point_type(w, 3)  # x3^4 has degree 12
+    with pytest.raises(ValueError, match="must be in 1..4"):
+        coordinate_point_type(w, -1)
 
 
 def test_singular_points_walk_vertices_then_strata():
@@ -109,15 +94,18 @@ def test_singular_points_walk_vertices_then_strata():
     ]
 
 
-def test_basket_merging_and_order():
-    t2 = QuotientSingularityType(2, 1)
-    t5 = QuotientSingularityType(5, 2)
-    b = Basket.from_entries(
-        [BasketEntry(1, t2, "P1P2"), BasketEntry(2, t2, "P1P2"), BasketEntry(1, t5, "P4")]
-    )
-    assert len(b) == 2
-    assert b.entries[0].sing_type == t5  # descending index first
-    assert b.entries[1].count == 3
+def test_basket_order():
+    # family 9 = P(1,1,2,3,3), degree 9: the walk yields the 1/2 vertex
+    # before the three 1/3 points on the (3,3) edge, and the basket puts
+    # the higher index first
+    w = family(9).weights
+    assert w == Weights(1, 2, 3, 3)
+    t2, t3 = QuotientSingularityType(2, 1), QuotientSingularityType(3, 1)
+    assert list(singular_points(w)) == [(1, t2, "P2"), (3, t3, "P3P4")]
+    assert [(e.count, e.sing_type, e.locus) for e in basket(w)] == [
+        (3, t3, "P3P4"),
+        (1, t2, "P2"),
+    ]
 
 
 @pytest.mark.parametrize("gimel", [5, 13, 18, 60, 91, 95])

@@ -87,6 +87,32 @@ def test_center_integers_are_ascii():
     assert (e.value.line, e.value.col, e.value.expected) == (3, 10, "weight a")
 
 
+NON_ASCII_DIGITS = [
+    ("e1=1/2", "e1=\u0661/2", 4, 18, "tracked multiplicity like e1=1/4"),
+    ("e1=1/2", "e\u0661=1/2", 4, 18, "tracked multiplicity like e1=1/4"),
+    ("class S 1 ", "class S \u0661 ", 5, 9, "coefficient of H"),
+    ("-1/5 -1/2", "-\u0661/5 -1/2", 5, 11, "exceptional coefficient"),
+    ("curves C L", "curves C L\u0662", 9, 10, "fresh curve name"),
+    ("restrict T = L", "restrict T = \u0662L", 11, 14, "term like 5L or C (got '\u0662L')"),
+]
+NON_ASCII_IDS = ["track-multiplicity", "track-stage", "h-coefficient", "e-coefficient",
+                 "curve-name", "term"]
+
+
+@pytest.mark.parametrize("old, new, line, col, expected", NON_ASCII_DIGITS, ids=NON_ASCII_IDS)
+def test_regex_numbers_are_ascii(old, new, line, col, expected):
+    # '\u0661' (ARABIC-INDIC DIGIT ONE) matches a plain \d and int() reads it
+    with pytest.raises(TowerSpecError) as e:
+        parse_tower_text(GOOD.replace(old, new))
+    assert (e.value.line, e.value.col, e.value.expected) == (line, col, expected)
+
+
+def test_term_error_is_at_the_term():
+    with pytest.raises(TowerSpecError) as e:
+        parse_tower_text(GOOD.replace("restrict T = L", "restrict T =  L + M"))
+    assert (e.value.line, e.value.col) == (11, 19)
+
+
 def test_empty_input():
     with pytest.raises(TowerSpecError):
         parse_tower_text("# nothing\n")
