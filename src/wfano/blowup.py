@@ -13,15 +13,17 @@ trivially by the projection formula, so
 
     A.B.C = kA*kB*kC * (-K^3 of the base) + sum_i  eA_i*eB_i*eC_i * E_i^3,
 
-with E_i^3 = r^2/(a(r-a)).  What is *not* determined by the generic data is
-how the earlier exceptional divisors pass through later centers; those
-multiplicities are geometric input, carried on each center as
-`tracked_multiplicities` and consumed by `exceptional_strict`.
+with E_i^3 = r^2/(a(r-a)).  With this form w over one common denominator
+and each class over its own, a triple product is an integer dot product.
+What is *not* determined by the generic data is how the earlier
+exceptional divisors pass through later centers; those multiplicities are
+geometric input, carried on each center as `tracked_multiplicities` and
+consumed by `exceptional_strict`.
 
 On a surface D in the tower, a Gram problem asks for the intersection
-matrix of its base curves given decompositions A_s.D = sum m_si C_i: every
-pair (A_s, A_t) yields one linear equation in the unknown pairings C_i.C_j,
-and the system is solved exactly.
+matrix G of its base curves given decompositions A_s.D = sum m_si C_i:
+with M = (m_si) and R_st = A_s.A_t.D they say M G M^T = R, a congruence
+solved exactly by two eliminations with M.
 
 One elimination serves both the Gram solver and the definiteness test:
 fraction-free integer elimination (Bareiss, "Sylvester's identity and
@@ -96,11 +98,6 @@ class BlowupCenter:
                 return m
         return Fraction(0)
 
-    @property
-    def exceptional_cube(self) -> Fraction:
-        r, a = self.sing_type.r, self.sing_type.a
-        return Fraction(r * r, a * (r - a))
-
 
 @dataclass(frozen=True)
 class Tower:
@@ -173,14 +170,31 @@ def _check_dim(tower: Tower, dc: DivisorClass):
         )
 
 
+def _over_lcm(values: list[Fraction]) -> tuple[int, list[int]]:
+    # the values as integer numerators over the lcm of their denominators
+    den = lcm(*[x.denominator for x in values])
+    return den, [x.numerator * (den // x.denominator) for x in values]
+
+
+def _form(tower: Tower) -> tuple[int, list[int]]:
+    # the diagonal form (-K^3 of the base, E_1^3, ..., E_n^3) as integers
+    # over one common denominator, with -K^3 = d/(a1 a2 a3 a4)
+    b, types = tower.base, [c.sing_type for c in tower.centers]
+    dens = [b.a1 * b.a2 * b.a3 * b.a4] + [t.a * (t.r - t.a) for t in types]
+    den = lcm(*dens)
+    return den, [x * (den // y) for x, y in zip([b.degree] + [t.r * t.r for t in types], dens)]
+
+
 def triple(tower: Tower, a: DivisorClass, b: DivisorClass, c: DivisorClass) -> Fraction:
     """Exact triple product A.B.C on top of the tower."""
     for dc in (a, b, c):
         _check_dim(tower, dc)
-    total = a.k_coeff * b.k_coeff * c.k_coeff * anticanonical_cube(tower.base)
-    for i, center in enumerate(tower.centers):
-        total += a.e_coeffs[i] * b.e_coeffs[i] * c.e_coeffs[i] * center.exceptional_cube
-    return total
+    den, w = _form(tower)
+    for dc in (a, b, c):
+        dc_den, xs = _over_lcm([dc.k_coeff, *dc.e_coeffs])
+        den *= dc_den
+        w = [x * y for x, y in zip(w, xs)]
+    return Fraction(sum(w), den)
 
 
 def neg_k_cube(tower: Tower) -> Fraction:
@@ -223,16 +237,6 @@ class GramProblem:
                 )
 
 
-def _integer_rows(rows: list[list[Fraction | int]]) -> list[list[int]]:
-    # clear each row of its denominators; a positive row factor keeps every
-    # solution and the sign of every leading principal minor
-    out = []
-    for row in rows:
-        den = lcm(*(x.denominator for x in row))
-        out.append([x.numerator * (den // x.denominator) for x in row])
-    return out
-
-
 def _bareiss(mat: list[list[int]], n_cols: int) -> Iterator[tuple[int, bool]]:
     # Fraction-free elimination (Bareiss 1968) of an integer matrix, in
     # place, on the first n_cols columns.  Every update is divided exactly
@@ -256,61 +260,71 @@ def _bareiss(mat: list[list[int]], n_cols: int) -> Iterator[tuple[int, bool]]:
         row += 1
 
 
-def _solve_exact(rows: list[list[Fraction | int]], n_unknowns: int) -> list[Fraction]:
-    # solve the augmented system; with full rank, unknown k is pinned by row k
-    mat = _integer_rows(rows)
-    pivots = [p for p, _ in _bareiss(mat, n_unknowns)]
-    rank = len(pivots)
-    for r in range(rank, len(mat)):
-        if mat[r][n_unknowns] != 0:
-            raise InconsistentError("decompositions contradict the triple products")
-    if rank < n_unknowns:
-        raise UnderdeterminedError(
-            f"{n_unknowns - rank} of {n_unknowns} Gram entries stay free"
-        )
-    # by Cramer's rule det * x is integral, where det is the last pivot, the
-    # determinant of the pivot rows; back-substitute det * x in integers
-    det = pivots[-1] if pivots else 1
-    scaled = [0] * n_unknowns
-    for k in reversed(range(n_unknowns)):
+def _back_substitute(mat: list[list[int]], n: int, det: int) -> list[list[int]]:
+    # det * X for the eliminated system [A | B] with A X = B and A of full
+    # column rank n, so that row k holds the k-th pivot in column k.  By
+    # Cramer's rule det * X is integral, where det is the last pivot, the
+    # determinant of the pivot rows; every division here is exact.
+    x: list[list[int]] = [[]] * n
+    for k in reversed(range(n)):
         row = mat[k]
-        rest = sum(row[j] * scaled[j] for j in range(k + 1, n_unknowns))
-        scaled[k] = (det * row[n_unknowns] - rest) // row[k]
-    return [Fraction(v, det) for v in scaled]
+        x[k] = [
+            (det * row[c] - sum(row[j] * x[j][c - n] for j in range(k + 1, n))) // row[k]
+            for c in range(n, len(row))
+        ]
+    return x
 
 
 def solve_gram(problem: GramProblem) -> tuple[tuple[Fraction, ...], ...]:
     """Solve for the full symmetric Gram matrix of the problem's curves.
 
-    Every ordered pair of restrictions (s, t) with s <= t contributes the
-    equation  sum_{i,j} m_si m_tj (C_i . C_j) = A_s . A_t . D, a linear
-    condition on the upper triangle of the Gram matrix.  With L the lcm of
-    the denominators of the m_si, each equation is multiplied by L^2, so
-    its coefficients are integers N_si N_tj with N = L*m, and the system is
-    solved by fraction-free integer elimination (Bareiss 1968).
+    With M = (m_si), k x n, and R_st = A_s.A_t.D the restrictions say
+    M G M^T = R.  Scaling row s of L*M (L the lcm of the denominators of
+    M) by the denominator of A_s gives an integer N, and the right-hand
+    sides are integer dot products with the surface's row of the form,
+    D_i*w_i: N G' N^T = P with G' an integer multiple of G.  One Bareiss
+    elimination of [N | P] gives the rank r of N and, by back substitution,
+    Y = G' N^T; a second one solves N G' = Y^T.
+
+    On symmetric matrices G -> N G N^T has an image of dimension r(r+1)/2,
+    the rank of the linear system in the n(n+1)/2 entries G_ij (i <= j)
+    with one equation per pair s <= t.  R is symmetric, so it lies in the
+    image iff its columns lie in that of N: iff the rows past rank r of the
+    eliminated [N | P] are zero on the right.  So an InconsistentError is
+    tested first, then n(n+1)/2 - r(r+1)/2 entries stay free.  When r = n
+    the second system is consistent and G comes out symmetric.
     """
-    n = len(problem.curves)
-    unknowns = [(i, j) for i in range(n) for j in range(i, n)]
-    index = {u: k for k, u in enumerate(unknowns)}
-    rs = problem.restrictions
+    n, rs = len(problem.curves), problem.restrictions
+    den, dw = _form(problem.tower)
+    d_den, d = _over_lcm([problem.surface.k_coeff, *problem.surface.e_coeffs])
+    dw = [x * y for x, y in zip(dw, d)]
     scale = lcm(*(m.denominator for r in rs for m in r.coefficients))
-    ns = [[m.numerator * (scale // m.denominator) for m in r.coefficients] for r in rs]
-    rows = []
-    for s in range(len(rs)):
-        for t in range(s, len(rs)):
-            coeff = [0] * len(unknowns)
-            for i in range(n):
-                for j in range(n):
-                    nij = ns[s][i] * ns[t][j]
-                    if nij:
-                        coeff[index[(min(i, j), max(i, j))]] += nij
-            rhs = triple(problem.tower, rs[s].divisor, rs[t].divisor, problem.surface)
-            rows.append(coeff + [scale * scale * rhs])
-    values = _solve_exact(rows, len(unknowns))
-    gram = [[Fraction(0)] * n for _ in range(n)]
-    for (i, j), k in index.items():
-        gram[i][j] = gram[j][i] = values[k]
-    return tuple(tuple(row) for row in gram)
+    classes = [_over_lcm([r.divisor.k_coeff, *r.divisor.e_coeffs]) for r in rs]
+    ns = [
+        [a_den * m.numerator * (scale // m.denominator) for m in r.coefficients]
+        for (a_den, _), r in zip(classes, rs)
+    ]
+    mat = [
+        row + [scale * scale * sum(x * y * z for x, y, z in zip(a, b, dw)) for _, b in classes]
+        for row, (_, a) in zip(ns, classes)
+    ]
+    pivots = [p for p, _ in _bareiss(mat, n)]
+    rank, unknowns = len(pivots), n * (n + 1) // 2
+    if any(any(row[n:]) for row in mat[rank:]):
+        raise InconsistentError("decompositions contradict the triple products")
+    if rank < n:
+        raise UnderdeterminedError(
+            f"{unknowns - rank * (rank + 1) // 2} of {unknowns} Gram entries stay free"
+        )
+    det = pivots[-1] if pivots else 1
+    y = _back_substitute(mat, n, det)
+    mat = [row + [y[i][s] for i in range(n)] for s, row in enumerate(ns)]
+    list(_bareiss(mat, n))  # the same pivots as before, so det stays the last one
+    den *= det * det * d_den
+    gram: list[tuple[Fraction, ...]] = []
+    for i, row in enumerate(_back_substitute(mat, n, det)):  # det^2 * G', from its upper triangle
+        gram.append(tuple([gram[j][i] for j in range(i)] + [Fraction(v, den) for v in row[i:]]))
+    return tuple(gram)
 
 
 def is_negative_definite(matrix) -> bool:
@@ -330,7 +344,7 @@ def is_negative_definite(matrix) -> bool:
             if m[i][j] != m[j][i]:
                 raise NotSymmetricError(f"entries ({i},{j}) and ({j},{i}) differ")
     rank = 0
-    for minor, swapped in _bareiss(_integer_rows(m), n):
+    for minor, swapped in _bareiss([_over_lcm(row)[1] for row in m], n):
         if swapped or (minor if rank % 2 else -minor) <= 0:
             return False
         rank += 1

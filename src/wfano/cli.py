@@ -37,11 +37,17 @@ def _explains(rec) -> bool:
     if not (is_quasismooth_general(w) and has_only_terminal_isolated_sings(w)):
         return True
     try:
-        for row in rec.basket_rows:
-            row.sing_type()
+        _normalize_rows(rec)
     except ValueError:
         return True
     return False
+
+
+def _normalize_rows(rec):
+    """Raise a NonTerminalError for the first row whose type is not a
+    terminal 1/r(1,a,r-a)."""
+    for row in rec.basket_rows:
+        row.sing_type()
 
 
 @contextmanager
@@ -77,6 +83,8 @@ def cmd_enumerate(args) -> int:
 def cmd_show(args) -> int:
     rec = classifier.family(args.gimel)
     with _on_record(rec):
+        _normalize_rows(rec)
+        basket(rec.weights)  # rejects an inadmissible record as `basket` does
         answer = classifier.halphen_pencils(rec)
     print(f"family {rec.gimel}")
     print(f"weights {rec.weights}")
@@ -95,6 +103,7 @@ def cmd_show(args) -> int:
 def cmd_basket(args) -> int:
     rec = classifier.family(args.gimel)
     with _on_record(rec):
+        _normalize_rows(rec)
         entries = basket(rec.weights).entries
     if not entries:
         print("smooth")

@@ -64,12 +64,12 @@ def coordinate_point_type(w: Weights, i: int) -> QuotientSingularityType:
     weights mod a_i; the first one is used.  With no eliminator the member
     is not quasismooth at P_i, a NonTerminalError.
     """
+    if not 1 <= i <= 4:
+        raise ValueError(f"vertex index must be in 1..4, got {i}")
     ws = w.ambient
     r = ws[i]
     if r < 2:
         raise ValueError(f"vertex P{i} has weight {r}; nothing to compute")
-    if not 1 <= i <= 4:
-        raise ValueError(f"vertex index must be in 1..4, got {i}")
     d = w.degree
     if d % r == 0:
         raise ValueError(f"vertex P{i} does not lie on the general member")

@@ -22,7 +22,7 @@ from wfano.blowup import (
     solve_gram,
     triple,
 )
-from wfano.core import QuotientSingularityType, Weights
+from wfano.core import QuotientSingularityType, Weights, anticanonical_cube
 from wfano.fixtures import FIXTURES, evaluate_fixture, load_fixture
 
 F = Fraction
@@ -240,6 +240,21 @@ def test_solve_gram_inconsistent():
     assert str(e.value) == "decompositions contradict the triple products"
 
 
+def test_solve_gram_more_restrictions_than_curves():
+    # S + T = C + 2L is implied by the other two, so three restrictions on
+    # two curves still give the known matrix
+    tower, s, t = gram_13()
+    problem = GramProblem(
+        tower, s, ("C", "L"),
+        (
+            Restriction(s, (F(1), F(1))),
+            Restriction(t, (F(0), F(1))),
+            Restriction(s + t, (F(1), F(2))),
+        ),
+    )
+    assert solve_gram(problem) == ((F(-5, 6), F(1)), (F(1), F(-4, 3)))
+
+
 def test_gram_problem_dimension_checks():
     tower, s, t = gram_13()
     with pytest.raises(DimensionMismatchError):
@@ -345,6 +360,105 @@ def test_solve_gram_satisfies_its_equations(problem_data):
                 F(0),
             )
             assert lhs == triple(tower, divisors[s], divisors[t], surface)
+
+
+def definitional_triple(tower, a, b, c):
+    """kA*kB*kC*(-K^3) + sum_i eA_i*eB_i*eC_i*E_i^3 in Fraction arithmetic."""
+    total = a.k_coeff * b.k_coeff * c.k_coeff * anticanonical_cube(tower.base)
+    for i, center in enumerate(tower.centers):
+        r, q = center.sing_type.r, center.sing_type.a
+        total += a.e_coeffs[i] * b.e_coeffs[i] * c.e_coeffs[i] * F(r * r, q * (r - q))
+    return total
+
+
+@given(tower_with_classes(k=3))
+def test_triple_is_the_definitional_sum(tc):
+    tower, (a, b, c) = tc
+    assert triple(tower, a, b, c) == definitional_triple(tower, a, b, c)
+
+
+def kronecker_gram(problem):
+    """Oracle: the Gram problem as one linear system in the n(n+1)/2
+    entries G_ij (i <= j), one equation per pair s <= t of restrictions,
+    sum_ij m_si m_tj G_ij = A_s.A_t.D, eliminated over Fraction."""
+    n, rs = len(problem.curves), problem.restrictions
+    unknowns = [(i, j) for i in range(n) for j in range(i, n)]
+    m = len(unknowns)
+    rows = []
+    for s in range(len(rs)):
+        for t in range(s, len(rs)):
+            row = [F(0)] * m
+            for i in range(n):
+                for j in range(n):
+                    u = unknowns.index((min(i, j), max(i, j)))
+                    row[u] += rs[s].coefficients[i] * rs[t].coefficients[j]
+            rhs = definitional_triple(problem.tower, rs[s].divisor, rs[t].divisor, problem.surface)
+            rows.append(row + [rhs])
+    rank = 0
+    for col in range(m):
+        p = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if p is None:
+            continue
+        rows[rank], rows[p] = rows[p], rows[rank]
+        top = [x / rows[rank][col] for x in rows[rank]]
+        rows[rank] = top
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], top)]
+        rank += 1
+    if any(row[m] for row in rows[rank:]):
+        raise InconsistentError("decompositions contradict the triple products")
+    if rank < m:
+        raise UnderdeterminedError(f"{m - rank} of {m} Gram entries stay free")
+    gram = [[F(0)] * n for _ in range(n)]
+    for k, (i, j) in enumerate(unknowns):
+        gram[i][j] = gram[j][i] = rows[k][m]
+    return tuple(tuple(row) for row in gram)
+
+
+@st.composite
+def gram_problems(draw):
+    """k = 0..4 restrictions on n = 1..3 curves: new classes and rows, a
+    class repeated with a new row, zero rows, and scaled copies and sums
+    of earlier restrictions (consistent, so k > n can still solve)."""
+    tower = draw(towers())
+    classes = classes_for(tower)
+    n = draw(st.integers(min_value=1, max_value=3))
+    rows = st.lists(small, min_size=n, max_size=n).map(tuple)
+    zero = DivisorClass.of(0, *[0] * len(tower.centers))
+    nothing = Restriction(zero, tuple([F(0)] * n))
+    rs = []
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        kinds = ["new", "repeat", "zero", "scaled", "sum"] if rs else ["new", "zero"]
+        kind = draw(st.sampled_from(kinds))
+        if kind == "new":
+            rs.append(Restriction(draw(classes), draw(rows)))
+        elif kind == "repeat":
+            rs.append(Restriction(draw(st.sampled_from(rs)).divisor, draw(rows)))
+        elif kind == "zero":
+            divisor = draw(st.sampled_from([zero, draw(classes)]))
+            rs.append(Restriction(divisor, nothing.coefficients))
+        else:
+            c, x = draw(small), draw(st.sampled_from(rs))
+            y = draw(st.sampled_from(rs)) if kind == "sum" else nothing
+            coeffs = tuple(c * p + q for p, q in zip(x.coefficients, y.coefficients))
+            rs.append(Restriction(c * x.divisor + y.divisor, coeffs))
+    curves = tuple(f"C{i}" for i in range(n))
+    return GramProblem(tower, draw(classes), curves, tuple(rs))
+
+
+def outcome(solve, problem):
+    try:
+        return solve(problem)
+    except (InconsistentError, UnderdeterminedError) as e:
+        return type(e), str(e)
+
+
+@given(gram_problems())
+@example(GramProblem(*gram_13()[:2], ("C", "L")))  # no restrictions at all
+def test_solve_gram_agrees_with_kronecker_system(problem):
+    assert outcome(solve_gram, problem) == outcome(kronecker_gram, problem)
 
 
 def test_divisor_class_str():

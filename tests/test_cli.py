@@ -315,13 +315,15 @@ def test_inadmissible_record_is_bad_input(capsys, tmp_path, monkeypatch, weights
         f"invariant F_0\nell 1\npencils 1\n{row}"
     )
     monkeypatch.setenv("WFANO_DATA", str(bad))
-    # `basket` reads only the weights, so only a bad weight system fails it
-    for argv in [["verify"]] + ([["basket", "1"]] if not row else []):
+    errs = set()
+    for argv in [["verify"], ["show", "1"], ["basket", "1"]]:
         code, out, err = run(capsys, *argv)
         assert code == 2, argv
         assert err.startswith("error: family 1: "), argv
         if weights != "2 4 5 7":  # every failure but the missing eliminator names the point
             assert err.startswith("error: family 1: 1/"), argv
+        errs.add(err)
+    assert len(errs) == 1  # the three commands report the record alike
 
 
 def test_export_json_roundtrip(capsys):

@@ -81,8 +81,9 @@ def test_vertex_preconditions():
         coordinate_point_type(w, 1)  # weight 1
     with pytest.raises(ValueError, match="does not lie on"):
         coordinate_point_type(w, 3)  # x3^4 has degree 12
-    with pytest.raises(ValueError, match="must be in 1..4"):
-        coordinate_point_type(w, -1)
+    for i in (-1, 0, 5):
+        with pytest.raises(ValueError, match=f"must be in 1..4, got {i}"):
+            coordinate_point_type(w, i)
 
 
 def test_singular_points_walk_vertices_then_strata():
