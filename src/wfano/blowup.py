@@ -170,8 +170,9 @@ def _check_dim(tower: Tower, dc: DivisorClass):
         )
 
 
-def _over_lcm(values: list[Fraction]) -> tuple[int, list[int]]:
+def _over_lcm(values: list[Fraction | int]) -> tuple[int, list[int]]:
     # the values as integer numerators over the lcm of their denominators
+    # (an int is its own numerator over 1)
     den = lcm(*[x.denominator for x in values])
     return den, [x.numerator * (den // x.denominator) for x in values]
 
@@ -334,17 +335,16 @@ def is_negative_definite(matrix) -> bool:
     of the matrix, with each row cleared of its denominators, yields D_k
     (up to a positive factor) as its k-th pivot while it needs no row swap;
     a swap at step k means D_k = 0.  So no determinant is computed on its
-    own."""
-    m = [[Fraction(x) for x in row] for row in matrix]
-    n = len(m)
-    if any(len(row) != n for row in m):
+    own.  Entries are int or Fraction, read as given."""
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
         raise NotSymmetricError("matrix is not square")
     for i in range(n):
         for j in range(i + 1, n):
-            if m[i][j] != m[j][i]:
+            if matrix[i][j] != matrix[j][i]:
                 raise NotSymmetricError(f"entries ({i},{j}) and ({j},{i}) differ")
     rank = 0
-    for minor, swapped in _bareiss([_over_lcm(row)[1] for row in m], n):
+    for minor, swapped in _bareiss([_over_lcm(row)[1] for row in matrix], n):
         if swapped or (minor if rank % 2 else -minor) <= 0:
             return False
         rank += 1

@@ -5,7 +5,8 @@ The dataset is a small line-oriented text file shipped with the package
 file).  One record per family: the weight system, exact -K^3, two opaque
 columns ('invariant' and 'ell', stored verbatim), the pencil count, and one
 line per singular locus with its verbatim local type and optional
-annotation:
+annotation.  A row's type is normalized to 1/r(1,a,r-a) once, as the row
+is read; one that is not terminal is a positioned syntax error:
 
     family 13
     weights 1 2 3 5
@@ -40,7 +41,7 @@ from importlib import resources
 
 from ._linescan import LineCursor, PositionedError, content_lines, is_int
 from .core import InputError, QuotientSingularityType, Weights, anticanonical_cube, normalize_singularity
-from .singularities import basket
+from .singularities import basket, stratum_points
 
 
 class TableSyntaxError(PositionedError):
@@ -100,10 +101,8 @@ class TableRow:
     count: int
     index: int
     local_weights: tuple[int, int, int]
+    sing_type: QuotientSingularityType  # the type normalized to 1/r(1,a,r-a)
     annotation: BC | QI | EI | None = None
-
-    def sing_type(self) -> QuotientSingularityType:
-        return normalize_singularity(self.index, *self.local_weights)
 
     def type_text(self) -> str:
         q = self.local_weights
@@ -200,6 +199,10 @@ def _parse_row(cur: LineCursor) -> TableRow:
         raise TableSyntaxError(cur.lineno, col, "type like 1/5(1,2,3)")
     index = int(tm.group(1))
     local = (int(tm.group(2)), int(tm.group(3)), int(tm.group(4)))
+    try:
+        sing_type = normalize_singularity(index, *local)
+    except ValueError as exc:
+        cur.fail(f"terminal type ({exc})", col)
     annotation: BC | QI | EI | None = None
     if not cur.at_end():
         tag, col = cur.next_token("annotation tag")
@@ -214,7 +217,7 @@ def _parse_row(cur: LineCursor) -> TableRow:
             raise TableSyntaxError(cur.lineno, col, "annotation BC/QI/EI")
         if isinstance(annotation, BC):
             cur.expect_end()
-    return TableRow(locus, count, index, local, annotation)
+    return TableRow(locus, count, index, local, sing_type, annotation)
 
 
 _SCALARS = ("weights", "degree", "kcube", "invariant", "ell", "pencils")
@@ -224,7 +227,8 @@ def parse_table(source: str) -> list[FamilyRecord]:
     """Parse dataset text into records, gimel-sorted.
 
     Raises TableSyntaxError with a 1-based line/column on malformed input
-    (including a weight system that is not positive and ascending),
+    (including a weight system that is not positive and ascending, and a
+    row type that is not a terminal 1/r(1,a,r-a)),
     DuplicateGimelError on repeated family numbers, MissingGimelError when
     no record is present at all; all three are InputErrors.
     """
@@ -371,13 +375,15 @@ def type_iv_presentation(w: Weights) -> tuple[int, int] | str:
 
 def type_iii_point_count(w: Weights) -> int:
     """Number of distinguished 1/a1(1,1,a1-1) points for the three families
-    with a1 = a2 != 1 and a3 = a1 + 1; equals (3*a1 + a4 + 1)/a1."""
+    with a1 = a2 != 1 and a3 = a1 + 1, read from the singular-point walk.
+
+    They are the points of the P1P2 line of P(1,a,a,a+1,a4) on the general
+    member: the line meets it in d/a = (3a + a4 + 1)/a points.  When a does
+    not divide d, the line lies inside the member, a NonTerminalError.
+    """
     if not is_type_iii(w):
         raise NotApplicableError(f"{w} is not of the a1=a2, a3=a1+1 shape")
-    count, rem = divmod(3 * w.a1 + w.a4 + 1, w.a1)
-    if rem:
-        raise NotApplicableError(f"{w}: 3*a1 + a4 + 1 is not a multiple of a1")
-    return count
+    return stratum_points(w, 1, 2)[0]
 
 
 def is_type_iii(w: Weights) -> bool:
@@ -476,8 +482,7 @@ def verify_family(rec: FamilyRecord) -> tuple[FamilyCheck, ...]:
 
     expected_types: dict[QuotientSingularityType, int] = {}
     for row in rec.basket_rows:
-        st = row.sing_type()
-        expected_types[st] = expected_types.get(st, 0) + row.count
+        expected_types[row.sing_type] = expected_types.get(row.sing_type, 0) + row.count
     computed = dict(basket(w).type_multiset())
     fmt = lambda d: "; ".join(f"{c} x {t}" for t, c in sorted(d.items())) or "smooth"
     checks.append(
@@ -490,8 +495,7 @@ def verify_family(rec: FamilyRecord) -> tuple[FamilyCheck, ...]:
     )
 
     for row in rec.basket_rows:
-        st = row.sing_type()
-        b3 = kcube - st.discrepancy_cube_drop
+        b3 = kcube - row.sing_type.discrepancy_cube_drop
         has_bc = isinstance(row.annotation, BC)
         checks.append(
             FamilyCheck(

@@ -3,10 +3,12 @@
 Subcommands: enumerate, show, basket, verify, eval-tower, export.
 Exit status: 0 all requested checks pass, 1 check failures, 2 bad input:
 a bad argument, a file that cannot be read or is not UTF-8, or a
-`core.InputError` (unknown family, malformed dataset or tower text, a Gram
-block without a unique solution, or a dataset record that is not an
-admissible family).  Any other error is a bug and propagates.  All numeric
-output is exact ("p/q"); all orderings are deterministic.
+`core.InputError` (unknown family, malformed dataset or tower text, a
+non-terminal row type among them, a Gram block without a unique solution,
+or a dataset record whose weights are not an admissible family, told by
+the walk's `core.NonTerminalError`).  Any other error is a bug and
+propagates.  All numeric output is exact ("p/q"); all orderings are
+deterministic.
 """
 from __future__ import annotations
 
@@ -19,8 +21,8 @@ from contextlib import contextmanager
 
 from . import classifier
 from .classifier import load_families, verify_family
-from .core import InputError, anticanonical_cube
-from .enumerator import enumerate_families, has_only_terminal_isolated_sings, is_quasismooth_general
+from .core import InputError, NonTerminalError, anticanonical_cube
+from .enumerator import enumerate_families
 from .fixtures import fixture_checks
 from .singularities import basket
 from .towers import evaluate, parse_tower_file
@@ -28,49 +30,27 @@ from .towers import evaluate, parse_tower_file
 
 class InadmissibleRecordError(InputError):
     """A dataset record whose weights are not those of a quasismooth
-    terminal family, or one of whose rows is not a terminal type."""
-
-
-def _explains(rec) -> bool:
-    """Does the record itself account for a computation error on it?"""
-    w = rec.weights
-    if not (is_quasismooth_general(w) and has_only_terminal_isolated_sings(w)):
-        return True
-    try:
-        _normalize_rows(rec)
-    except ValueError:
-        return True
-    return False
-
-
-def _normalize_rows(rec):
-    """Raise a NonTerminalError for the first row whose type is not a
-    terminal 1/r(1,a,r-a)."""
-    for row in rec.basket_rows:
-        row.sing_type()
+    terminal family."""
 
 
 @contextmanager
 def _on_record(rec):
-    """Compute on one dataset record.  An error that the record explains
-    is bad input; any other propagates.  Admissibility is checked only
-    after an error, so the common case pays nothing for it."""
+    """Compute on one dataset record.  Rows are checked when the dataset
+    is parsed, so a NonTerminalError can only come from the weights: it is
+    bad input.  Any other error propagates."""
     try:
         yield
-    except ValueError as exc:
-        if not _explains(rec):
-            raise
+    except NonTerminalError as exc:
         raise InadmissibleRecordError(f"family {rec.gimel}: {exc}") from exc
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+class _Positive(argparse.Action):
+    """Store an int argument (argparse converts it) that must be >= 1."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value < 1:
+            raise argparse.ArgumentError(self, f"must be >= 1, got {value}")
+        setattr(namespace, self.dest, value)
 
 
 def cmd_enumerate(args) -> int:
@@ -83,7 +63,6 @@ def cmd_enumerate(args) -> int:
 def cmd_show(args) -> int:
     rec = classifier.family(args.gimel)
     with _on_record(rec):
-        _normalize_rows(rec)
         basket(rec.weights)  # rejects an inadmissible record as `basket` does
         answer = classifier.halphen_pencils(rec)
     print(f"family {rec.gimel}")
@@ -103,12 +82,11 @@ def cmd_show(args) -> int:
 def cmd_basket(args) -> int:
     rec = classifier.family(args.gimel)
     with _on_record(rec):
-        _normalize_rows(rec)
         entries = basket(rec.weights).entries
     if not entries:
         print("smooth")
     for e in entries:
-        print(f"{e.count} x {e.sing_type} at {e.locus}")
+        print(e)
     return 0
 
 
@@ -216,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="list admissible weight systems")
-    p.add_argument("--bound", type=_positive_int, default=40, help="largest weight to try")
+    p.add_argument("--bound", type=int, action=_Positive, default=40, help="largest weight to try")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("show", help="print one family record")

@@ -32,7 +32,7 @@ class BasketEntry:
             raise ValueError(f"count must be positive, got {self.count}")
 
     def __str__(self):
-        return f"{self.locus}: {self.count} x {self.sing_type}"
+        return f"{self.count} x {self.sing_type} at {self.locus}"
 
 
 @dataclass(frozen=True)

@@ -70,7 +70,7 @@ def test_criterion_3_baskets(announce):
     for rec in load_families():
         expected = {}
         for row in rec.basket_rows:
-            st = row.sing_type()
+            st = row.sing_type
             expected[st] = expected.get(st, 0) + row.count
         if dict(basket(rec.weights).type_multiset()) != expected:
             bad.append(rec.gimel)
@@ -87,7 +87,7 @@ def test_criterion_4_bc_presence(announce):
         cube = anticanonical_cube(rec.weights)
         for row in rec.basket_rows:
             total += 1
-            negative = cube - row.sing_type().discrepancy_cube_drop < 0
+            negative = cube - row.sing_type.discrepancy_cube_drop < 0
             if isinstance(row.annotation, BC) != negative:
                 bad.append((rec.gimel, row.locus))
     ok = not bad

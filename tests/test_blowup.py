@@ -275,6 +275,17 @@ def test_negative_definite_cases():
         is_negative_definite(((F(-1), F(2)), (F(1), F(-1))))
 
 
+def test_negative_definite_reads_int_entries_as_given():
+    # int and Fraction both carry numerator and denominator
+    cases = [((-2, 1), (1, -2)), ((-1, 2), (2, -1)), ((-1, 1), (1, -1)), ((0, -1), (-1, 0)),
+             ((-3,),), ((-2, 1, 0), (1, -2, 1), (0, 1, -2))]
+    verdicts = [is_negative_definite(m) for m in cases]
+    assert verdicts == [True, False, False, False, True, True]
+    assert verdicts == [is_negative_definite([[F(x) for x in row] for row in m]) for m in cases]
+    with pytest.raises(NotSymmetricError):
+        is_negative_definite(((-1, 2), (1, -1)))
+
+
 # ---------------------------------------------------------------------------
 # oracles for the elimination: Leibniz determinants and the Gram equations
 

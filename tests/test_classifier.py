@@ -31,7 +31,7 @@ from wfano.classifier import (
     type_iv_presentation,
     verify_family,
 )
-from wfano.core import Weights
+from wfano.core import NonTerminalError, QuotientSingularityType, Weights
 
 
 RECORD = """\
@@ -61,6 +61,10 @@ def test_parse_single_record():
     assert rec.basket_rows[0].annotation == QI("yw^2,7,12")
     assert rec.basket_rows[1].annotation == BC(2, 0)
     assert rec.basket_rows[1].count == 6
+    # each row's type is normalized once, as it is read
+    assert [row.sing_type for row in rec.basket_rows] == [
+        QuotientSingularityType(5, 2), QuotientSingularityType(2, 1)
+    ]
 
 
 def test_parse_errors_are_positioned():
@@ -112,6 +116,24 @@ def test_malformed_rows_are_positioned(old, new, line, col, expected):
     with pytest.raises(TableSyntaxError) as e:
         parse_table(RECORD.replace(old, new))
     assert (e.value.line, e.value.col, e.value.expected) == (line, col, expected)
+
+
+@pytest.mark.parametrize(
+    "bad, reason",
+    [
+        ("1/5(5,1,4)", "1/5(5,1,4) has a weight divisible by 5"),
+        ("1/4(2,1,3)", "1/4(2,1,3) is not isolated-terminal"),
+        ("1/5(1,1,1)", "1/5(1,1,1) admits no terminal presentation"),
+        ("1/1(1,1,1)", "index must be >= 2, got 1"),
+        ("1/0(1,2,3)", "index must be >= 2, got 0"),
+    ],
+    ids=["weight-divisible-by-r", "not-isolated", "no-presentation", "index-1", "index-0"],
+)
+def test_non_terminal_row_type_is_positioned(bad, reason):
+    # a row is checked where it is read, at its type column
+    with pytest.raises(TableSyntaxError) as e:
+        parse_table(RECORD.replace("1/5(1,2,3)", bad))
+    assert (e.value.line, e.value.col, e.value.expected) == (9, 11, f"terminal type ({reason})")
 
 
 def test_padded_count_still_parses():
@@ -198,21 +220,26 @@ def test_type_iii_point_count():
     assert type_iii_point_count(Weights(2, 2, 3, 5)) == 6
     assert type_iii_point_count(Weights(3, 3, 4, 11)) == 7
     assert type_iii_point_count(Weights(4, 4, 5, 7)) == 5
+    # the walk's P1P2 count is d/a = (3a + a4 + 1)/a wherever a divides d
+    for a in range(2, 7):
+        for a4 in range(a + 1, 60):
+            if (3 * a + a4 + 1) % a == 0:
+                assert type_iii_point_count(Weights(a, a, a + 1, a4)) == (3 * a + a4 + 1) // a
     with pytest.raises(NotApplicableError):
         type_iii_point_count(Weights(1, 2, 3, 5))
-    # the right shape, but 3*2 + 4 + 1 = 11 is odd
-    with pytest.raises(NotApplicableError):
+    # the right shape, but d = 11 is odd: the P1P2 line lies inside the member
+    with pytest.raises(NonTerminalError, match="stratum P1P2 lies inside"):
         type_iii_point_count(Weights(2, 2, 3, 4))
 
 
 def test_count_formula_check_survives_optimize():
     # python -O strips asserts; the check must not be one
     code = (
-        "from wfano.classifier import NotApplicableError, type_iii_point_count\n"
-        "from wfano.core import Weights\n"
+        "from wfano.classifier import type_iii_point_count\n"
+        "from wfano.core import NonTerminalError, Weights\n"
         "try:\n"
         "    type_iii_point_count(Weights(2, 2, 3, 4))\n"
-        "except NotApplicableError:\n"
+        "except NonTerminalError:\n"
         "    raise SystemExit(0)\n"
         "raise SystemExit(1)\n"
     )

@@ -4,8 +4,10 @@ from importlib import resources
 import pytest
 
 from wfano import classifier
-from wfano.classifier import NotApplicableError
+from wfano.classifier import FamilyRecord, NotApplicableError, verify_family
 from wfano.cli import main
+from wfano.core import NonTerminalError, Weights, anticanonical_cube
+from wfano.enumerator import enumerate_families, has_only_terminal_isolated_sings, is_quasismooth_general
 
 
 def run(capsys, *argv):
@@ -299,20 +301,18 @@ def test_listed_family_with_tied_presentation_fails_check(capsys, tmp_path, monk
 
 
 @pytest.mark.parametrize(
-    "weights, row",
+    "weights",
     [
-        ("2 4 5 7", ""),  # no eliminator at P3
-        ("1 1 1 1", "row P4 1x 1/5(5,1,4)\n"),  # a local weight divisible by 5
-        ("1 1 1 1", "row P4 1x 1/4(2,1,3)\n"),  # not isolated-terminal
-        ("3 4 4 5", ""),  # quasismooth, but P4 is 1/5(3,4,4)
-        ("2 2 2 2", ""),  # quasismooth, but P1P2 is 1/2(1,2,2)
+        "2 4 5 7",  # no eliminator at P3
+        "3 4 4 5",  # quasismooth, but P4 is 1/5(3,4,4)
+        "2 2 2 2",  # quasismooth, but P1P2 is 1/2(1,2,2)
     ],
 )
-def test_inadmissible_record_is_bad_input(capsys, tmp_path, monkeypatch, weights, row):
+def test_inadmissible_record_is_bad_input(capsys, tmp_path, monkeypatch, weights):
     bad = tmp_path / "bad.txt"
     bad.write_text(
         f"family 1\nweights {weights}\ndegree 4\nkcube 4\n"
-        f"invariant F_0\nell 1\npencils 1\n{row}"
+        "invariant F_0\nell 1\npencils 1\n"
     )
     monkeypatch.setenv("WFANO_DATA", str(bad))
     errs = set()
@@ -324,6 +324,55 @@ def test_inadmissible_record_is_bad_input(capsys, tmp_path, monkeypatch, weights
             assert err.startswith("error: family 1: 1/"), argv
         errs.add(err)
     assert len(errs) == 1  # the three commands report the record alike
+
+
+@pytest.mark.parametrize(
+    "row, reason",
+    [
+        ("1/5(5,1,4)", "1/5(5,1,4) has a weight divisible by 5"),
+        ("1/4(2,1,3)", "1/4(2,1,3) is not isolated-terminal"),
+    ],
+    ids=["weight-divisible-by-r", "not-isolated"],
+)
+def test_non_terminal_row_is_positioned(capsys, tmp_path, monkeypatch, row, reason):
+    # a row is checked as the dataset is read, so every command that loads
+    # the dataset reports it with one and the same positioned line
+    bad = tmp_path / "bad.txt"
+    bad.write_text(
+        "family 1\nweights 1 1 1 1\ndegree 4\nkcube 4\n"
+        f"invariant F_0\nell 1\npencils 1\nrow P4 1x {row}\n"
+    )
+    monkeypatch.setenv("WFANO_DATA", str(bad))
+    tower = tmp_path / "over-1.tower"
+    tower.write_text("family 1\n")
+    expected = (2, f"error: 8:11: expected terminal type ({reason})\n")
+    for argv in [["verify"], ["show", "1"], ["basket", "1"], ["export", "--format", "json"],
+                 ["eval-tower", str(tower)]]:
+        assert run(capsys, *argv)[::2] == expected, argv
+
+
+def test_walk_rejects_inadmissible_weights_with_non_terminal_error_alone():
+    # `_on_record` reads a NonTerminalError as a bad record and lets every
+    # other error propagate.  That holds only if `verify_family` raises this
+    # type, and nothing else, on every system the enumerator rejects; the
+    # gimels 45 and 60 would take the type-IV and type-V branches.
+    systems = [
+        Weights(a1, a2, a3, a4)
+        for a4 in range(1, 13)
+        for a3 in range(1, a4 + 1)
+        for a2 in range(1, a3 + 1)
+        for a1 in range(1, a2 + 1)
+    ]
+    rejected = [
+        w for w in systems
+        if not (is_quasismooth_general(w) and has_only_terminal_isolated_sings(w))
+    ]
+    assert len(rejected) == len(systems) - len(enumerate_families(12))
+    for w in rejected:
+        for gimel in (1, 45, 60):
+            rec = FamilyRecord(gimel, w, w.degree, anticanonical_cube(w), "F_0", "1", (), 1)
+            with pytest.raises(NonTerminalError):
+                verify_family(rec)
 
 
 def test_export_json_roundtrip(capsys):

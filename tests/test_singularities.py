@@ -114,9 +114,14 @@ def test_basket_matches_dataset(gimel):
     rec = family(gimel)
     expected = {}
     for row in rec.basket_rows:
-        st = row.sing_type()
+        st = row.sing_type
         expected[st] = expected.get(st, 0) + row.count
     assert dict(basket(rec.weights).type_multiset()) == expected
+
+
+def test_basket_entry_renders_as_the_cli_line():
+    (entry,) = [e for e in basket(family(91).weights) if e.locus == "P3"]
+    assert str(entry) == "1 x 1/13(1,4,9) at P3"
 
 
 def test_smooth_families_have_empty_basket():
@@ -134,7 +139,7 @@ def test_family_26_locus_label():
     assert row.locus == "P3P4"
     (entry,) = [e for e in basket(rec.weights) if e.count == 2]
     assert entry.locus == "P2P4"
-    assert entry.sing_type == row.sing_type()
+    assert entry.sing_type == row.sing_type
 
 
 def test_every_dataset_locus_else_matches():
@@ -143,5 +148,5 @@ def test_every_dataset_locus_else_matches():
         if rec.gimel == 26:
             continue
         computed = {(e.locus, e.sing_type, e.count) for e in basket(rec.weights)}
-        recorded = {(r.locus, r.sing_type(), r.count) for r in rec.basket_rows}
+        recorded = {(r.locus, r.sing_type, r.count) for r in rec.basket_rows}
         assert computed == recorded, rec.gimel

@@ -17,3 +17,10 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_cli_picks_exit_2_by_error_type():
+    # a broad catch that is then re-examined would make exit 2 depend on a
+    # second computation instead of the error's type
+    cli = Path(wfano.__file__).parent / "cli.py"
+    assert "except ValueError" not in cli.read_text(encoding="utf-8")
