@@ -383,7 +383,7 @@ def type_iii_point_count(w: Weights) -> int:
     """
     if not is_type_iii(w):
         raise NotApplicableError(f"{w} is not of the a1=a2, a3=a1+1 shape")
-    return stratum_points(w, 1, 2)[0]
+    return stratum_points(w.ambient, w.degree, 1, 2)
 
 
 def is_type_iii(w: Weights) -> bool:

@@ -6,56 +6,64 @@ hypersurface degree fixed to d = a1+a2+a3+a4.  Two independent predicates
 are combined:
 
 * `is_quasismooth_general` -- the general member has smooth affine cone away
-  from the origin.  This is the classical combinatorial criterion on subsets
-  of variables: every subset must either support a monomial of degree d or
-  be cancelled by enough outside variables.
+  from the origin: the threefold instance of `is_quasismooth(ws, d)`, the
+  classical combinatorial criterion on subsets of variables, for a general
+  hypersurface in any weighted projective space.
 * `has_only_terminal_isolated_sings` -- the quotient singularities cut out
   on the hypersurface are isolated points of type 1/r(1, a, r-a).
 """
 from __future__ import annotations
 
 from itertools import combinations
-from math import gcd
 
 from .core import NonTerminalError, Weights, is_representable
 from .singularities import singular_points
 
 
-def is_quasismooth_general(w: Weights) -> bool:
-    """Criterion for the general degree-d hypersurface to be quasismooth.
+def is_quasismooth(ws: tuple[int, ...], d: int) -> bool:
+    """Criterion for the general degree-d hypersurface in P(ws) to be
+    quasismooth.
 
     For every non-empty subset I of the variables, either some monomial of
     degree d lives on the I-coordinates alone, or for at least |I| distinct
     outside variables x_e the degree d - wt(x_e) is representable in the
-    I-weights.  Subsets containing the weight-1 variable are automatic
-    (x0^d always exists), so only subsets of {1..4} are examined.
+    I-weights.  A subset containing a weight-1 variable x always passes
+    (x^d exists), so only subsets of the variables of weight >= 2 are
+    examined.
     """
-    d = w.degree
-    ws = w.ambient
-    for size in range(1, 5):
-        for subset in combinations(range(1, 5), size):
+    heavy = [i for i, a in enumerate(ws) if a >= 2]
+    for size in range(1, len(heavy) + 1):
+        for subset in combinations(heavy, size):
             iws = tuple(ws[i] for i in subset)
             if is_representable(d, iws):
                 continue
-            outside = [e for e in range(5) if e not in subset]
-            hits = sum(1 for e in outside if is_representable(d - ws[e], iws))
+            hits = sum(
+                1 for e, a in enumerate(ws) if e not in subset and is_representable(d - a, iws)
+            )
             if hits < size:
                 return False
     return True
 
 
+def is_quasismooth_general(w: Weights) -> bool:
+    """Is the general anticanonical member of P(1, a1, a2, a3, a4) quasismooth?"""
+    return is_quasismooth(w.ambient, w.degree)
+
+
 def has_only_terminal_isolated_sings(w: Weights) -> bool:
     """Do the quotient points cut out on a general member stay terminal?
 
-    The weights must be globally coprime, and the walk over the singular
-    points of the member (`singularities.singular_points`) must finish
-    without a NonTerminalError: a 1/r(1, a, r-a) quotient at every vertex
-    and along every singular stratum, with no stratum curve inside the
-    member.  Three weights with a common factor need no separate test: the
-    stratum of two of them then has a local weight not prime to its index.
+    The walk over the singular points of the member
+    (`singularities.singular_points`) must finish without a
+    NonTerminalError: a 1/r(1, a, r-a) quotient at every vertex and along
+    every singular stratum, with no stratum curve inside the member.
+    Weights with a common factor need no separate test.  With g >= 2
+    dividing all four, g divides gcd(a1, a2), so the walk visits P1P2 (if
+    nothing fails before it), and its local weight a3 shares g with the
+    index r = gcd(a1, a2); the walk raises there.  Three weights with a
+    common factor are rejected the same way, at the stratum of two of
+    them.
     """
-    if gcd(*w) != 1:
-        return False
     try:
         for _point in singular_points(w):
             pass

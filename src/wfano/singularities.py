@@ -1,24 +1,22 @@
-"""Singular loci of a general quasismooth member: which ambient quotient
-points end up on the hypersurface, and with which transverse types.
+"""Singular loci of a general quasismooth hypersurface: which ambient
+quotient points end up on it, and with which transverse types.
 
-Loci are named the way the dataset names them: "P3" is the vertex of the
-weight-a3 coordinate, "P2P4" the one-dimensional stratum where only the
-weight-a2 and weight-a4 coordinates survive.
+`quotient_points(ws, d)` walks a general hypersurface of degree d in any
+weighted projective space P(ws); `singular_points(w)` is its instance for
+the anticanonical threefold in P(1, a1, a2, a3, a4).  Loci are named by
+indices into the ambient weights, which for the threefold are the
+dataset's labels: "P3" is the vertex of the weight-a3 coordinate, "P2P4"
+the one-dimensional stratum where only the weight-a2 and weight-a4
+coordinates survive.
 """
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd
 
 from .core import NonTerminalError, QuotientSingularityType, Weights, normalize_singularity
-
-
-class InconsistentPointError(RuntimeError):
-    """Two computations of the same singular point disagree.  The geometry
-    rules this out for every weight system, so it signals a bug here, not
-    bad input."""
 
 
 @dataclass(frozen=True)
@@ -53,88 +51,74 @@ class Basket:
         return tuple(sorted(agg.items(), key=lambda kv: (-kv[0].r, kv[0].a)))
 
 
-def coordinate_point_type(w: Weights, i: int) -> QuotientSingularityType:
-    """Transverse quotient type of the general member at the vertex P_i.
+def _ambient(ws: tuple[int, ...]) -> str:
+    return f"P({','.join(map(str, ws))})"
 
-    Requires the vertex to be a singular point of the member (weight >= 2
-    and no pure power x_i^k of degree d).  The type is read off by eliminating
-    one variable x_j with a monomial x_i^k x_j of degree d; as d exceeds
-    every weight, a_i dividing d - a_j is enough.  Every eliminator has
-    weight = d mod a_i, so removing any of them leaves the same local
-    weights mod a_i; the first one is used.  With no eliminator the member
-    is not quasismooth at P_i, a NonTerminalError.
+
+def _outside(ws: tuple[int, ...], i: int, j: int) -> tuple[int, ...]:
+    return tuple([b for m, b in enumerate(ws) if m != i and m != j])
+
+
+def quotient_points(ws: tuple[int, ...], d: int) -> Iterator[tuple[int, int, tuple[int, ...], str]]:
+    """Walk the quotient points of a general hypersurface of degree d in
+    P(ws), d at least every weight: (count, r, local weights, locus), the
+    point being 1/r(local weights) before any normalization.
+
+    Vertices come first: P{i} lies on the hypersurface when a_i >= 2 does
+    not divide d.  Its type is read off by eliminating one variable x_j
+    with a monomial x_i^k x_j of degree d, so 1/r of the weights other
+    than a_i and a_j with r = a_i.  Every eliminator has weight = d mod
+    a_i, so any of them leaves the same local weights mod a_i; the first
+    one is used.  With no eliminator the hypersurface is not quasismooth
+    at P{i}, a NonTerminalError.
+
+    Then each stratum P{i}P{j} with r = gcd(a_i, a_j) >= 2, once: count
+    `stratum_points` points, each 1/r of the weights outside the stratum.
+    A stratum that meets the hypersurface only at vertices yields count 0.
     """
-    if not 1 <= i <= 4:
-        raise ValueError(f"vertex index must be in 1..4, got {i}")
-    ws = w.ambient
-    r = ws[i]
-    if r < 2:
-        raise ValueError(f"vertex P{i} has weight {r}; nothing to compute")
-    d = w.degree
-    if d % r == 0:
-        raise ValueError(f"vertex P{i} does not lie on the general member")
-    for j in range(5):
-        if j != i and (d - ws[j]) % r == 0:
-            others = [ws[m] for m in range(5) if m not in (i, j)]
-            return normalize_singularity(r, *others)
-    raise NonTerminalError(f"no monomial x_{i}^k*x_j of degree {d} for {w}")
+    for i, r in enumerate(ws):
+        if r >= 2 and d % r:
+            for j, a in enumerate(ws):
+                if j != i and (d - a) % r == 0:
+                    yield 1, r, _outside(ws, i, j), f"P{i}"
+                    break
+            else:
+                raise NonTerminalError(f"no monomial x_{i}^k*x_j of degree {d} for {_ambient(ws)}")
+    for i, j in combinations(range(len(ws)), 2):
+        r = gcd(ws[i], ws[j])
+        if r >= 2:
+            yield stratum_points(ws, d, i, j), r, _outside(ws, i, j), f"P{i}P{j}"
 
 
-def stratum_points(w: Weights, i: int, j: int) -> tuple[int, QuotientSingularityType]:
-    """Number and type of the singular points cut out on the (i, j)-stratum,
-    vertices excluded.
+def stratum_points(ws: tuple[int, ...], d: int, i: int, j: int) -> int:
+    """Number of points of a general hypersurface of degree d in P(ws) on
+    the stratum P{i}P{j}, vertices excluded.
 
-    The restriction of the general polynomial to the stratum coordinates
-    factors as x_i^ei * x_j^ej * g; the residual degree of g, divided by
-    lcm(a_i, a_j), counts the points with both coordinates non-zero.  The
-    vertices, when they lie on the member, show up through ei/ej instead
-    and are reported by `coordinate_point_type`.  When no monomial of
-    degree d lives on the stratum, the whole stratum curve lies inside
-    the member, a NonTerminalError.
+    The monomials of degree d in x_i and x_j alone are x_i^m x_j^n with
+    m*a_i + n*a_j = d.  Their exponent pairs form one progression, m in
+    steps of a_j/g and n in steps of a_i/g with g = gcd(a_i, a_j), so the
+    restriction of the general polynomial is x_i^ei x_j^ej times a general
+    binary form in x_i^(a_j/g) and x_j^(a_i/g) of degree pairs - 1, whose
+    roots are the points with both coordinates non-zero.  With no pair the
+    whole stratum curve lies inside the hypersurface, a NonTerminalError.
     """
-    ws = w.ambient
-    r = gcd(ws[i], ws[j])
-    if r < 2:
-        raise ValueError(f"stratum P{i}P{j} of {w} carries no quotient")
-    d = w.degree
-    exps = [
-        (m, (d - m * ws[i]) // ws[j])
-        for m in range(d // ws[i] + 1)
-        if (d - m * ws[i]) % ws[j] == 0
-    ]
-    if not exps:
-        raise NonTerminalError(f"stratum P{i}P{j} lies inside the general member of {w}")
-    ei = min(m for m, _ in exps)
-    ej = min(n for _, n in exps)
-    residual = d - ei * ws[i] - ej * ws[j]
-    step = lcm(ws[i], ws[j])
-    if residual % step:
-        raise InconsistentPointError(
-            f"residual degree {residual} on P{i}P{j} of {w} is not a multiple of {step}"
-        )
-    others = [ws[m] for m in range(5) if m not in (i, j)]
-    return residual // step, normalize_singularity(r, *others)
+    a, b = ws[i], ws[j]
+    pairs = sum(1 for m in range(d // a + 1) if (d - m * a) % b == 0)
+    if not pairs:
+        raise NonTerminalError(f"stratum P{i}P{j} lies inside the general member of {_ambient(ws)}")
+    return pairs - 1
 
 
 def singular_points(w: Weights) -> Iterator[tuple[int, QuotientSingularityType, str]]:
-    """Walk the quotient points of the general member: (count, type, locus)
-    for each singular vertex on the member (weight >= 2, no pure power of
-    degree d), then for each singular stratum (two weights with a common
-    factor), each locus once.
-
-    A stratum that meets the member only at vertices yields count 0, and
-    its transverse type is checked all the same; this is what rejects
-    three weights with a common factor.  Raises one NonTerminalError at
-    the first point that is not a terminal quotient point.
+    """The threefold instance of `quotient_points`: (count, type, locus)
+    for each quotient point of the general member of w, every type
+    normalized to 1/r(1, a, r-a).  A stratum of count 0 is normalized all
+    the same; this is what rejects three weights with a common factor.
+    Raises one NonTerminalError at the first point that is not a terminal
+    quotient point.
     """
-    ws = w.ambient
-    for i in range(1, 5):
-        if ws[i] >= 2 and w.degree % ws[i]:
-            yield 1, coordinate_point_type(w, i), f"P{i}"
-    for i, j in combinations(range(1, 5), 2):
-        if gcd(ws[i], ws[j]) >= 2:
-            count, typ = stratum_points(w, i, j)
-            yield count, typ, f"P{i}P{j}"
+    for count, r, qs, locus in quotient_points(w.ambient, w.degree):
+        yield count, normalize_singularity(r, *qs), locus
 
 
 def basket(w: Weights) -> Basket:

@@ -32,6 +32,11 @@ from wfano.classifier import (
     verify_family,
 )
 from wfano.core import NonTerminalError, QuotientSingularityType, Weights
+from wfano.enumerator import is_quasismooth
+
+# families that carry the distinguished index of a second pencil yet
+# have a single one
+LOOKALIKES = frozenset({27, 33, 38, 40, 43, 52, 59, 61, 65, 68, 73, 77, 85})
 
 
 RECORD = """\
@@ -285,10 +290,9 @@ def test_two_pencil_membership_is_cross_derivable():
 
 
 def test_divisibility_alone_does_not_give_membership():
-    # these all carry the distinguished index yet have a single pencil;
-    # the count is genuinely extra information
-    lookalikes = {27, 33, 38, 40, 43, 52, 59, 61, 65, 68, 73, 77, 85}
-    for gimel in lookalikes:
+    # the lookalikes have a single pencil: the count is genuinely extra
+    # information
+    for gimel in LOOKALIKES:
         rec = family(gimel)
         w = rec.weights
         assert w.a1 not in (1, w.a2)
@@ -296,6 +300,27 @@ def test_divisibility_alone_does_not_give_membership():
         assert isinstance(type_iv_presentation(w), tuple)
         assert rec.halphen_count == 1
         assert gimel not in TYPE_IV_GIMELS
+
+
+def test_pencil_members_quasismooth():
+    # Putting one pencil generator in place of the other leaves a general
+    # polynomial of degree d: the member of lambda*x^a1 + mu*y is a general
+    # S_d in P(1,a2,a3,a4), the member of lambda*x^a2 + mu*z one in
+    # P(1,a1,a3,a4).  Which of them are quasismooth is where a
+    # Kodaira-dimension oracle for the pencil counts starts.
+    principal = [rec.weights for rec in load_families() if rec.weights.a2 >= 2]
+    assert len(principal) == 86
+    smooth = [w for w in principal if is_quasismooth((1, w.a2, w.a3, w.a4), w.degree)]
+    assert len(smooth) == 58
+    assert sum(1 for w in smooth if w.a1 >= 2) == 26
+
+    def type_iv_member_quasismooth(gimel):
+        w = family(gimel).weights
+        return is_quasismooth((1, w.a1, w.a3, w.a4), w.degree)
+
+    assert {g for g in TYPE_IV_GIMELS if type_iv_member_quasismooth(g)} == {84, 93, 95}
+    smooth_lookalikes = {g for g in LOOKALIKES if type_iv_member_quasismooth(g)}
+    assert smooth_lookalikes == {27, 38, 43, 52, 59, 61, 68, 73}
 
 
 def test_type_iv_descriptor_shape():

@@ -1,16 +1,19 @@
 from functools import lru_cache
+from itertools import combinations
+from math import gcd
 
 import pytest
 
 from wfano import enumerator
 from wfano.classifier import load_families
-from wfano.core import NonTerminalError, Weights
+from wfano.core import NonTerminalError, Weights, is_representable
 from wfano.enumerator import (
     enumerate_families,
     has_only_terminal_isolated_sings,
+    is_quasismooth,
     is_quasismooth_general,
 )
-from wfano.singularities import coordinate_point_type
+from wfano.singularities import singular_points
 
 
 @lru_cache(maxsize=None)
@@ -118,13 +121,58 @@ def test_terminality_examples():
     assert not has_only_terminal_isolated_sings(Weights(2, 2, 2, 2))
     # quasismooth, but P4 is 1/5(3,4,4), which is not terminal
     assert is_quasismooth_general(Weights(3, 4, 4, 5))
-    with pytest.raises(NonTerminalError):
-        coordinate_point_type(Weights(3, 4, 4, 5), 4)
+    with pytest.raises(NonTerminalError, match=r"1/5\(3,4,4\)"):
+        list(singular_points(Weights(3, 4, 4, 5)))
     assert not has_only_terminal_isolated_sings(Weights(3, 4, 4, 5))
     # not quasismooth at P3: no eliminator there, so no terminal point
-    with pytest.raises(NonTerminalError):
-        coordinate_point_type(Weights(2, 4, 5, 7), 3)
+    with pytest.raises(NonTerminalError, match="no monomial x_3"):
+        list(singular_points(Weights(2, 4, 5, 7)))
     assert not has_only_terminal_isolated_sings(Weights(2, 4, 5, 7))
+
+
+def test_common_factor_is_rejected_by_the_walk():
+    # has_only_terminal_isolated_sings has no gcd test of its own: with a
+    # factor g of all four weights, the walk's point on P1P2 has the local
+    # weight a3, which shares g with the index
+    rejected = 0
+    for a4 in range(1, 41):
+        for a3 in range(1, a4 + 1):
+            for a2 in range(1, a3 + 1):
+                for a1 in range(1, a2 + 1):
+                    if gcd(a1, a2, a3, a4) > 1:
+                        assert not has_only_terminal_isolated_sings(Weights(a1, a2, a3, a4))
+                        rejected += 1
+    assert rejected == 10941
+
+
+def unskipped_quasismooth(ws, d):
+    """The quasismoothness criterion on every non-empty subset of the
+    variables, weight-1 variables included."""
+    for size in range(1, len(ws) + 1):
+        for subset in combinations(range(len(ws)), size):
+            iws = tuple(ws[i] for i in subset)
+            if is_representable(d, iws):
+                continue
+            outside = [e for e in range(len(ws)) if e not in subset]
+            if sum(1 for e in outside if is_representable(d - ws[e], iws)) < size:
+                return False
+    return True
+
+
+def test_weight_one_subsets_need_no_test():
+    # is_quasismooth skips every subset with a weight-1 variable; on the
+    # threefold ambients and on the surfaces P(a1,a2,a3,a4) of the same
+    # degree the skip changes no verdict
+    ambients = 0
+    for a4 in range(1, 17):
+        for a3 in range(1, a4 + 1):
+            for a2 in range(1, a3 + 1):
+                for a1 in range(1, a2 + 1):
+                    d = a1 + a2 + a3 + a4
+                    for ws in ((1, a1, a2, a3, a4), (a1, a2, a3, a4)):
+                        assert is_quasismooth(ws, d) == unskipped_quasismooth(ws, d), ws
+                        ambients += 1
+    assert ambients == 7752
 
 
 def test_growth_is_monotone():

@@ -1,27 +1,37 @@
+from itertools import combinations
+from math import gcd, lcm
+
 import pytest
 
 from wfano.classifier import family, load_families
 from wfano.core import NonTerminalError, QuotientSingularityType, Weights, normalize_singularity
+from wfano.enumerator import is_quasismooth
 from wfano.singularities import (
     basket,
-    coordinate_point_type,
+    quotient_points,
     singular_points,
     stratum_points,
 )
 
 
+def vertex_types(w):
+    return {locus: t for _, t, locus in singular_points(w) if "P" not in locus[1:]}
+
+
 def test_coordinate_point_types():
-    w = Weights(1, 2, 3, 5)
-    assert coordinate_point_type(w, 4) == QuotientSingularityType(5, 2)
-    assert coordinate_point_type(w, 3) == QuotientSingularityType(3, 1)
-    assert coordinate_point_type(w, 2) == QuotientSingularityType(2, 1)
+    assert vertex_types(Weights(1, 2, 3, 5)) == {
+        "P2": QuotientSingularityType(2, 1),
+        "P3": QuotientSingularityType(3, 1),
+        "P4": QuotientSingularityType(5, 2),
+    }
 
 
 def test_no_eliminator_at_bad_vertex():
     # degree 18, weight-5 vertex: no other coordinate can pair with a
     # power of x3, so the general member is forced through a worse point
-    with pytest.raises(NonTerminalError, match="no monomial x_3"):
-        coordinate_point_type(Weights(2, 4, 5, 7), 3)
+    message = r"no monomial x_3\^k\*x_j of degree 18 for P\(1,2,4,5,7\)"
+    with pytest.raises(NonTerminalError, match=message):
+        vertex_types(Weights(2, 4, 5, 7))
 
 
 def _normalized_or_error(r, qs):
@@ -32,10 +42,10 @@ def _normalized_or_error(r, qs):
 
 
 def test_every_eliminator_gives_the_same_point():
-    # coordinate_point_type eliminates only the first x_j with a monomial
-    # x_i^k x_j of degree d.  Every eliminator has weight = d mod a_i, so
-    # any of them leaves the same local weights mod a_i; check that on
-    # every singular vertex of every member with a4 <= 40
+    # the walk eliminates only the first x_j with a monomial x_i^k x_j of
+    # degree d.  Every eliminator has weight = d mod a_i, so any of them
+    # leaves the same local weights mod a_i; check that on every singular
+    # vertex of every member with a4 <= 40
     vertices = 0
     for a4 in range(1, 41):
         for a3 in range(1, a4 + 1):
@@ -64,26 +74,55 @@ def test_every_eliminator_gives_the_same_point():
 
 def test_stratum_points_example():
     # family 7 = P(1,1,2,2,3), degree 8: four 1/2 points on the (2,2) edge
-    count, t = stratum_points(Weights(1, 2, 2, 3), 2, 3)
-    assert count == 4
-    assert t == QuotientSingularityType(2, 1)
+    assert stratum_points((1, 1, 2, 2, 3), 8, 2, 3) == 4
+    assert (4, QuotientSingularityType(2, 1), "P2P3") in singular_points(Weights(1, 2, 2, 3))
 
 
 def test_stratum_empty_restriction():
     # no monomial of degree 10 in two weight-3 variables
-    with pytest.raises(NonTerminalError, match="stratum P2P3 lies inside"):
-        stratum_points(Weights(1, 3, 3, 3), 2, 3)
+    message = r"stratum P2P3 lies inside the general member of P\(1,1,3,3,3\)"
+    with pytest.raises(NonTerminalError, match=message):
+        stratum_points((1, 1, 3, 3, 3), 10, 2, 3)
 
 
-def test_vertex_preconditions():
-    w = Weights(1, 2, 3, 6)  # degree 12
-    with pytest.raises(ValueError, match="nothing to compute"):
-        coordinate_point_type(w, 1)  # weight 1
-    with pytest.raises(ValueError, match="does not lie on"):
-        coordinate_point_type(w, 3)  # x3^4 has degree 12
-    for i in (-1, 0, 5):
-        with pytest.raises(ValueError, match=f"must be in 1..4, got {i}"):
-            coordinate_point_type(w, i)
+def residual_count(ws, d, i, j):
+    """The stratum count as first computed: the restriction of the general
+    polynomial factors as x_i^ei * x_j^ej * g, and the degree of g over
+    lcm(a_i, a_j) counts the points.  None when no monomial of degree d
+    lives on the stratum."""
+    exps = [
+        (m, (d - m * ws[i]) // ws[j])
+        for m in range(d // ws[i] + 1)
+        if (d - m * ws[i]) % ws[j] == 0
+    ]
+    if not exps:
+        return None
+    ei = min(m for m, _ in exps)
+    ej = min(n for _, n in exps)
+    residual = d - ei * ws[i] - ej * ws[j]
+    assert residual % lcm(ws[i], ws[j]) == 0, (ws, i, j)
+    return residual // lcm(ws[i], ws[j])
+
+
+def test_stratum_points_is_the_residual_count():
+    # every stratum with a common factor on every member with a4 <= 30
+    strata = 0
+    for a4 in range(1, 31):
+        for a3 in range(1, a4 + 1):
+            for a2 in range(1, a3 + 1):
+                for a1 in range(1, a2 + 1):
+                    ws, d = (1, a1, a2, a3, a4), a1 + a2 + a3 + a4
+                    for i, j in combinations(range(1, 5), 2):
+                        if gcd(ws[i], ws[j]) < 2:
+                            continue
+                        strata += 1
+                        expected = residual_count(ws, d, i, j)
+                        try:
+                            actual = stratum_points(ws, d, i, j)
+                        except NonTerminalError:
+                            actual = None
+                        assert actual == expected, (ws, i, j)
+    assert strata == 98736
 
 
 def test_singular_points_walk_vertices_then_strata():
@@ -150,3 +189,38 @@ def test_every_dataset_locus_else_matches():
         computed = {(e.locus, e.sing_type, e.count) for e in basket(rec.weights)}
         recorded = {(r.locus, r.sing_type, r.count) for r in rec.basket_rows}
         assert computed == recorded, rec.gimel
+
+
+def same_up_to_unit(r, qs, target):
+    """Is 1/r(qs) the same quotient as 1/r(target), up to a unit of Z/r?"""
+    want = sorted(q % r for q in target)
+    return any(sorted(q * u % r for q in qs) == want for u in range(1, r) if gcd(u, r) == 1)
+
+
+def test_k3_elephants():
+    # The general elephant S = {x = 0} of a family is S_d in P(a1,a2,a3,a4),
+    # one of Reid's 95 K3 hypersurfaces (Iano-Fletcher, "Working with
+    # weighted complete intersections", 2000).  Run on its own, the walk
+    # must find one A_{r-1} = 1/r(a, r-a) point for each threefold point
+    # 1/r(1, a, r-a), with the same counts, on the same loci (shifted by
+    # one, as x0 is gone).  The exceptional curves and the hyperplane class
+    # span a sublattice of the Picard lattice, of rank at most 20, so
+    # sum count*(r-1) <= 19.
+    ranks = {}
+    for rec in load_families():
+        w = rec.weights
+        ws, d = tuple(w), w.degree
+        assert is_quasismooth(ws, d), rec.gimel
+        surface = list(quotient_points(ws, d))
+        threefold = list(singular_points(w))
+        shifted = [
+            (c, t.r, "".join(f"P{int(k) - 1}" for k in locus.split("P")[1:]))
+            for c, t, locus in threefold
+        ]
+        assert [(c, r, locus) for c, r, _, locus in surface] == shifted, rec.gimel
+        for (_, r, qs, _), (_, t, _) in zip(surface, threefold):
+            assert same_up_to_unit(r, qs, (t.a, r - t.a)), (rec.gimel, r, qs, t)
+        ranks[rec.gimel] = sum(c * (r - 1) for c, r, _, _ in surface)
+    assert len(ranks) == 95
+    assert max(ranks.values()) == 18
+    assert {g for g, rank in ranks.items() if rank == 18} == {76, 84, 93}
