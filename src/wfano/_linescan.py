@@ -1,6 +1,8 @@
 """Shared scanner for the line-oriented text formats (1-based positions)."""
 from __future__ import annotations
 
+import re
+
 from .core import InputError, Weights
 
 
@@ -20,6 +22,11 @@ def is_int(tok: str) -> bool:
     return tok.isascii() and tok.isdigit()
 
 
+# `\S` and `str.isspace` agree on every code point, so a token here is what
+# `str.split` would give
+_TOKEN = re.compile(r"\S+")
+
+
 class LineCursor:
     """Whitespace-separated token scanner over one line."""
 
@@ -33,18 +40,19 @@ class LineCursor:
         raise self._error(self.lineno, self.pos + 1 if col is None else col, expected)
 
     def next_col(self) -> int:
-        """Skip whitespace; the 1-based column of the next token."""
-        while self.pos < len(self.line) and self.line[self.pos].isspace():
-            self.pos += 1
+        """Skip whitespace; the 1-based column of the next token (one past
+        the end of the line if there is none)."""
+        m = _TOKEN.search(self.line, self.pos)
+        self.pos = m.start() if m else len(self.line)
         return self.pos + 1
 
     def next_token(self, expected: str) -> tuple[str, int]:
-        start = self.next_col() - 1
-        if start >= len(self.line):
+        m = _TOKEN.search(self.line, self.pos)
+        if m is None:
+            self.pos = len(self.line)
             self.fail(expected)
-        while self.pos < len(self.line) and not self.line[self.pos].isspace():
-            self.pos += 1
-        return self.line[start:self.pos], start + 1
+        self.pos = m.end()
+        return m.group(), m.start() + 1
 
     def next_int(self, expected: str) -> int:
         tok, col = self.next_token(expected)
@@ -65,7 +73,7 @@ class LineCursor:
         return self.line[self.pos:].strip()
 
     def at_end(self) -> bool:
-        return not self.line[self.pos:].strip()
+        return _TOKEN.search(self.line, self.pos) is None
 
     def expect_end(self):
         if not self.at_end():

@@ -69,24 +69,41 @@ def anticanonical_cube(w: Weights) -> Fraction:
     return Fraction(w.degree, w.a1 * w.a2 * w.a3 * w.a4)
 
 
-def _reach_mask(weights: set[int], cap: int) -> int:
-    # bit k of the result is set iff k is a non-negative integer
-    # combination of the given weights; doubling keeps this O(log) shifts
-    # per weight instead of one shift per copy
-    m = 1
-    for w in weights:
-        s = w
-        while s <= cap:
-            m |= m << s
-            s *= 2
-    return m
+def extend_reach(mask: int, weight: int, cap: int) -> int:
+    """Extend a reach mask by one weight, up to `cap`.
+
+    Bit k of a reach mask is set iff k is a non-negative integer
+    combination of the weights it was built from; the mask of no weights
+    is 1.  The step ORs in the mask shifted by every multiple of `weight`
+    up to `cap`, by doubling: the shifts by weight, 2*weight, ...,
+    2^j*weight, the last <= cap, cover every multiplicity below 2^(j+1),
+    which exceeds cap/weight, in O(log) shifts instead of one per copy.
+    If `mask` is correct on every bit <= cap, so is the result: a sum
+    k <= cap of the new weights is u + m*weight with u <= k reachable
+    before and m*weight <= cap.  Bits above cap are true sums but may be
+    missing.  `weight` must be positive.
+    """
+    s = weight
+    while s <= cap:
+        mask |= mask << s
+        s *= 2
+    return mask
 
 
 def is_representable(target: int, weights: tuple[int, ...]) -> bool:
-    """Is `target` a sum of the given weights with non-negative multiplicities?"""
+    """Is `target` a sum of the given weights with non-negative multiplicities?
+
+    A fold of `extend_reach` with cap `target` over the distinct weights,
+    starting from the mask 1 of no weights; the result is correct on every
+    bit <= target, so its bit `target` is the answer.  A negative target is
+    never a sum.
+    """
     if target < 0:
         return False
-    return bool(_reach_mask(set(weights), target) >> target & 1)
+    mask = 1
+    for w in set(weights):
+        mask = extend_reach(mask, w, target)
+    return bool(mask >> target & 1)
 
 
 @dataclass(frozen=True, order=True)

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .core import NonTerminalError, Weights, is_representable
+from .core import NonTerminalError, Weights, extend_reach
+# unused here, but bench/test_tracing.py looks the name up in this module
+from .core import is_representable  # noqa: F401
 from .singularities import singular_points
 
 
@@ -30,16 +32,29 @@ def is_quasismooth(ws: tuple[int, ...], d: int) -> bool:
     I-weights.  A subset containing a weight-1 variable x always passes
     (x^d exists), so only subsets of the variables of weight >= 2 are
     examined.
+
+    Each examined subset gets one reach mask with cap d (see `core`),
+    built by `extend_reach` from the mask of the subset without its last
+    variable, which an earlier, smaller size already built; all its tests
+    read that mask: bit d, then bit d - wt(x_e) for each variable x_e.  This
+    is exact: a mask with cap d is correct on every bit <= d, extending
+    one correct up to d by a weight keeps it correct up to d, and every
+    bit read is <= d.  A target d - wt(x_e) < 0 is never representable,
+    hence the guard wt(x_e) <= d.  A variable of I never counts once bit d
+    is clear, since d - wt(x_e) in the I-weights would put d there too, so
+    the count runs over all variables.  The masks live only for the call.
     """
     heavy = [i for i, a in enumerate(ws) if a >= 2]
+    masks = {(): 1}
     for size in range(1, len(heavy) + 1):
         for subset in combinations(heavy, size):
-            iws = tuple(ws[i] for i in subset)
-            if is_representable(d, iws):
+            mask = masks[subset] = extend_reach(masks[subset[:-1]], ws[subset[-1]], d)
+            if mask >> d & 1:
                 continue
-            hits = sum(
-                1 for e, a in enumerate(ws) if e not in subset and is_representable(d - a, iws)
-            )
+            hits = 0
+            for a in ws:
+                if a <= d and mask >> (d - a) & 1:
+                    hits += 1
             if hits < size:
                 return False
     return True
@@ -98,15 +113,14 @@ def enumerate_families(a4_bound: int = 40) -> list[Weights]:
         for a2 in range(1, a3 + 1):
             for a1 in range(1, a2 + 1):
                 s = a1 + a2 + a3
-                a4s = {
-                    t // k
-                    for t in (s, s - 1, s - a1, s - a2, s - a3)
-                    for k in (1, 2, 3)
-                    if t % k == 0 and a3 <= t // k <= a4_bound
-                }
+                a4s = set()
+                for t in (s, s - 1, s - a1, s - a2, s - a3):
+                    for k in (1, 2, 3):
+                        if t % k == 0 and a3 <= t // k <= a4_bound:
+                            a4s.add(t // k)
                 for a4 in a4s:
                     d = s + a4
-                    if all((d - e) % a3 for e in (0, 1, a1, a2, a4)):
+                    if d % a3 and (d - 1) % a3 and (d - a1) % a3 and (d - a2) % a3 and (d - a4) % a3:
                         continue
                     w = Weights(a1, a2, a3, a4)
                     if is_quasismooth_general(w) and has_only_terminal_isolated_sings(w):

@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from wfano.blowup import InconsistentError, NotSymmetricError, UnderdeterminedError
 from wfano.classifier import (
@@ -19,6 +19,7 @@ from wfano.core import (
     QuotientSingularityType,
     Weights,
     anticanonical_cube,
+    extend_reach,
     is_representable,
     normalize_singularity,
 )
@@ -63,6 +64,40 @@ def test_is_representable():
     assert is_representable(7, (2, 3))
     assert not is_representable(1, (2, 3))
     assert not is_representable(5, (2, 4))
+
+
+def coin_change(weights, top):
+    """reachable[k] for 0 <= k <= top: is k a sum of the weights?  The
+    textbook table, one target at a time, with no bit tricks."""
+    reachable = [True] + [False] * top
+    for k in range(1, top + 1):
+        reachable[k] = any(w <= k and reachable[k - w] for w in weights)
+    return reachable
+
+
+weight_lists = st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=5)
+
+
+@given(weight_lists)
+@example([6, 10, 6, 15])
+@example([60, 60])
+def test_is_representable_matches_coin_change(weights):
+    reachable = coin_change(weights, 400)
+    for target in range(-60, 401):
+        expected = target >= 0 and reachable[target]
+        assert is_representable(target, tuple(weights)) == expected, target
+
+
+@given(weight_lists, st.integers(min_value=0, max_value=400))
+@example([6, 10, 6, 15], 400)
+def test_extended_masks_are_exact_up_to_the_cap(weights, cap):
+    # one weight at a time, in the drawn order and with repeats, as the
+    # quasismoothness criterion grows a subset's mask from its parent's
+    mask = 1
+    for w in weights:
+        mask = extend_reach(mask, w, cap)
+    reachable = coin_change(weights, cap)
+    assert [bool(mask >> k & 1) for k in range(cap + 1)] == reachable
 
 
 def test_normalize_examples():

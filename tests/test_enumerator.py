@@ -1,5 +1,5 @@
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import gcd
 
 import pytest
@@ -173,6 +173,23 @@ def test_weight_one_subsets_need_no_test():
                         assert is_quasismooth(ws, d) == unskipped_quasismooth(ws, d), ws
                         ambients += 1
     assert ambients == 7752
+
+
+@pytest.mark.parametrize("n, top", [(3, 9), (4, 7), (5, 5)])
+def test_criterion_away_from_the_anticanonical_degree(n, top):
+    # every ascending ws with n weights from 1..top, repeats included, and
+    # every degree 1..2*max(ws), so degrees below some weight (negative
+    # targets d - a) are met too
+    verdicts = []
+    below = 0
+    for ws in combinations_with_replacement(range(1, top + 1), n):
+        for d in range(1, 2 * ws[-1] + 1):
+            verdict = is_quasismooth(ws, d)
+            assert verdict == unskipped_quasismooth(ws, d), (ws, d)
+            verdicts.append(verdict)
+            below += d < ws[-1]
+    assert (len(verdicts), below) == {3: (2310, 990), 4: (2436, 1008), 5: (1092, 420)}[n]
+    assert any(verdicts) and not all(verdicts)
 
 
 def test_growth_is_monotone():
