@@ -24,7 +24,9 @@ to a blow up whose anticanonical cube goes negative, `QI`/`EI` record
 untwisting involution data (kept verbatim, no semantics attached), and an
 absent annotation means none is needed.
 
-Only `load_families` and `family` read the dataset.  The counting rules
+Only `load_families` and `family` read the dataset, and loading rejects
+it whole when a record's weights are not an admissible family (see
+`load_families`); `parse_table` only parses.  The counting rules
 are pure functions of a weight system or a record: weight combinatorics
 plus two embedded membership lists.  `verify_family` cross-checks every
 rule against the record, and the record against recomputation.
@@ -40,8 +42,9 @@ from functools import lru_cache
 from importlib import resources
 
 from ._linescan import LineCursor, PositionedError, content_lines, is_int
-from .core import InputError, QuotientSingularityType, Weights, anticanonical_cube, normalize_singularity
-from .singularities import basket, stratum_points
+from .core import InputError, NonTerminalError, QuotientSingularityType, Weights
+from .core import anticanonical_cube, normalize_singularity
+from .singularities import basket, singular_points, stratum_points
 
 
 class TableSyntaxError(PositionedError):
@@ -60,21 +63,18 @@ class UnknownGimelError(InputError):
     pass
 
 
+class InadmissibleRecordError(InputError):
+    """A dataset record whose weights are not those of a quasismooth
+    terminal family."""
+
+
 class NotApplicableError(ValueError):
     """A counting rule does not apply to the weight system it was given."""
 
 
-class PencilCount(str, enum.Enum):
-    """A count that is not a number.  It renders as its value, so a count
-    prints, serializes and exports the same way whether int or not."""
-
-    INFINITE = "infinite"
-
-    def __str__(self):
-        return self.value
-
-
-INFINITE = PencilCount.INFINITE
+# the one pencil count that is not a number; the parser and
+# `halphen_pencils` return this object, so `count is INFINITE` holds
+INFINITE = "infinite"
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,7 @@ class FamilyRecord:
     invariant: str
     ell: str
     basket_rows: tuple[TableRow, ...]
-    halphen_count: int | PencilCount
+    halphen_count: int | str
 
 
 class PencilKind(enum.Enum):
@@ -157,7 +157,7 @@ class PencilDescriptor:
 @dataclass(frozen=True)
 class HalphenAnswer:
     gimel: int
-    count: int | PencilCount
+    count: int | str
     pencils: tuple[PencilDescriptor, ...]
 
     def __post_init__(self):
@@ -325,12 +325,22 @@ def _load(path: str | None) -> tuple[FamilyRecord, ...]:
     else:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    return tuple(parse_table(text))
+    records = tuple(parse_table(text))
+    for rec in records:
+        try:
+            for _point in singular_points(rec.weights):
+                pass
+        except NonTerminalError as exc:
+            raise InadmissibleRecordError(f"family {rec.gimel}: {exc}") from exc
+    return records
 
 
 def load_families() -> tuple[FamilyRecord, ...]:
     """The dataset records, cached per file: the file the WFANO_DATA
-    environment variable names, or else the packaged one."""
+    environment variable names, or else the packaged one.  Each record's
+    weights are walked once, as `basket` walks them; the first record that
+    is not an admissible family rejects the dataset with an
+    InadmissibleRecordError, `family N: ` and the walk's reason."""
     return _load(os.environ.get("WFANO_DATA") or None)
 
 
@@ -468,7 +478,8 @@ def verify_family(rec: FamilyRecord) -> tuple[FamilyCheck, ...]:
     """Recompute everything recomputable about one family and compare with
     its record: the anticanonical cube, the degree, the singular loci
     (counts and normalized types), the presence rule for BC annotations,
-    and the pencil-count rule."""
+    the pencil-count rule, and for the three type-III families the count
+    against the distinguished points the record's P1P2 rows list."""
     w = rec.weights
     checks = []
 
@@ -511,7 +522,8 @@ def verify_family(rec: FamilyRecord) -> tuple[FamilyCheck, ...]:
     got = halphen_pencils(rec).count
     checks.append(FamilyCheck("pencil count rule", got == want, str(want), str(got)))
     if is_type_iii(w):
-        r = type_iii_point_count(w)
+        # the distinguished points the record lists, against its count
+        r = sum(row.count for row in rec.basket_rows if row.locus == "P1P2")
         checks.append(
             FamilyCheck(
                 "distinguished point count",

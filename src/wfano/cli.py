@@ -5,8 +5,9 @@ Exit status: 0 all requested checks pass, 1 check failures, 2 bad input:
 a bad argument, a file that cannot be read or is not UTF-8, or a
 `core.InputError` (unknown family, malformed dataset or tower text, a
 non-terminal row type among them, a Gram block without a unique solution,
-or a dataset record whose weights are not an admissible family, told by
-the walk's `core.NonTerminalError`).  Any other error is a bug and
+or a dataset record whose weights are not an admissible family).  The
+dataset is checked whole when it is loaded, so every command that loads it
+rejects a bad row or bad weights alike.  Any other error is a bug and
 propagates.  All numeric output is exact ("p/q"); all orderings are
 deterministic.
 """
@@ -17,31 +18,14 @@ import csv
 import io
 import json
 import sys
-from contextlib import contextmanager
 
 from . import classifier
 from .classifier import load_families, verify_family
-from .core import InputError, NonTerminalError, anticanonical_cube
+from .core import InputError, anticanonical_cube
 from .enumerator import enumerate_families
 from .fixtures import fixture_checks
 from .singularities import basket
 from .towers import evaluate, parse_tower_file
-
-
-class InadmissibleRecordError(InputError):
-    """A dataset record whose weights are not those of a quasismooth
-    terminal family."""
-
-
-@contextmanager
-def _on_record(rec):
-    """Compute on one dataset record.  Rows are checked when the dataset
-    is parsed, so a NonTerminalError can only come from the weights: it is
-    bad input.  Any other error propagates."""
-    try:
-        yield
-    except NonTerminalError as exc:
-        raise InadmissibleRecordError(f"family {rec.gimel}: {exc}") from exc
 
 
 class _Positive(argparse.Action):
@@ -62,9 +46,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_show(args) -> int:
     rec = classifier.family(args.gimel)
-    with _on_record(rec):
-        basket(rec.weights)  # rejects an inadmissible record as `basket` does
-        answer = classifier.halphen_pencils(rec)
+    answer = classifier.halphen_pencils(rec)
     print(f"family {rec.gimel}")
     print(f"weights {rec.weights}")
     print(f"degree {rec.degree}")
@@ -81,8 +63,7 @@ def cmd_show(args) -> int:
 
 def cmd_basket(args) -> int:
     rec = classifier.family(args.gimel)
-    with _on_record(rec):
-        entries = basket(rec.weights).entries
+    entries = basket(rec.weights).entries
     if not entries:
         print("smooth")
     for e in entries:
@@ -97,9 +78,7 @@ def cmd_verify(args) -> int:
         records = list(load_families())
     failures = 0
     for rec in records:
-        with _on_record(rec):
-            checks = verify_family(rec)
-        for c in checks + fixture_checks(rec.gimel):
+        for c in verify_family(rec) + fixture_checks(rec.gimel):
             status = "PASS" if c.passed else "FAIL"
             print(f"{rec.gimel}, {c.name}, {status}, {c.expected}, {c.actual}")
             failures += not c.passed

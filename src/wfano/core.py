@@ -42,9 +42,9 @@ class Weights:
 
     def __post_init__(self):
         ws = (self.a1, self.a2, self.a3, self.a4)
-        if any(not isinstance(w, int) or w < 1 for w in ws):
+        if not all(map(isinstance, ws, (int,) * 4)) or min(ws) < 1:
             raise ValueError(f"weights must be positive integers, got {ws}")
-        if list(ws) != sorted(ws):
+        if not self.a1 <= self.a2 <= self.a3 <= self.a4:
             raise ValueError(f"weights must be ascending, got {ws}")
 
     def __iter__(self):
@@ -81,8 +81,10 @@ def extend_reach(mask: int, weight: int, cap: int) -> int:
     If `mask` is correct on every bit <= cap, so is the result: a sum
     k <= cap of the new weights is u + m*weight with u <= k reachable
     before and m*weight <= cap.  Bits above cap are true sums but may be
-    missing.  `weight` must be positive.
+    missing.  A weight < 1 is a ValueError.
     """
+    if weight < 1:
+        raise ValueError(f"weight must be positive, got {weight}")
     s = weight
     while s <= cap:
         mask |= mask << s
@@ -96,7 +98,7 @@ def is_representable(target: int, weights: tuple[int, ...]) -> bool:
     A fold of `extend_reach` with cap `target` over the distinct weights,
     starting from the mask 1 of no weights; the result is correct on every
     bit <= target, so its bit `target` is the answer.  A negative target is
-    never a sum.
+    never a sum; a weight < 1 is a ValueError.
     """
     if target < 0:
         return False
@@ -135,7 +137,8 @@ def normalize_singularity(r: int, q1: int, q2: int, q3: int) -> QuotientSingular
     """Bring a cyclic quotient 1/r(q1, q2, q3) to the form 1/r(1, a, r-a).
 
     The defining data is only determined up to multiplying all three local
-    weights by a unit of Z/r, so we search the units.  Raises
+    weights by a unit of Z/r.  A unit that gives (1, a, r-a) takes some q_i
+    to 1, so only the three inverses of the q_i mod r are tried.  Raises
     NonTerminalError when some local weight is 0 mod r (the singular locus
     would be positive-dimensional) or not prime to r, and when no unit
     produces the (1, a, r-a) shape.
@@ -147,10 +150,9 @@ def normalize_singularity(r: int, q1: int, q2: int, q3: int) -> QuotientSingular
         raise NonTerminalError(f"1/{r}({q1},{q2},{q3}) has a weight divisible by {r}")
     if any(gcd(q, r) != 1 for q in qs):
         raise NonTerminalError(f"1/{r}({q1},{q2},{q3}) is not isolated-terminal")
-    for u in range(1, r):
-        if gcd(u, r) != 1:
-            continue
-        s = sorted(q * u % r for q in qs)
-        if s[0] == 1 and s[1] + s[2] == r:
-            return QuotientSingularityType(r, min(s[1], s[2]))
+    for q in qs:
+        u = pow(q, -1, r)
+        s = sorted([p * u % r for p in qs])  # s[0] is q*u = 1
+        if s[1] + s[2] == r:
+            return QuotientSingularityType(r, s[1])
     raise NonTerminalError(f"1/{r}({q1},{q2},{q3}) admits no terminal presentation")

@@ -43,8 +43,11 @@ def is_quasismooth(ws: tuple[int, ...], d: int) -> bool:
     hence the guard wt(x_e) <= d.  A variable of I never counts once bit d
     is clear, since d - wt(x_e) in the I-weights would put d there too, so
     the count runs over all variables.  The masks live only for the call.
+    A weight < 1 is a ValueError.
     """
     heavy = [i for i, a in enumerate(ws) if a >= 2]
+    if len(heavy) + ws.count(1) < len(ws):  # a weight neither 1 nor >= 2
+        raise ValueError(f"weights must be positive, got {ws}")
     masks = {(): 1}
     for size in range(1, len(heavy) + 1):
         for subset in combinations(heavy, size):

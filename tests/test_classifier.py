@@ -15,6 +15,7 @@ from wfano.classifier import (
     TYPE_IV_GIMELS,
     TYPE_V_GIMEL,
     DuplicateGimelError,
+    InadmissibleRecordError,
     MissingGimelError,
     NotApplicableError,
     PencilKind,
@@ -386,6 +387,16 @@ def test_verify_family_18_passes():
     assert all(c.passed for c in checks)
 
 
+def test_distinguished_points_are_the_recorded_ones(no_dataset):
+    # the check reads the points from the record's P1P2 rows, so a row that
+    # lists one point too few fails it although the count matches the walk
+    (rec,) = parse_table(RECORD.replace("row P1P2 6x", "row P1P2 5x"))
+    checks = {c.name: c for c in verify_family(rec)}
+    c = checks["distinguished point count"]
+    assert (c.passed, c.expected, c.actual) == (False, "7", "1 + 5")
+    assert checks["pencil count rule"].passed
+
+
 def test_verify_family_95_has_negative_blowup_row():
     # 1/330 - 1/30 = -1/33 at the 1/5(1,2,3) point, hence its BC entry
     checks = {c.name: c for c in verify_family(family(95))}
@@ -446,6 +457,20 @@ def test_listed_record_without_presentation_has_one_pencil(no_dataset, weights):
     assert ans.gimel == 45 and ans.count == 1
     (p,) = ans.pencils
     assert p.kind == PencilKind.PRINCIPAL
+
+
+def test_loading_rejects_inadmissible_weights(tmp_path, monkeypatch):
+    text = RECORD.replace("weights 2 2 3 5", "weights 3 4 4 5")
+    (rec,) = parse_table(text)  # the parser only parses
+    assert rec.weights == Weights(3, 4, 4, 5)
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    monkeypatch.setenv("WFANO_DATA", str(bad))
+    message = "family 18: 1/5(3,4,4) admits no terminal presentation"
+    with pytest.raises(InadmissibleRecordError) as info:
+        load_families()
+    assert str(info.value) == message
+    assert isinstance(info.value.__cause__, NonTerminalError)
 
 
 def test_env_var_overrides_dataset(tmp_path, monkeypatch):

@@ -315,15 +315,34 @@ def test_inadmissible_record_is_bad_input(capsys, tmp_path, monkeypatch, weights
         "invariant F_0\nell 1\npencils 1\n"
     )
     monkeypatch.setenv("WFANO_DATA", str(bad))
+    tower = tmp_path / "over-1.tower"
+    tower.write_text("family 1\n")
     errs = set()
-    for argv in [["verify"], ["show", "1"], ["basket", "1"]]:
+    for argv in [["verify"], ["show", "1"], ["basket", "1"], ["export", "--format", "json"],
+                 ["export", "--format", "csv"], ["eval-tower", str(tower)]]:
         code, out, err = run(capsys, *argv)
-        assert code == 2, argv
-        assert err.startswith("error: family 1: "), argv
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: family 1: ") and err.count("\n") == 1, argv
         if weights != "2 4 5 7":  # every failure but the missing eliminator names the point
             assert err.startswith("error: family 1: 1/"), argv
         errs.add(err)
-    assert len(errs) == 1  # the three commands report the record alike
+    assert len(errs) == 1  # every command that loads the dataset reports the record alike
+
+
+def test_one_inadmissible_record_rejects_the_dataset(capsys, tmp_path, monkeypatch):
+    # the dataset is checked whole as it is loaded: asking for the good
+    # record does not get round the bad one
+    data = tmp_path / "two.txt"
+    data.write_text(
+        "family 1\nweights 3 4 4 5\ndegree 16\nkcube 1/15\n"
+        "invariant F_0\nell 1\npencils 1\n\n"
+        "family 2\nweights 1 1 1 1\ndegree 4\nkcube 4\n"
+        "invariant F_0\nell 1\npencils infinite\n"
+    )
+    monkeypatch.setenv("WFANO_DATA", str(data))
+    expected = (2, "", "error: family 1: 1/5(3,4,4) admits no terminal presentation\n")
+    for argv in [["show", "2"], ["basket", "2"], ["verify", "--gimel", "2"]]:
+        assert run(capsys, *argv) == expected, argv
 
 
 @pytest.mark.parametrize(
@@ -352,8 +371,9 @@ def test_non_terminal_row_is_positioned(capsys, tmp_path, monkeypatch, row, reas
 
 
 def test_walk_rejects_inadmissible_weights_with_non_terminal_error_alone():
-    # `_on_record` reads a NonTerminalError as a bad record and lets every
-    # other error propagate.  That holds only if `verify_family` raises this
+    # `classifier._load` rejects a record whose weights make the walk raise a
+    # NonTerminalError, so that only admissible weights reach the checks.
+    # That holds only if `verify_family`, which runs the walk, raises this
     # type, and nothing else, on every system the enumerator rejects; the
     # gimels 45 and 60 would take the type-IV and type-V branches.
     systems = [

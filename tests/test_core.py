@@ -1,18 +1,23 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+import wfano
 from wfano.blowup import InconsistentError, NotSymmetricError, UnderdeterminedError
 from wfano.classifier import (
     DuplicateGimelError,
+    InadmissibleRecordError,
     MissingGimelError,
     NotApplicableError,
     TableSyntaxError,
     UnknownGimelError,
 )
-from wfano.cli import InadmissibleRecordError
 from wfano.core import (
     InputError,
     NonTerminalError,
@@ -66,6 +71,25 @@ def test_is_representable():
     assert not is_representable(5, (2, 4))
 
 
+def test_is_representable_rejects_weight_below_one():
+    with pytest.raises(ValueError, match="weight must be positive, got -2"):
+        is_representable(3, (-2,))
+    # unchecked, a weight of 0 never reaches the cap: run it in a child, so
+    # that a hang fails the test instead of stopping the suite
+    code = (
+        "from wfano.core import is_representable\n"
+        "try:\n"
+        "    is_representable(3, (0,))\n"
+        "except ValueError as exc:\n"
+        "    raise SystemExit(str(exc) != 'weight must be positive, got 0')\n"
+        "raise SystemExit(1)\n"
+    )
+    src = os.path.dirname(os.path.dirname(wfano.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
+    assert result.returncode == 0
+
+
 def coin_change(weights, top):
     """reachable[k] for 0 <= k <= top: is k a sum of the weights?  The
     textbook table, one target at a time, with no bit tricks."""
@@ -115,6 +139,42 @@ def test_normalize_rejects_non_terminal():
         normalize_singularity(4, 2, 1, 1)
     with pytest.raises(NonTerminalError):
         normalize_singularity(9, 1, 2, 3)
+
+
+def normalize_by_units(r, q1, q2, q3):
+    """The unit search that `normalize_singularity` shortens: try every
+    unit of Z/r.  Returns the type, or the NonTerminalError message."""
+    qs = [q % r for q in (q1, q2, q3)]
+    if any(q == 0 for q in qs):
+        return f"1/{r}({q1},{q2},{q3}) has a weight divisible by {r}"
+    if any(gcd(q, r) != 1 for q in qs):
+        return f"1/{r}({q1},{q2},{q3}) is not isolated-terminal"
+    return unit_search(r, *sorted(qs)) or f"1/{r}({q1},{q2},{q3}) admits no terminal presentation"
+
+
+@lru_cache(maxsize=None)
+def unit_search(r, *qs):
+    for u in range(1, r):
+        if gcd(u, r) == 1:
+            s = sorted(q * u % r for q in qs)
+            if s[0] == 1 and s[1] + s[2] == r:
+                return QuotientSingularityType(r, min(s[1], s[2]))
+    return None
+
+
+def test_normalize_tries_only_the_inverses():
+    # every unit that gives (1, a, r-a) takes some weight to 1, so the
+    # inverses of the three weights are all the units worth trying
+    for r in range(2, 31):
+        for q1 in range(r):
+            for q2 in range(r):
+                for q3 in range(r):
+                    expected = normalize_by_units(r, q1, q2, q3)
+                    try:
+                        got = normalize_singularity(r, q1, q2, q3)
+                    except NonTerminalError as exc:
+                        got = str(exc)
+                    assert got == expected, (r, q1, q2, q3)
 
 
 def test_discrepancy_cube_drop():

@@ -195,3 +195,9 @@ def test_criterion_away_from_the_anticanonical_degree(n, top):
 def test_growth_is_monotone():
     sizes = [len(enumerate_families(b)) for b in (2, 5, 8, 12)]
     assert sizes == sorted(sizes)
+
+
+@pytest.mark.parametrize("ws", [(0, 2), (2, -1)], ids=["zero", "negative"])
+def test_quasismooth_rejects_weight_below_one(ws):
+    with pytest.raises(ValueError, match=r"weights must be positive, got \("):
+        is_quasismooth(ws, 3)

@@ -24,3 +24,11 @@ def test_cli_picks_exit_2_by_error_type():
     # second computation instead of the error's type
     cli = Path(wfano.__file__).parent / "cli.py"
     assert "except ValueError" not in cli.read_text(encoding="utf-8")
+
+
+def test_cli_leaves_record_admissibility_to_the_loader():
+    # `classifier.load_families` decides whether a record's weights are
+    # admissible; a command that caught the walk's error itself would decide
+    # it a second time, for some commands only
+    cli = Path(wfano.__file__).parent / "cli.py"
+    assert "NonTerminalError" not in cli.read_text(encoding="utf-8")
