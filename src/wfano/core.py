@@ -42,7 +42,9 @@ class Weights:
 
     def __post_init__(self):
         ws = (self.a1, self.a2, self.a3, self.a4)
-        if not all(map(isinstance, ws, (int,) * 4)) or min(ws) < 1:
+        # `is int`, not isinstance: a bool is an int but no weight
+        if (not type(self.a1) is type(self.a2) is type(self.a3) is type(self.a4) is int
+                or min(ws) < 1):
             raise ValueError(f"weights must be positive integers, got {ws}")
         if not self.a1 <= self.a2 <= self.a3 <= self.a4:
             raise ValueError(f"weights must be ascending, got {ws}")

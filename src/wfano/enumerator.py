@@ -15,6 +15,7 @@ are combined:
 from __future__ import annotations
 
 from itertools import combinations
+from math import gcd
 
 from .core import NonTerminalError, Weights, extend_reach
 # unused here, but bench/test_tracing.py looks the name up in this module
@@ -76,11 +77,13 @@ def has_only_terminal_isolated_sings(w: Weights) -> bool:
     NonTerminalError: a 1/r(1, a, r-a) quotient at every vertex and along
     every singular stratum, with no stratum curve inside the member.
     Weights with a common factor need no separate test.  With g >= 2
-    dividing all four, g divides gcd(a1, a2), so the walk visits P1P2 (if
-    nothing fails before it), and its local weight a3 shares g with the
-    index r = gcd(a1, a2); the walk raises there.  Three weights with a
-    common factor are rejected the same way, at the stratum of two of
-    them.
+    dividing three of them, a_i, a_j and a_k, g divides gcd(a_i, a_j), so
+    the walk visits P_iP_j (if nothing fails before it) and normalizes it,
+    even when it carries no point; its local weight a_k shares g with the
+    index r = gcd(a_i, a_j), and the walk raises there.  Four weights with
+    a common factor are the case (i, j, k) = (1, 2, 3).
+    `enumerate_families` relies on this rejection: it never builds a
+    system with three weights sharing a factor.
     """
     try:
         for _point in singular_points(w):
@@ -94,16 +97,25 @@ def enumerate_families(a4_bound: int = 40) -> list[Weights]:
     """All admissible weight systems with a4 <= a4_bound, sorted by
     (degree, weights).
 
-    The loop never builds a system that the one-variable subsets {4} and
-    {3} of `is_quasismooth_general` reject.  Write s = a1+a2+a3, so that
-    d = s + a4.  At the vertex P4 the member needs x4^k or x4^k*x_e of
-    degree d, so a4 divides one of s, s-1, s-a1, s-a2, s-a3; each of these
-    is positive and at most s <= 3*a3 <= 3*a4, so a4 = t/k for one of them
-    (t) and k in {1, 2, 3}.  At P3, likewise, a3 must divide one of d,
-    d-1, d-a1, d-a2, d-a4.  Both tests are exactly the subset-{4} and
-    subset-{3} cases of the quasismoothness criterion, and every survivor
-    still goes through both predicates, so the pruning is exact: the
+    The loop never builds a system that one of two exact integer tests
+    rejects; every survivor still goes through both predicates, so the
     result is that of trying every 1 <= a1 <= a2 <= a3 <= a4 <= a4_bound.
+
+    * The four vertices: the one-variable subsets {i} of
+      `is_quasismooth_general`.  At the vertex P_i the member needs x_i^k
+      or x_i^k*x_e of degree d, so a_i divides one of d, d-1, d-a1, d-a2,
+      d-a3, d-a4 (a weight 1 always does).  Write s = a1+a2+a3, so that
+      d = s + a4.  At P4 this reads: a4 divides one of s, s-1, s-a1,
+      s-a2, s-a3; each of these is positive and at most s <= 3*a4, so
+      a4 = t/k for one of them (t) and k in {1, 2, 3}.  P3, P2 and P1 are
+      tested once a4 is chosen.
+    * No three weights with a common factor.  If g >= 2 divides a_i, a_j
+      and a_k, the walk of `has_only_terminal_isolated_sings` reaches the
+      stratum P_iP_j (unless it failed earlier), normalizes it even when
+      it carries no point, and finds the local weight a_k not prime to the
+      index gcd(a_i, a_j), a multiple of g; it raises NonTerminalError.
+      A triple (a1, a2, a3) with a common factor is skipped before its a4
+      are generated.
 
     The result is monotone in the bound; a4_bound >= 33 is known to yield
     the complete list of 95 families (larger bounds add nothing, but that
@@ -115,6 +127,8 @@ def enumerate_families(a4_bound: int = 40) -> list[Weights]:
     for a3 in range(1, a4_bound + 1):
         for a2 in range(1, a3 + 1):
             for a1 in range(1, a2 + 1):
+                if gcd(a1, a2, a3) > 1:
+                    continue
                 s = a1 + a2 + a3
                 a4s = set()
                 for t in (s, s - 1, s - a1, s - a2, s - a3):
@@ -122,11 +136,16 @@ def enumerate_families(a4_bound: int = 40) -> list[Weights]:
                         if t % k == 0 and a3 <= t // k <= a4_bound:
                             a4s.add(t // k)
                 for a4 in a4s:
-                    d = s + a4
-                    if d % a3 and (d - 1) % a3 and (d - a1) % a3 and (d - a2) % a3 and (d - a4) % a3:
+                    if gcd(a1, a2, a4) > 1 or gcd(a1, a3, a4) > 1 or gcd(a2, a3, a4) > 1:
                         continue
-                    w = Weights(a1, a2, a3, a4)
-                    if is_quasismooth_general(w) and has_only_terminal_isolated_sings(w):
-                        out.append(w)
+                    d = s + a4
+                    for a in (a3, a2, a1):
+                        if (d % a and (d - 1) % a and (d - a1) % a and (d - a2) % a
+                                and (d - a3) % a and (d - a4) % a):
+                            break
+                    else:
+                        w = Weights(a1, a2, a3, a4)
+                        if is_quasismooth_general(w) and has_only_terminal_isolated_sings(w):
+                            out.append(w)
     out.sort(key=lambda w: (w.degree, tuple(w)))
     return out

@@ -36,6 +36,8 @@ def test_weights_validation():
         Weights(2, 1, 3, 4)  # not ascending
     with pytest.raises(ValueError):
         Weights(0, 1, 2, 3)
+    with pytest.raises(ValueError, match="positive integers"):
+        Weights(True, True, True, True)  # a bool is an int, but no weight
 
 
 def test_one_class_of_bad_input():

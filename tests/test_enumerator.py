@@ -42,24 +42,26 @@ def test_matches_brute_force(bound):
 
 
 def meets_vertex_conditions(a1, a2, a3, a4):
-    """Quasismoothness at P4 and at P3 alone: with d = a1+a2+a3+a4, a4
-    divides one of d, d-1, d-a1, d-a2, d-a3, and a3 one of d, d-1, d-a1,
-    d-a2, d-a4."""
+    """Quasismoothness at each of the vertices P1..P4 alone: with
+    d = a1+a2+a3+a4, every a_i divides one of d, d-1, d-a1, d-a2, d-a3,
+    d-a4."""
     d = a1 + a2 + a3 + a4
-    return any((d - e) % a4 == 0 for e in (0, 1, a1, a2, a3)) and any(
-        (d - e) % a3 == 0 for e in (0, 1, a1, a2, a4)
-    )
+    return all(any((d - e) % a == 0 for e in (0, 1, a1, a2, a3, a4)) for a in (a1, a2, a3, a4))
+
+
+def three_share_a_factor(a1, a2, a3, a4):
+    return any(gcd(*triple) > 1 for triple in combinations((a1, a2, a3, a4), 3))
 
 
 def test_vertex_pruning_is_sound():
     # enumerate_families takes a4 from the P4 condition and filters on the
-    # P3 condition; every quasismooth system meets both
+    # P3, P2 and P1 conditions; every quasismooth system meets all four
     assert all(meets_vertex_conditions(*w) for w in quasismooth_systems(33))
 
 
 def test_candidates_are_the_pruned_systems(monkeypatch):
-    # the predicates see each system that meets the P4 and P3 conditions
-    # once, and no other system
+    # the predicates see each system that meets the four vertex conditions
+    # and has no three weights sharing a factor once, and no other system
     seen = []
 
     def recording(w):
@@ -74,8 +76,9 @@ def test_candidates_are_the_pruned_systems(monkeypatch):
         for a3 in range(1, a4 + 1)
         for a2 in range(1, a3 + 1)
         for a1 in range(1, a2 + 1)
-        if meets_vertex_conditions(a1, a2, a3, a4)
+        if meets_vertex_conditions(a1, a2, a3, a4) and not three_share_a_factor(a1, a2, a3, a4)
     ]
+    assert len(expected) == 176
     assert sorted(seen) == sorted(expected)
 
 
@@ -95,7 +98,7 @@ def test_ordering_is_degree_then_weights():
     assert keys == sorted(keys)
 
 
-@pytest.mark.parametrize("bound", [4, 7, 10])
+@pytest.mark.parametrize("bound", [4, 7, 10, 60])
 def test_matches_dataset_below_bound(bound):
     # the embedded table is the oracle: below any cutoff the enumeration
     # must produce exactly the recorded weight systems
@@ -132,17 +135,19 @@ def test_terminality_examples():
 
 def test_common_factor_is_rejected_by_the_walk():
     # has_only_terminal_isolated_sings has no gcd test of its own: with a
-    # factor g of all four weights, the walk's point on P1P2 has the local
-    # weight a3, which shares g with the index
-    rejected = 0
+    # factor g of three weights a_i, a_j, a_k, the walk's stratum P_iP_j has
+    # the local weight a_k, which shares g with the index; enumerate_families
+    # relies on this when it skips such systems unbuilt
+    rejected = all_four = 0
     for a4 in range(1, 41):
         for a3 in range(1, a4 + 1):
             for a2 in range(1, a3 + 1):
                 for a1 in range(1, a2 + 1):
-                    if gcd(a1, a2, a3, a4) > 1:
+                    if three_share_a_factor(a1, a2, a3, a4):
                         assert not has_only_terminal_isolated_sings(Weights(a1, a2, a3, a4))
                         rejected += 1
-    assert rejected == 10941
+                        all_four += gcd(a1, a2, a3, a4) > 1
+    assert (rejected, all_four) == (53876, 10941)
 
 
 def unskipped_quasismooth(ws, d):
