@@ -93,6 +93,31 @@ def has_only_terminal_isolated_sings(w: Weights) -> bool:
     return True
 
 
+def _vertex_pairs(a3: int, a4: int):
+    """Yield, once each, the pairs (a1, a2) with 1 <= a1 <= a2 <= a3 at
+    which P(1, a1, a2, a3, a4) passes the vertex tests at P4 and P3, by
+    the sum lines and member lines of `enumerate_families`."""
+    sums4 = {-a3 % a4, (1 - a3) % a4, 0}  # sigma mod a4 of the P4 sum lines
+    sums3 = {-a4 % a3, (1 - a4) % a3, 0}  # sigma mod a3 where P3 holds on the whole line
+    m4 = -a3 % a4 or a4  # the fixed weight of the P4 member line
+    m3 = -a4 % a3 or a3  # the weight that meets P3 on any line
+    for r in sums4:
+        for sigma in range(2 + (r - 2) % a4, 2 * a3 + 1, a4):
+            if sigma % a3 in sums3:
+                for a1 in range(max(1, sigma - a3), sigma // 2 + 1):
+                    yield a1, sigma - a1
+            elif 1 <= sigma - m3 <= a3:
+                yield min(m3, sigma - m3), max(m3, sigma - m3)
+    if m4 <= a3:
+        if m4 == m3:
+            others = range(1, a3 + 1)
+        else:
+            others = {m3} | {(r - m4) % a3 or a3 for r in sums3}
+        for x in others:
+            if (m4 + x) % a4 not in sums4:  # else yielded on its sum line
+                yield min(m4, x), max(m4, x)
+
+
 def enumerate_families(a4_bound: int = 40) -> list[Weights]:
     """All admissible weight systems with a4 <= a4_bound, sorted by
     (degree, weights).
@@ -103,49 +128,70 @@ def enumerate_families(a4_bound: int = 40) -> list[Weights]:
 
     * The four vertices: the one-variable subsets {i} of
       `is_quasismooth_general`.  At the vertex P_i the member needs x_i^k
-      or x_i^k*x_e of degree d, so a_i divides one of d, d-1, d-a1, d-a2,
-      d-a3, d-a4 (a weight 1 always does).  Write s = a1+a2+a3, so that
-      d = s + a4.  At P4 this reads: a4 divides one of s, s-1, s-a1,
-      s-a2, s-a3; each of these is positive and at most s <= 3*a4, so
-      a4 = t/k for one of them (t) and k in {1, 2, 3}.  P3, P2 and P1 are
-      tested once a4 is chosen.
+      or x_i^k*x_e of degree d, so a_i divides d - c for some c in
+      {0, 1, a1, a2, a3, a4} (a weight 1 always does).
     * No three weights with a common factor.  If g >= 2 divides a_i, a_j
       and a_k, the walk of `has_only_terminal_isolated_sings` reaches the
       stratum P_iP_j (unless it failed earlier), normalizes it even when
       it carries no point, and finds the local weight a_k not prime to the
       index gcd(a_i, a_j), a multiple of g; it raises NonTerminalError.
-      A triple (a1, a2, a3) with a common factor is skipped before its a4
-      are generated.
+
+    The loop runs over the two largest weights a3 <= a4 and solves the
+    vertex conditions at P4 and P3 for (a1, a2) instead of scanning
+    (`_vertex_pairs`); P2, P1 and the common factors are tested on each
+    pair it yields.  Write sigma = a1 + a2, so d = sigma + a3 + a4 and
+    2 <= sigma <= 2*a3.
+
+    1. P4 with c in {0, 1, a3, a4} is a condition on sigma alone:
+       sigma = c - a3 (mod a4).  Each such sigma gives a *sum line*, all
+       pairs with a1 + a2 = sigma.
+    2. P4 with c = a1 reads a2 = -a3 (mod a4), and c = a2 reads
+       a1 = -a3 (mod a4).  In 1..a3 the only such weight is
+       m4 = a4 - a3, or m4 = a3 when a3 = a4, and there is none when
+       a4 - a3 > a3.  A pair with one weight m4 and the other free in
+       1..a3 lies on the *member line*.  A pair meets P4 exactly when it
+       lies on a sum line or on the member line.
+    3. P3 is the same with a3 and a4 swapped: sigma = c - a4 (mod a3) for
+       c in {0, 1, a3, a4}, or one weight equal to m3, the only weight
+       in 1..a3 that is = -a4 (mod a3).
+    4. On a sum line, P3 holds on the whole line when sigma satisfies
+       its congruence, and otherwise only at the pair {m3, sigma - m3}.
+    5. On the member line {m4, x}, P3 holds for every x when m4 = m3.
+       Otherwise it holds at x = m3 and at the x in 1..a3 with
+       m4 + x = c - a4 (mod a3), one for each of the three residues: at
+       most 4 values of x.  A member-line pair whose sum is on a sum line
+       was yielded there and is skipped.
+    6. No pair meets P4 when a4 > 3*a3: then d - a4 = sigma + a3 < a4,
+       and every other d - c lies strictly between a4 and 2*a4.  So the
+       loop over a4 stops at 3*a3.
+
+    So each pair meeting P4 and P3 is yielded once, and the work is one
+    step per pair (a3, a4) and per sum line, plus one per yielded pair:
+    O(a4_bound**2) plus the output, where a scan of the triples (a1, a2,
+    a3) is O(a4_bound**3).
 
     The result is monotone in the bound; a4_bound >= 33 is known to yield
     the complete list of 95 families (larger bounds add nothing, but that
-    is a theorem, not something this routine re-proves).
+    is a theorem, not something this routine re-proves).  A bound that is
+    not an int, a bool among them, or is below 1 is a ValueError.
     """
-    if a4_bound < 1:
-        raise ValueError(f"a4_bound must be >= 1, got {a4_bound}")
+    if type(a4_bound) is not int or a4_bound < 1:
+        raise ValueError(f"a4_bound must be an integer >= 1, got {a4_bound!r}")
     out = []
     for a3 in range(1, a4_bound + 1):
-        for a2 in range(1, a3 + 1):
-            for a1 in range(1, a2 + 1):
-                if gcd(a1, a2, a3) > 1:
+        for a4 in range(a3, min(a4_bound, 3 * a3) + 1):
+            for a1, a2 in _vertex_pairs(a3, a4):
+                if (gcd(a1, a2, a3) > 1 or gcd(a1, a2, a4) > 1
+                        or gcd(a1, a3, a4) > 1 or gcd(a2, a3, a4) > 1):
                     continue
-                s = a1 + a2 + a3
-                a4s = set()
-                for t in (s, s - 1, s - a1, s - a2, s - a3):
-                    for k in (1, 2, 3):
-                        if t % k == 0 and a3 <= t // k <= a4_bound:
-                            a4s.add(t // k)
-                for a4 in a4s:
-                    if gcd(a1, a2, a4) > 1 or gcd(a1, a3, a4) > 1 or gcd(a2, a3, a4) > 1:
-                        continue
-                    d = s + a4
-                    for a in (a3, a2, a1):
-                        if (d % a and (d - 1) % a and (d - a1) % a and (d - a2) % a
-                                and (d - a3) % a and (d - a4) % a):
-                            break
-                    else:
-                        w = Weights(a1, a2, a3, a4)
-                        if is_quasismooth_general(w) and has_only_terminal_isolated_sings(w):
-                            out.append(w)
+                d = a1 + a2 + a3 + a4
+                for a in (a2, a1):
+                    if (d % a and (d - 1) % a and (d - a1) % a and (d - a2) % a
+                            and (d - a3) % a and (d - a4) % a):
+                        break
+                else:
+                    w = Weights(a1, a2, a3, a4)
+                    if is_quasismooth_general(w) and has_only_terminal_isolated_sings(w):
+                        out.append(w)
     out.sort(key=lambda w: (w.degree, tuple(w)))
     return out

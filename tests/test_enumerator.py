@@ -8,6 +8,7 @@ from wfano import enumerator
 from wfano.classifier import load_families
 from wfano.core import NonTerminalError, Weights, is_representable
 from wfano.enumerator import (
+    _vertex_pairs,
     enumerate_families,
     has_only_terminal_isolated_sings,
     is_quasismooth,
@@ -41,12 +42,17 @@ def test_matches_brute_force(bound):
     assert enumerate_families(bound) == brute_force(bound)
 
 
-def meets_vertex_conditions(a1, a2, a3, a4):
-    """Quasismoothness at each of the vertices P1..P4 alone: with
-    d = a1+a2+a3+a4, every a_i divides one of d, d-1, d-a1, d-a2, d-a3,
-    d-a4."""
-    d = a1 + a2 + a3 + a4
-    return all(any((d - e) % a == 0 for e in (0, 1, a1, a2, a3, a4)) for a in (a1, a2, a3, a4))
+def passes_at_vertex(a, ws):
+    """Quasismoothness at the vertex of the weight a of ws = (a1, a2, a3,
+    a4) alone: with d = a1+a2+a3+a4, a divides one of d, d-1, d-a1, d-a2,
+    d-a3, d-a4."""
+    d = sum(ws)
+    return any((d - e) % a == 0 for e in (0, 1, *ws))
+
+
+def meets_vertex_conditions(*ws):
+    """Quasismoothness at each of the vertices P1..P4 alone."""
+    return all(passes_at_vertex(a, ws) for a in ws)
 
 
 def three_share_a_factor(a1, a2, a3, a4):
@@ -54,12 +60,32 @@ def three_share_a_factor(a1, a2, a3, a4):
 
 
 def test_vertex_pruning_is_sound():
-    # enumerate_families takes a4 from the P4 condition and filters on the
-    # P3, P2 and P1 conditions; every quasismooth system meets all four
+    # enumerate_families solves the P4 and P3 conditions and filters on the
+    # P2 and P1 conditions; every quasismooth system meets all four
     assert all(meets_vertex_conditions(*w) for w in quasismooth_systems(33))
 
 
-def test_candidates_are_the_pruned_systems(monkeypatch):
+def test_vertex_pairs_are_the_pairs_meeting_p4_and_p3():
+    # _vertex_pairs solves the two conditions on sum lines and member lines;
+    # a scan of every (a1, a2) is the reference, each pair yielded once.
+    # a3 = 1 makes every residue mod a3 zero, and a3 = a4 has the member
+    # m4 = a3 rather than a4 - a3
+    total = 0
+    for a4 in range(1, 41):
+        for a3 in range(1, a4 + 1):
+            expected = [
+                (a1, a2)
+                for a1 in range(1, a3 + 1)
+                for a2 in range(a1, a3 + 1)
+                if passes_at_vertex(a4, ws := (a1, a2, a3, a4)) and passes_at_vertex(a3, ws)
+            ]
+            assert sorted(_vertex_pairs(a3, a4)) == expected, (a3, a4)
+            total += len(expected)
+    assert total == 4752
+
+
+@pytest.mark.parametrize("bound, count", [(20, 176), (40, 282)])
+def test_candidates_are_the_pruned_systems(monkeypatch, bound, count):
     # the predicates see each system that meets the four vertex conditions
     # and has no three weights sharing a factor once, and no other system
     seen = []
@@ -69,22 +95,24 @@ def test_candidates_are_the_pruned_systems(monkeypatch):
         return is_quasismooth_general(w)
 
     monkeypatch.setattr(enumerator, "is_quasismooth_general", recording)
-    enumerate_families(20)
+    enumerate_families(bound)
     expected = [
         (a1, a2, a3, a4)
-        for a4 in range(1, 21)
+        for a4 in range(1, bound + 1)
         for a3 in range(1, a4 + 1)
         for a2 in range(1, a3 + 1)
         for a1 in range(1, a2 + 1)
         if meets_vertex_conditions(a1, a2, a3, a4) and not three_share_a_factor(a1, a2, a3, a4)
     ]
-    assert len(expected) == 176
+    assert len(expected) == count
     assert sorted(seen) == sorted(expected)
 
 
 def test_bound_validation():
     with pytest.raises(ValueError):
         enumerate_families(0)
+    with pytest.raises(ValueError, match="integer"):
+        enumerate_families(True)  # a bool is an int, but no bound
 
 
 def test_smallest_bound():
