@@ -99,14 +99,13 @@ class TableRow:
 
     locus: str
     count: int
-    index: int
     local_weights: tuple[int, int, int]
     sing_type: QuotientSingularityType  # the type normalized to 1/r(1,a,r-a)
     annotation: BC | QI | EI | None = None
 
     def type_text(self) -> str:
         q = self.local_weights
-        return f"1/{self.index}({q[0]},{q[1]},{q[2]})"
+        return f"1/{self.sing_type.r}({q[0]},{q[1]},{q[2]})"
 
     def annotation_field(self) -> dict[str, list[int] | str]:
         """The annotation as {tag: value}: BC -> [b, c], QI/EI -> text, or
@@ -157,12 +156,12 @@ class PencilDescriptor:
 @dataclass(frozen=True)
 class HalphenAnswer:
     gimel: int
-    count: int | str
     pencils: tuple[PencilDescriptor, ...]
 
-    def __post_init__(self):
-        if self.count is not INFINITE and self.count != len(self.pencils):
-            raise ValueError("finite count must equal the number of pencils")
+    @property
+    def count(self) -> int | str:
+        # a finite answer describes each of its pencils; the infinite one none
+        return len(self.pencils) or INFINITE
 
 
 # families with a second pencil cut by lambda*x^a2 + mu*z (see
@@ -184,10 +183,12 @@ _COUNT_RE = re.compile(r"(0*[1-9]\d*)x", re.ASCII)  # a locus carries at least o
 _KCUBE_RE = re.compile(r"\d+(/0*[1-9]\d*)?", re.ASCII)
 
 
-def _parse_row(cur: LineCursor) -> TableRow:
+def _parse_row(cur: LineCursor, earlier: list[TableRow]) -> TableRow:
     locus, col = cur.next_token("locus label")
     if not _LOCUS_RE.fullmatch(locus):
         raise TableSyntaxError(cur.lineno, col, "locus label like P4 or P2P3")
+    if any(row.locus == locus for row in earlier):
+        raise TableSyntaxError(cur.lineno, col, f"locus {locus} only once per family")
     count_tok, col = cur.next_token("count like 3x")
     m = _COUNT_RE.fullmatch(count_tok)
     if not m:
@@ -217,7 +218,7 @@ def _parse_row(cur: LineCursor) -> TableRow:
             raise TableSyntaxError(cur.lineno, col, "annotation BC/QI/EI")
         if isinstance(annotation, BC):
             cur.expect_end()
-    return TableRow(locus, count, index, local, sing_type, annotation)
+    return TableRow(locus, count, local, sing_type, annotation)
 
 
 _SCALARS = ("weights", "degree", "kcube", "invariant", "ell", "pencils")
@@ -227,8 +228,9 @@ def parse_table(source: str) -> list[FamilyRecord]:
     """Parse dataset text into records, gimel-sorted.
 
     Raises TableSyntaxError with a 1-based line/column on malformed input
-    (including a weight system that is not positive and ascending, and a
-    row type that is not a terminal 1/r(1,a,r-a)),
+    (including a weight system that is not positive and ascending, a row
+    type that is not a terminal 1/r(1,a,r-a), and a locus listed twice in
+    one record),
     DuplicateGimelError on repeated family numbers, MissingGimelError when
     no record is present at all; all three are InputErrors.
     """
@@ -265,7 +267,7 @@ def parse_table(source: str) -> list[FamilyRecord]:
         if current is None:
             raise TableSyntaxError(lineno, col, "family")
         if key == "row":
-            current["rows"].append(_parse_row(cur))
+            current["rows"].append(_parse_row(cur, current["rows"]))
             continue
         if key not in _SCALARS:
             raise TableSyntaxError(lineno, col, "one of family/row/" + "/".join(_SCALARS))
@@ -413,7 +415,7 @@ def halphen_pencils(rec: FamilyRecord) -> HalphenAnswer:
     """
     gimel, w = rec.gimel, rec.weights
     if w.a2 == 1:
-        return HalphenAnswer(gimel, INFINITE, ())
+        return HalphenAnswer(gimel, ())
     if is_type_iii(w):
         r = type_iii_point_count(w)
         pencils = [
@@ -432,7 +434,7 @@ def halphen_pencils(rec: FamilyRecord) -> HalphenAnswer:
             )
             for i in range(1, r + 1)
         ]
-        return HalphenAnswer(gimel, 1 + r, tuple(pencils))
+        return HalphenAnswer(gimel, tuple(pencils))
     principal = PencilDescriptor(
         PencilKind.PRINCIPAL,
         "lambda*x + mu*y" if w.a1 == 1 else f"lambda*x^{w.a1} + mu*y",
@@ -442,13 +444,13 @@ def halphen_pencils(rec: FamilyRecord) -> HalphenAnswer:
         extra = PencilDescriptor(
             PencilKind.TYPE_V, "lambda*x^6 + mu*f_6(x,y,z,t)", 6
         )
-        return HalphenAnswer(gimel, 2, (principal, extra))
+        return HalphenAnswer(gimel, (principal, extra))
     if gimel in TYPE_IV_GIMELS and isinstance(type_iv_presentation(w), tuple):
         extra = PencilDescriptor(
             PencilKind.TYPE_IV, f"lambda*x^{w.a2} + mu*z", w.a2
         )
-        return HalphenAnswer(gimel, 2, (principal, extra))
-    return HalphenAnswer(gimel, 1, (principal,))
+        return HalphenAnswer(gimel, (principal, extra))
+    return HalphenAnswer(gimel, (principal,))
 
 
 def derived_type_iv_set(records) -> set[int]:

@@ -23,9 +23,8 @@ from . import classifier
 from .classifier import load_families, verify_family
 from .core import InputError, anticanonical_cube
 from .enumerator import enumerate_families
-from .fixtures import fixture_checks
 from .singularities import basket
-from .towers import evaluate, parse_tower_file
+from .towers import definiteness, evaluate, fixture_checks, parse_tower_file
 
 
 class _Positive(argparse.Action):
@@ -95,11 +94,7 @@ def cmd_eval_tower(args) -> int:
         print("gram:")
         for row in ev.gram_matrix:
             print(" ".join(str(v) for v in row))
-        print(
-            "verdict: negative-definite"
-            if ev.negative_definite
-            else "verdict: not negative-definite"
-        )
+        print(f"verdict: {definiteness(ev.negative_definite)}")
     return 0
 
 

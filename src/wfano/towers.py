@@ -25,12 +25,20 @@ surface class, the base curves on it, and how each restricted class
 decomposes into those curves (`restrict T = 5L` means T.D = 5L).
 
 Parse failures raise TowerSpecError with a 1-based line and column.
+
+The package ships the `.tower` files of `FIXTURES` under ``data/towers/``,
+each with the values its evaluation must reproduce, computed once with
+this package and frozen: the anticanonical cube on top of the chain and,
+for a Gram fixture, the solved (negative definite) intersection matrix of
+the base curves.  `fixture_checks` compares them as `FamilyCheck`s, which
+`wfano verify` prints beside those of `verify_family`.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from importlib import resources
 
 from ._linescan import LineCursor, PositionedError, content_lines
 from .blowup import (
@@ -44,7 +52,7 @@ from .blowup import (
     solve_gram,
     triple,
 )
-from .classifier import UnknownGimelError, family
+from .classifier import FamilyCheck, UnknownGimelError, family
 from .core import QuotientSingularityType, Weights
 
 
@@ -78,6 +86,11 @@ class TowerEvaluation:
     triples: tuple[tuple[tuple[str, str, str], Fraction], ...]
     gram_matrix: tuple[tuple[Fraction, ...], ...] | None
     negative_definite: bool | None
+
+
+def definiteness(negative_definite: bool) -> str:
+    """A Gram matrix's verdict as `eval-tower` and `verify` print it."""
+    return ("" if negative_definite else "not ") + "negative-definite"
 
 
 def _rational(num: str, den: str | None) -> Fraction:
@@ -269,3 +282,73 @@ def evaluate(spec: TowerSpec) -> TowerEvaluation:
         matrix = solve_gram(spec.gram)
         definite = is_negative_definite(matrix)
     return TowerEvaluation(neg_k_cube(spec.tower), trip_values, matrix, definite)
+
+
+# ---------------------------------------------------------------------------
+# the shipped fixtures
+
+F = Fraction
+
+
+@dataclass(frozen=True)
+class TowerFixture:
+    name: str
+    gimel: int
+    neg_k_cube: Fraction
+    gram: tuple[tuple[Fraction, ...], ...] | None = None
+
+
+def _m(a: Fraction, b: Fraction, c: Fraction):
+    # 2x2 symmetric matrix from (first diagonal, second diagonal, off-diagonal)
+    return ((a, c), (c, b))
+
+
+FIXTURES: tuple[TowerFixture, ...] = (
+    TowerFixture("family13-chain", 13, F(-3, 10)),
+    TowerFixture("family13-gram", 13, F(-1, 6), _m(F(-5, 6), F(-4, 3), F(1))),
+    TowerFixture("family13-gram-long", 13, F(-1, 3), _m(F(-5, 6), F(-3, 2), F(1))),
+    TowerFixture("family25-chain", 25, F(-1, 14)),
+    TowerFixture("family25-gram", 25, F(-1, 12), _m(F(-7, 12), F(-5, 6), F(2, 3))),
+    TowerFixture("family32-gram", 32, F(-1, 12), _m(F(-7, 24), F(-5, 8), F(3, 8))),
+    TowerFixture("family65-gram", 65, F(-43, 90),
+                 _m(F(-199, 450), F(-32, 225), F(22, 225))),
+    TowerFixture("family91-gram", 91, F(-7, 90), _m(F(-1, 6), F(-2, 9), F(0))),
+)
+
+
+def load_fixture(fixture: TowerFixture) -> TowerSpec:
+    path = resources.files("wfano").joinpath(f"data/towers/{fixture.name}.tower")
+    return parse_tower_text(path.read_text())
+
+
+def _matrix_text(matrix) -> str:
+    return " / ".join(" ".join(str(v) for v in row) for row in matrix)
+
+
+def fixture_checks(gimel: int) -> tuple[FamilyCheck, ...]:
+    """Every fixture of a family evaluated against its frozen values: the
+    cube on top of the chain and, for a Gram fixture, the matrix and its
+    negative definiteness."""
+    checks = []
+    for f in (f for f in FIXTURES if f.gimel == gimel):
+        spec = load_fixture(f)
+        ev = evaluate(spec)
+        types = ",".join(str(c.sing_type) for c in spec.tower.centers)
+        checks.append(
+            FamilyCheck(
+                f"neg_k_cube tower [{types}] = {f.neg_k_cube}",
+                ev.neg_k_cube == f.neg_k_cube,
+                str(f.neg_k_cube),
+                str(ev.neg_k_cube),
+            )
+        )
+        if f.gram is not None:
+            checks.append(
+                FamilyCheck(
+                    f"gram tower [{types}]",
+                    ev.gram_matrix == f.gram and ev.negative_definite is True,
+                    f"{_matrix_text(f.gram)}, {definiteness(True)}",
+                    f"{_matrix_text(ev.gram_matrix)}, {definiteness(ev.negative_definite)}",
+                )
+            )
+    return tuple(checks)

@@ -23,8 +23,8 @@ from wfano.classifier import (
 from wfano.cli import main
 from wfano.core import anticanonical_cube, normalize_singularity
 from wfano.enumerator import enumerate_families
-from wfano.fixtures import FIXTURES, evaluate_fixture, load_fixture
 from wfano.singularities import basket
+from wfano.towers import FIXTURES, evaluate, load_fixture
 
 
 @pytest.fixture
@@ -98,8 +98,8 @@ def test_criterion_4_bc_presence(announce):
 
 
 def test_criterion_5_tower_oracle(announce):
-    v13 = evaluate_fixture(fixture("family13-chain")).neg_k_cube
-    v25 = evaluate_fixture(fixture("family25-chain")).neg_k_cube
+    v13 = evaluate(load_fixture(fixture("family13-chain"))).neg_k_cube
+    v25 = evaluate(load_fixture(fixture("family25-chain"))).neg_k_cube
     ok = v13 == F(-3, 10) and v25 == F(-1, 14)
     assert announce(
         5, ok, f"tower anticanonical cubes: family 13 {v13}, family 25 {v25}"
@@ -123,7 +123,7 @@ def test_criterion_6_gram_suite(announce):
     mismatches = []
     not_definite = []
     for gimel, (name, (d1, d2, off)) in sorted(GRAM_REFERENCES.items()):
-        ev = evaluate_fixture(fixture(name))
+        ev = evaluate(load_fixture(fixture(name)))
         reference = ((d1, off), (off, d2))
         if ev.gram_matrix != reference:
             mismatches.append((gimel, ev.gram_matrix, reference))

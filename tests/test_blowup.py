@@ -23,7 +23,7 @@ from wfano.blowup import (
     triple,
 )
 from wfano.core import QuotientSingularityType, Weights, anticanonical_cube
-from wfano.fixtures import FIXTURES, evaluate_fixture, load_fixture
+from wfano.towers import FIXTURES, evaluate, load_fixture
 
 F = Fraction
 
@@ -42,7 +42,7 @@ def chain(base, *types, tracked=()):
 
 @pytest.mark.parametrize("fx", FIXTURES, ids=lambda f: f.name)
 def test_fixture_values(fx):
-    ev = evaluate_fixture(fx)
+    ev = evaluate(load_fixture(fx))
     assert ev.neg_k_cube == fx.neg_k_cube
     if fx.gram is not None:
         assert ev.gram_matrix == fx.gram

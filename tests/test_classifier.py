@@ -115,8 +115,11 @@ COUNT, LOCUS = "count like 3x", "locus label like P4 or P2P3"
         ("P4 1x", "P4 00x", 9, 8, COUNT),
         ("P1P2 6x", "P4P4 6x", 10, 5, LOCUS),  # one coordinate twice
         ("P1P2 6x", "P3P1 6x", 10, 5, LOCUS),  # descending
+        # the walk names each locus once, so a second row for one is bad input
+        ("P1P2 6x 1/2(1,1,1) BC 2 0", "P1P2 3x 1/2(1,1,1) BC 2 0\nrow P1P2 3x 1/2(1,1,1) BC 2 0",
+         11, 5, "locus P1P2 only once per family"),
     ],
-    ids=["zero-count", "zero-count-padded", "repeated-locus", "descending-locus"],
+    ids=["zero-count", "zero-count-padded", "repeated-locus", "descending-locus", "locus-listed-twice"],
 )
 def test_malformed_rows_are_positioned(old, new, line, col, expected):
     with pytest.raises(TableSyntaxError) as e:

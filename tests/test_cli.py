@@ -127,8 +127,9 @@ def test_bad_weights_are_positioned(capsys, tmp_path, monkeypatch, weights, expe
         ("P4 0x 1/5(1,2,3)", "8:8: expected count like 3x"),
         ("P4P4 1x 1/5(1,2,3)", "8:5: expected locus label like P4 or P2P3"),
         ("P3P1 1x 1/5(1,2,3)", "8:5: expected locus label like P4 or P2P3"),
+        ("P4 1x 1/5(1,2,3)\nrow P4 1x 1/5(1,2,3)", "9:5: expected locus P4 only once per family"),
     ],
-    ids=["zero-count", "repeated-locus", "descending-locus"],
+    ids=["zero-count", "repeated-locus", "descending-locus", "locus-listed-twice"],
 )
 def test_malformed_dataset_row_is_bad_input(capsys, tmp_path, monkeypatch, row, expected):
     data = tmp_path / "bad.txt"

@@ -1,5 +1,6 @@
 """Checks on the library's source text."""
 import ast
+import re
 from pathlib import Path
 
 import wfano
@@ -32,3 +33,11 @@ def test_cli_leaves_record_admissibility_to_the_loader():
     # it a second time, for some commands only
     cli = Path(wfano.__file__).parent / "cli.py"
     assert "NonTerminalError" not in cli.read_text(encoding="utf-8")
+
+
+def test_readme_layout_lists_the_public_modules():
+    # a module added, merged or removed shows up as a difference here
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    layout = readme.read_text(encoding="utf-8").split("\n## Library layout\n")[1].split("\n## ")[0]
+    listed = set(re.findall(r"`wfano\.(\w+)", layout))
+    assert listed == {p.stem for p in SOURCES if not p.name.startswith("_")}

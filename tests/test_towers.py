@@ -1,10 +1,11 @@
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
 from wfano.blowup import UnderdeterminedError
 from wfano.core import Weights
-from wfano.towers import TowerSpecError, evaluate, parse_tower_text
+from wfano.towers import FIXTURES, TowerSpecError, evaluate, load_fixture, parse_tower_text
 
 GOOD = """\
 # two blow ups over explicit weights
@@ -48,6 +49,14 @@ def test_no_gram_block():
     assert ev.neg_k_cube == Fraction(-1, 14)
     assert ev.gram_matrix is None
     assert ev.negative_definite is None
+
+
+def test_fixture_table_matches_the_packaged_files():
+    # `verify` prints a fixture's checks under the family its entry names
+    folder = resources.files("wfano").joinpath("data/towers")
+    shipped = {p.name.removesuffix(".tower") for p in folder.iterdir() if p.name.endswith(".tower")}
+    assert sorted(f.name for f in FIXTURES) == sorted(shipped)
+    assert [load_fixture(f).gimel for f in FIXTURES] == [f.gimel for f in FIXTURES]
 
 
 def scaled_restriction():
