@@ -16,15 +16,12 @@ class PositionedError(InputError):
         super().__init__(f"{line}:{col}: expected {expected}")
 
 
-def is_int(tok: str) -> bool:
-    """Is the token a non-negative integer in ASCII digits?  (`str.isdigit`
-    also accepts digits such as '²' that `int` rejects.)"""
-    return tok.isascii() and tok.isdigit()
-
-
 # `\S` and `str.isspace` agree on every code point, so a token here is what
 # `str.split` would give
 _TOKEN = re.compile(r"\S+")
+# ASCII only: `\d` alone matches any decimal digit, such as '\u0661', and
+# `str.isdigit` also accepts '²', which `int` rejects
+_INT = re.compile(r"\d+", re.ASCII)
 
 
 class LineCursor:
@@ -49,16 +46,26 @@ class LineCursor:
     def next_token(self, expected: str) -> tuple[str, int]:
         m = _TOKEN.search(self.line, self.pos)
         if m is None:
-            self.pos = len(self.line)
-            self.fail(expected)
+            self.fail(expected, len(self.line) + 1)
         self.pos = m.end()
         return m.group(), m.start() + 1
 
+    def next_match(self, pattern: re.Pattern, expected: str) -> re.Match:
+        """The next token, which `pattern` must match whole; a missing token
+        fails at the end of the line, one that does not match at its own
+        column.  The match is taken in the line, so the token's column is
+        `m.start() + 1`."""
+        tok = _TOKEN.search(self.line, self.pos)
+        if tok is None:
+            self.fail(expected, len(self.line) + 1)
+        m = pattern.fullmatch(self.line, tok.start(), tok.end())
+        if m is None:
+            self.fail(expected, tok.start() + 1)
+        self.pos = tok.end()
+        return m
+
     def next_int(self, expected: str) -> int:
-        tok, col = self.next_token(expected)
-        if not is_int(tok):
-            self.fail(expected, col)
-        return int(tok)
+        return int(self.next_match(_INT, expected).group())
 
     def next_weights(self) -> Weights:
         """Four weights; an invalid system fails at the first of them."""
@@ -77,8 +84,7 @@ class LineCursor:
 
     def expect_end(self):
         if not self.at_end():
-            tok, col = self.next_token("end of line")
-            self.fail("end of line", col)
+            self.fail("end of line", self.next_col())
 
 
 def content_lines(source: str):

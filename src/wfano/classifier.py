@@ -41,7 +41,7 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
-from ._linescan import LineCursor, PositionedError, content_lines, is_int
+from ._linescan import LineCursor, PositionedError, content_lines
 from .core import InputError, NonTerminalError, QuotientSingularityType, Weights
 from .core import anticanonical_cube, normalize_singularity
 from .singularities import basket, singular_points, stratum_points
@@ -181,44 +181,35 @@ _LOCUS_RE = re.compile(r"P[1-4]|P1P[2-4]|P2P[34]|P3P4")  # edges ascend
 _TYPE_RE = re.compile(r"1/(\d+)\((\d+),(\d+),(\d+)\)", re.ASCII)
 _COUNT_RE = re.compile(r"(0*[1-9]\d*)x", re.ASCII)  # a locus carries at least one point
 _KCUBE_RE = re.compile(r"\d+(/0*[1-9]\d*)?", re.ASCII)
+_PENCILS_RE = re.compile(rf"{INFINITE}|\d+", re.ASCII)
 
 
 def _parse_row(cur: LineCursor, earlier: list[TableRow]) -> TableRow:
-    locus, col = cur.next_token("locus label")
-    if not _LOCUS_RE.fullmatch(locus):
-        raise TableSyntaxError(cur.lineno, col, "locus label like P4 or P2P3")
+    m = cur.next_match(_LOCUS_RE, "locus label like P4 or P2P3")
+    locus = m.group()
     if any(row.locus == locus for row in earlier):
-        raise TableSyntaxError(cur.lineno, col, f"locus {locus} only once per family")
-    count_tok, col = cur.next_token("count like 3x")
-    m = _COUNT_RE.fullmatch(count_tok)
-    if not m:
-        raise TableSyntaxError(cur.lineno, col, "count like 3x")
-    count = int(m.group(1))
-    type_tok, col = cur.next_token("type like 1/5(1,2,3)")
-    tm = _TYPE_RE.fullmatch(type_tok)
-    if not tm:
-        raise TableSyntaxError(cur.lineno, col, "type like 1/5(1,2,3)")
-    index = int(tm.group(1))
-    local = (int(tm.group(2)), int(tm.group(3)), int(tm.group(4)))
+        cur.fail(f"locus {locus} only once per family", m.start() + 1)
+    count = int(cur.next_match(_COUNT_RE, "count like 3x").group(1))
+    m = cur.next_match(_TYPE_RE, "type like 1/5(1,2,3)")
+    index, *local = map(int, m.groups())
     try:
         sing_type = normalize_singularity(index, *local)
     except ValueError as exc:
-        cur.fail(f"terminal type ({exc})", col)
+        cur.fail(f"terminal type ({exc})", m.start() + 1)
     annotation: BC | QI | EI | None = None
     if not cur.at_end():
         tag, col = cur.next_token("annotation tag")
         if tag == "BC":
             annotation = BC(cur.next_int("integer b"), cur.next_int("integer c"))
+            cur.expect_end()
         elif tag in ("QI", "EI"):
             text = cur.rest()
             if not text:
-                raise TableSyntaxError(cur.lineno, cur.pos + 1, "involution text")
+                cur.fail("involution text")
             annotation = QI(text) if tag == "QI" else EI(text)
         else:
-            raise TableSyntaxError(cur.lineno, col, "annotation BC/QI/EI")
-        if isinstance(annotation, BC):
-            cur.expect_end()
-    return TableRow(locus, count, local, sing_type, annotation)
+            cur.fail("annotation BC/QI/EI", col)
+    return TableRow(locus, count, tuple(local), sing_type, annotation)
 
 
 _SCALARS = ("weights", "degree", "kcube", "invariant", "ell", "pencils")
@@ -265,34 +256,25 @@ def parse_table(source: str) -> list[FamilyRecord]:
             current = {"gimel": gimel, "line": lineno, "rows": []}
             continue
         if current is None:
-            raise TableSyntaxError(lineno, col, "family")
+            cur.fail("family", col)
         if key == "row":
             current["rows"].append(_parse_row(cur, current["rows"]))
             continue
         if key not in _SCALARS:
-            raise TableSyntaxError(lineno, col, "one of family/row/" + "/".join(_SCALARS))
+            cur.fail("one of family/row/" + "/".join(_SCALARS), col)
         if key in current:
-            raise TableSyntaxError(lineno, col, f"{key} only once per family")
+            cur.fail(f"{key} only once per family", col)
         if key == "weights":
             current[key] = cur.next_weights()
         elif key == "degree":
             current[key] = cur.next_int("integer")
         elif key == "kcube":
-            tok, vcol = cur.next_token("fraction")
-            if not _KCUBE_RE.fullmatch(tok):
-                raise TableSyntaxError(lineno, vcol, "fraction p/q")
-            current[key] = Fraction(tok)
+            current[key] = Fraction(cur.next_match(_KCUBE_RE, "fraction p/q").group())
         elif key == "pencils":
-            tok, vcol = cur.next_token("count or 'infinite'")
-            if tok == "infinite":
-                current[key] = INFINITE
-            elif is_int(tok):
-                current[key] = int(tok)
-            else:
-                raise TableSyntaxError(lineno, vcol, "count or 'infinite'")
+            tok = cur.next_match(_PENCILS_RE, "count or 'infinite'").group()
+            current[key] = INFINITE if tok == INFINITE else int(tok)
         else:  # invariant, ell: opaque tokens
-            tok, _ = cur.next_token("value")
-            current[key] = tok
+            current[key] = cur.next_token("value")[0]
         cur.expect_end()
 
     if current is not None:

@@ -24,7 +24,7 @@ from .classifier import load_families, verify_family
 from .core import InputError, anticanonical_cube
 from .enumerator import enumerate_families
 from .singularities import basket
-from .towers import definiteness, evaluate, fixture_checks, parse_tower_file
+from .towers import definiteness, evaluate, fixture_checks, parse_tower_text
 
 
 class _Positive(argparse.Action):
@@ -85,8 +85,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_eval_tower(args) -> int:
-    spec = parse_tower_file(args.file)
-    ev = evaluate(spec)
+    with open(args.file, encoding="utf-8") as fh:
+        ev = evaluate(parse_tower_text(fh.read()))
     print(f"neg_k_cube = {ev.neg_k_cube}")
     for (a, b, c), value in ev.triples:
         print(f"triple({a},{b},{c}) = {value}")

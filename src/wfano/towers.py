@@ -17,8 +17,10 @@ triple products to evaluate, and an optional Gram block:
     restrict S = C + L
     restrict T = L
 
-`center r a` is the blow up of a 1/r(1,a,r-a) point; `track eK=m` records
-the multiplicity of the stage-K exceptional divisor along this center.
+`center r a` is the blow up of a 1/r(1,a,r-a) point, the first one a
+point of the base's general member (a `weights` base must be an admissible
+family); `track eK=m` records the multiplicity of the stage-K exceptional
+divisor along this center.
 `class NAME k e1 ... em` gives coefficients of H and of each pullback
 exceptional (one per center; fractions allowed).  The Gram block names a
 surface class, the base curves on it, and how each restricted class
@@ -53,7 +55,9 @@ from .blowup import (
     triple,
 )
 from .classifier import FamilyCheck, UnknownGimelError, family
-from .core import QuotientSingularityType, Weights
+from .core import InputError, NonTerminalError, QuotientSingularityType, Weights
+from .core import normalize_singularity
+from .singularities import basket, quotient_points
 
 
 class TowerSpecError(PositionedError):
@@ -66,6 +70,7 @@ _FRACTION_RE = re.compile(rf"(-?){_RATIONAL}", re.ASCII)
 _TRACK_RE = re.compile(rf"e(\d+)={_RATIONAL}", re.ASCII)
 _NAME_RE = re.compile(r"[A-Za-z]\w*", re.ASCII)
 _TERM_RE = re.compile(rf"(?:{_RATIONAL})?\s*([A-Za-z]\w*)", re.ASCII)
+_TRACK_TAG, _EQUALS = re.compile("track"), re.compile("=")
 
 
 @dataclass(frozen=True)
@@ -100,12 +105,15 @@ def _rational(num: str, den: str | None) -> Fraction:
 
 
 def _fraction(cur: LineCursor, what: str) -> Fraction:
-    tok, col = cur.next_token(what)
-    m = _FRACTION_RE.fullmatch(tok)
-    if not m:
-        cur.fail(what, col)
-    sign, num, den = m.groups()
+    sign, num, den = cur.next_match(_FRACTION_RE, what).groups()
     return _rational(sign + num, den)
+
+
+def _defined_class(cur: LineCursor, classes: dict[str, DivisorClass]) -> str:
+    name, col = cur.next_token("class name")
+    if name not in classes:
+        cur.fail(f"defined class name (got {name})", col)
+    return name
 
 
 def parse_tower_text(source: str) -> TowerSpec:
@@ -116,8 +124,7 @@ def parse_tower_text(source: str) -> TowerSpec:
     triples: list[tuple[str, str, str]] = []
     surface_name: str | None = None
     curve_names: list[str] = []
-    restrictions: list[Restriction] = []
-    restricted: set[str] = set()
+    restrictions: dict[str, Restriction] = {}  # by the restricted class's name
 
     for lineno, raw in content_lines(source):
         cur = LineCursor(lineno, raw, error=TowerSpecError)
@@ -126,8 +133,8 @@ def parse_tower_text(source: str) -> TowerSpec:
         if key in ("family", "weights"):
             if base is not None:
                 cur.fail("a single family/weights header", kcol)
+            col = cur.next_col()
             if key == "family":
-                col = cur.next_col()
                 gimel = cur.next_int("family number")
                 try:
                     base = family(gimel).weights
@@ -135,6 +142,10 @@ def parse_tower_text(source: str) -> TowerSpec:
                     cur.fail(f"a known family ({exc})", col)
             else:
                 base = cur.next_weights()
+                try:
+                    basket(base)
+                except NonTerminalError as exc:
+                    cur.fail(f"admissible weights ({exc})", col)
             cur.expect_end()
             continue
 
@@ -148,32 +159,31 @@ def parse_tower_text(source: str) -> TowerSpec:
             r, a = cur.next_int("index r"), cur.next_int("weight a")
             tracked: list[tuple[int, Fraction]] = []
             if not cur.at_end():
-                tag, tcol = cur.next_token("track")
-                if tag != "track":
-                    cur.fail("track", tcol)
-                if cur.at_end():
-                    cur.fail("tracked multiplicity like e1=1/4")
-                while not cur.at_end():
-                    tok, col = cur.next_token("tracked multiplicity like e1=1/4")
-                    m = _TRACK_RE.fullmatch(tok)
-                    if not m:
-                        cur.fail("tracked multiplicity like e1=1/4", col)
-                    tracked.append((int(m.group(1)), _rational(m.group(2), m.group(3))))
+                cur.next_match(_TRACK_TAG, "track")
+                while True:
+                    m = cur.next_match(_TRACK_RE, "tracked multiplicity like e1=1/4")
+                    tracked.append((int(m[1]), _rational(m[2], m[3])))
+                    if cur.at_end():
+                        break
             try:
-                sing = QuotientSingularityType(r, a)
-                centers.append(
-                    BlowupCenter(len(centers) + 1, sing, tuple(tracked))
+                center = BlowupCenter(
+                    len(centers) + 1, QuotientSingularityType(r, a), tuple(tracked)
                 )
             except ValueError as exc:
                 cur.fail(f"valid center ({exc})", rcol)
+            # the header's weights passed the walk: normalize only points of index r
+            points = (normalize_singularity(r, *qs) for c, s, qs, _
+                      in quotient_points(base.ambient, base.degree) if c and s == r)
+            if not centers and center.sing_type not in points:
+                cur.fail(f"a first center at a point of the general member of {base}", rcol)
+            centers.append(center)
             continue
 
         if key == "class":
-            name, col = cur.next_token("class name")
-            if not _NAME_RE.fullmatch(name):
-                cur.fail("class name", col)
+            m = cur.next_match(_NAME_RE, "class name")
+            name = m.group()
             if name in classes:
-                cur.fail(f"fresh class name ({name} already defined)", col)
+                cur.fail(f"fresh class name ({name} already defined)", m.start() + 1)
             k = _fraction(cur, "coefficient of H")
             es = [_fraction(cur, "exceptional coefficient") for _ in centers]
             cur.expect_end()
@@ -181,20 +191,13 @@ def parse_tower_text(source: str) -> TowerSpec:
             continue
 
         if key == "triple":
-            names = []
-            for _ in range(3):
-                name, col = cur.next_token("class name")
-                if name not in classes:
-                    cur.fail(f"defined class name (got {name})", col)
-                names.append(name)
+            a, b, c = (_defined_class(cur, classes) for _ in range(3))
             cur.expect_end()
-            triples.append((names[0], names[1], names[2]))
+            triples.append((a, b, c))
             continue
 
         if key == "surface":
-            name, col = cur.next_token("class name")
-            if name not in classes:
-                cur.fail(f"defined class name (got {name})", col)
+            name = _defined_class(cur, classes)
             if surface_name is not None:
                 cur.fail("a single surface line", kcol)
             surface_name = name
@@ -205,10 +208,10 @@ def parse_tower_text(source: str) -> TowerSpec:
             if curve_names:
                 cur.fail("a single curves line", kcol)
             while not cur.at_end():
-                name, col = cur.next_token("curve name")
-                if not _NAME_RE.fullmatch(name) or name in curve_names:
-                    cur.fail("fresh curve name", col)
-                curve_names.append(name)
+                m = cur.next_match(_NAME_RE, "fresh curve name")
+                if m.group() in curve_names:
+                    cur.fail("fresh curve name", m.start() + 1)
+                curve_names.append(m.group())
             if not curve_names:
                 cur.fail("at least one curve name")
             continue
@@ -216,14 +219,11 @@ def parse_tower_text(source: str) -> TowerSpec:
         if key == "restrict":
             if not curve_names:
                 cur.fail("curves line before restrict", kcol)
-            name, col = cur.next_token("class name")
-            if name not in classes:
-                cur.fail(f"defined class name (got {name})", col)
-            if name in restricted:
+            col = cur.next_col()
+            name = _defined_class(cur, classes)
+            if name in restrictions:
                 cur.fail(f"class {name} restricted once only", col)
-            eq, col = cur.next_token("=")
-            if eq != "=":
-                cur.fail("=", col)
+            cur.next_match(_EQUALS, "=")
             col, body = cur.next_col(), cur.rest()
             if not body:
                 cur.fail("curve decomposition")
@@ -237,10 +237,7 @@ def parse_tower_text(source: str) -> TowerSpec:
                 col += len(part) + 1
                 num, den, curve = m.groups()
                 coeffs[curve] += _rational(num, den) if num else 1
-            restricted.add(name)
-            restrictions.append(
-                Restriction(classes[name], tuple(coeffs[c] for c in curve_names))
-            )
+            restrictions[name] = Restriction(classes[name], tuple(coeffs[c] for c in curve_names))
             continue
 
         cur.fail(
@@ -259,14 +256,9 @@ def parse_tower_text(source: str) -> TowerSpec:
         if not restrictions:
             raise TowerSpecError(1, 1, "restrict lines for the Gram block")
         gram = GramProblem(
-            tower, classes[surface_name], tuple(curve_names), tuple(restrictions)
+            tower, classes[surface_name], tuple(curve_names), tuple(restrictions.values())
         )
     return TowerSpec(gimel, tower, classes, tuple(triples), gram)
-
-
-def parse_tower_file(path: str) -> TowerSpec:
-    with open(path, encoding="utf-8") as fh:
-        return parse_tower_text(fh.read())
 
 
 def evaluate(spec: TowerSpec) -> TowerEvaluation:
@@ -318,7 +310,11 @@ FIXTURES: tuple[TowerFixture, ...] = (
 
 def load_fixture(fixture: TowerFixture) -> TowerSpec:
     path = resources.files("wfano").joinpath(f"data/towers/{fixture.name}.tower")
-    return parse_tower_text(path.read_text())
+    try:
+        return parse_tower_text(path.read_text())
+    except TowerSpecError as exc:
+        # a packaged file that does not fit the family the dataset gives it
+        raise InputError(f"packaged {fixture.name}.tower:{exc}") from exc
 
 
 def _matrix_text(matrix) -> str:

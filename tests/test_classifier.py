@@ -118,8 +118,14 @@ COUNT, LOCUS = "count like 3x", "locus label like P4 or P2P3"
         # the walk names each locus once, so a second row for one is bad input
         ("P1P2 6x 1/2(1,1,1) BC 2 0", "P1P2 3x 1/2(1,1,1) BC 2 0\nrow P1P2 3x 1/2(1,1,1) BC 2 0",
          11, 5, "locus P1P2 only once per family"),
+        # a missing token fails at the end of its line
+        ("row P1P2 6x 1/2(1,1,1) BC 2 0", "row", 10, 4, LOCUS),
+        ("kcube 1/5", "kcube", 5, 6, "fraction p/q"),
+        ("QI yw^2,7,12", "QI", 9, 24, "involution text"),
+        ("BC 2 0", "BC 2 0  7", 10, 32, "end of line"),  # at the stray token
     ],
-    ids=["zero-count", "zero-count-padded", "repeated-locus", "descending-locus", "locus-listed-twice"],
+    ids=["zero-count", "zero-count-padded", "repeated-locus", "descending-locus", "locus-listed-twice",
+         "no-locus", "no-kcube", "no-involution-text", "trailing-token"],
 )
 def test_malformed_rows_are_positioned(old, new, line, col, expected):
     with pytest.raises(TableSyntaxError) as e:
@@ -155,6 +161,7 @@ def test_padded_count_still_parses():
     [
         ("family 18", "family 1\u00b2", 2, 8, "family number"),
         ("degree 12", "degree 1\u00b2", 4, 8, "integer"),
+        ("degree 12", "degree \u0661\u0662", 4, 8, "integer"),
         ("pencils 7", "pencils \u00b2", 8, 9, "count or 'infinite'"),
         ("BC 2 0", "BC \u00b2 0", 10, 27, "integer b"),
         ("kcube 1/5", "kcube \u0661/5", 5, 7, "fraction p/q"),
@@ -163,7 +170,7 @@ def test_padded_count_still_parses():
         ("1/5(1,2,3)", "1/\u0665(1,2,3)", 9, 11, "type like 1/5(1,2,3)"),
         ("1/5(1,2,3)", "1/5(1,\u0662,3)", 9, 11, "type like 1/5(1,2,3)"),
     ],
-    ids=["family", "degree", "pencils", "bc", "kcube-numerator", "kcube-denominator",
+    ids=["family", "degree", "degree-arabic-indic", "pencils", "bc", "kcube-numerator", "kcube-denominator",
          "count", "type-index", "type-weight"],
 )
 def test_integers_are_ascii(old, new, line, col, expected):

@@ -186,6 +186,37 @@ def test_tower_over_unknown_family_is_positioned(capsys, tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("weights 1 2 3 5\ncenter 4 1\n",
+         "2:8: expected a first center at a point of the general member of P(1,1,2,3,5)"),
+        ("weights 2 4 5 7\ncenter 2 1\n",
+         "1:9: expected admissible weights (no monomial x_3^k*x_j of degree 18 for P(1,2,4,5,7))"),
+    ],
+    ids=["no-such-point", "inadmissible-weights"],
+)
+def test_tower_that_does_not_fit_its_base_is_bad_input(capsys, tmp_path, text, expected):
+    tower = tmp_path / "misfit.tower"
+    tower.write_text(text)
+    assert run(capsys, "eval-tower", str(tower)) == (2, "", f"error: {expected}\n")
+
+
+def test_packaged_tower_that_does_not_fit_the_dataset_is_bad_input(capsys, tmp_path, monkeypatch):
+    # family 13 as a smooth quartic: the shipped family-13 towers blow up
+    # points it does not have, and the error names the packaged file
+    data = tmp_path / "quartic.txt"
+    data.write_text(
+        "family 13\nweights 1 1 1 1\ndegree 4\nkcube 4\n"
+        "invariant F_0\nell infinite\npencils infinite\n"
+    )
+    monkeypatch.setenv("WFANO_DATA", str(data))
+    assert run(capsys, "verify") == (2, "", (
+        "error: packaged family13-chain.tower:5:8: expected a first center at a point"
+        " of the general member of P(1,1,1,1,1)\n"
+    ))
+
+
 def test_zero_denominator_is_bad_input(capsys, tmp_path, monkeypatch):
     data = tmp_path / "zero.txt"
     data.write_text(

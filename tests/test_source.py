@@ -1,11 +1,16 @@
 """Checks on the library's source text."""
 import ast
 import re
+import textwrap
 from pathlib import Path
 
 import wfano
+from wfano import classifier, towers
+from wfano.classifier import family, parse_table
+from wfano.towers import FIXTURES, evaluate, load_fixture, parse_tower_text
 
 SOURCES = sorted(Path(wfano.__file__).parent.glob("*.py"))
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_library_has_no_assert_statements():
@@ -37,7 +42,27 @@ def test_cli_leaves_record_admissibility_to_the_loader():
 
 def test_readme_layout_lists_the_public_modules():
     # a module added, merged or removed shows up as a difference here
-    readme = Path(__file__).resolve().parents[1] / "README.md"
-    layout = readme.read_text(encoding="utf-8").split("\n## Library layout\n")[1].split("\n## ")[0]
+    layout = README.read_text(encoding="utf-8").split("\n## Library layout\n")[1].split("\n## ")[0]
     listed = set(re.findall(r"`wfano\.(\w+)", layout))
     assert listed == {p.stem for p in SOURCES if not p.name.startswith("_")}
+
+
+def _readme_block(first_line):
+    blocks = re.findall(r"\n```\n(.*?)```\n", README.read_text(encoding="utf-8"), re.S)
+    return next(b for b in blocks if b.startswith(first_line + "\n"))
+
+
+def _docstring_block(doc, intro):
+    # the indented example after the paragraph that ends with `intro`
+    return textwrap.dedent(doc.split(intro + "\n\n")[1].split("\n\n")[0])
+
+
+def test_doc_examples_parse_like_the_packaged_data():
+    # the examples a reader copies must stay valid as the two grammars change
+    assert parse_table(_readme_block("family 18")) == [family(18)]
+    assert parse_table(_docstring_block(classifier.__doc__, "positioned syntax error:")) == [family(13)]
+    (gram,) = (load_fixture(f) for f in FIXTURES if f.name == "family25-gram")
+    for text in (_readme_block("family 25"), _docstring_block(towers.__doc__, "Gram block:")):
+        spec = parse_tower_text(text)
+        assert spec == gram
+        assert evaluate(spec) == evaluate(gram)

@@ -81,6 +81,12 @@ def test_fractional_decomposition_coefficients():
         (lambda s: s.replace("restrict T = L", "restrict T = L + M"), 11, "term like"),
         (lambda s: s.replace("restrict T = L", "restrict T L"), 11, "="),
         (lambda s: s + "center 2 1\n", 12, "centers before classes"),
+        (lambda s: s.replace("track e1=1/2", "track"), 4, "tracked multiplicity like e1=1/4"),
+        (lambda s: s.replace("track e1=1/2", "track e1=1/2 x"), 4, "multiplicity like e1=1/4"),
+        (lambda s: s.replace("track e1=1/2", "banana e1=1/2"), 4, "track"),
+        # P(1,1,2,3,5) of degree 11 has no 1/4 point
+        (lambda s: s.replace("center 5 2", "center 4 1"), 3, "a first center at a point"),
+        (lambda s: s.replace("weights 1 2 3 5", "weights 2 4 5 7"), 2, "admissible weights"),
     ],
 )
 def test_positioned_errors(mangle, line, expected_part):
@@ -156,6 +162,7 @@ def test_duplicate_class_and_restrict():
     with pytest.raises(TowerSpecError) as e:
         parse_tower_text(GOOD + "restrict T = L\n")
     assert "restricted once" in e.value.expected
+    assert (e.value.line, e.value.col) == (12, 10)  # at the class name
 
 
 def test_unknown_family_header_is_positioned():
