@@ -75,13 +75,12 @@ def cmd_verify(args) -> int:
         records = [classifier.family(args.gimel)]
     else:
         records = list(load_families())
-    failures = 0
-    for rec in records:
-        for c in verify_family(rec) + fixture_checks(rec.gimel):
-            status = "PASS" if c.passed else "FAIL"
-            print(f"{rec.gimel}, {c.name}, {status}, {c.expected}, {c.actual}")
-            failures += not c.passed
-    return 1 if failures else 0
+    # every check first: bad input met at a later family leaves stdout empty
+    checks = [(rec.gimel, c) for rec in records
+              for c in verify_family(rec) + fixture_checks(rec.gimel)]
+    for gimel, c in checks:
+        print(f"{gimel}, {c.name}, {'PASS' if c.passed else 'FAIL'}, {c.expected}, {c.actual}")
+    return 0 if all(c.passed for _, c in checks) else 1
 
 
 def cmd_eval_tower(args) -> int:

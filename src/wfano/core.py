@@ -140,21 +140,23 @@ def normalize_singularity(r: int, q1: int, q2: int, q3: int) -> QuotientSingular
 
     The defining data is only determined up to multiplying all three local
     weights by a unit of Z/r.  A unit that gives (1, a, r-a) takes some q_i
-    to 1, so only the three inverses of the q_i mod r are tried.  Raises
-    NonTerminalError when some local weight is 0 mod r (the singular locus
-    would be positive-dimensional) or not prime to r, and when no unit
-    produces the (1, a, r-a) shape.
+    to 1, so only u = 1/q_i mod r is tried, for i = 1, 2, 3.  With x, y the
+    other two weights in 1..r-1, the images x*u, y*u mod r lie in 1..r-1
+    and sum to (x + y)*u mod r, so they sum to r iff x + y = r; then
+    a = min(x*u mod r, r - x*u mod r).  Raises NonTerminalError when a
+    local weight is 0 mod r (a positive-dimensional singular locus) or not
+    prime to r, one test gcd(q1*q2*q3, r) != 1 as a prime divides a
+    product iff it divides a factor, or when no unit gives (1, a, r-a).
     """
     if r < 2:
         raise ValueError(f"index must be >= 2, got {r}")
-    qs = [q % r for q in (q1, q2, q3)]
-    if any(q == 0 for q in qs):
+    p1, p2, p3 = q1 % r, q2 % r, q3 % r
+    if 0 in (p1, p2, p3):
         raise NonTerminalError(f"1/{r}({q1},{q2},{q3}) has a weight divisible by {r}")
-    if any(gcd(q, r) != 1 for q in qs):
+    if gcd(p1 * p2 * p3, r) != 1:
         raise NonTerminalError(f"1/{r}({q1},{q2},{q3}) is not isolated-terminal")
-    for q in qs:
-        u = pow(q, -1, r)
-        s = sorted([p * u % r for p in qs])  # s[0] is q*u = 1
-        if s[1] + s[2] == r:
-            return QuotientSingularityType(r, s[1])
+    for q, x, y in ((p1, p2, p3), (p2, p1, p3), (p3, p1, p2)):
+        if x + y == r:
+            x = x * pow(q, -1, r) % r
+            return QuotientSingularityType(r, min(x, r - x))
     raise NonTerminalError(f"1/{r}({q1},{q2},{q3}) admits no terminal presentation")

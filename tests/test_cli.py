@@ -204,17 +204,21 @@ def test_tower_that_does_not_fit_its_base_is_bad_input(capsys, tmp_path, text, e
 
 def test_packaged_tower_that_does_not_fit_the_dataset_is_bad_input(capsys, tmp_path, monkeypatch):
     # family 13 as a smooth quartic: the shipped family-13 towers blow up
-    # points it does not have, and the error names the packaged file
-    data = tmp_path / "quartic.txt"
-    data.write_text(
-        "family 13\nweights 1 1 1 1\ndegree 4\nkcube 4\n"
-        "invariant F_0\nell infinite\npencils infinite\n"
-    )
-    monkeypatch.setenv("WFANO_DATA", str(data))
-    assert run(capsys, "verify") == (2, "", (
-        "error: packaged family13-chain.tower:5:8: expected a first center at a point"
-        " of the general member of P(1,1,1,1,1)\n"
-    ))
+    # points it does not have, and the error names the packaged file.  With
+    # family 1 before it, which passes every check, stdout stays empty too:
+    # no family's lines are printed before every check is built
+    quartic = "weights 1 1 1 1\ndegree 4\nkcube 4\ninvariant F_0\nell infinite\npencils infinite\n"
+    for name, text in [
+        ("quartic.txt", f"family 13\n{quartic}"),
+        ("two-quartics.txt", f"family 1\n{quartic}\nfamily 13\n{quartic}"),
+    ]:
+        data = tmp_path / name
+        data.write_text(text)
+        monkeypatch.setenv("WFANO_DATA", str(data))
+        assert run(capsys, "verify") == (2, "", (
+            "error: packaged family13-chain.tower:5:8: expected a first center at a point"
+            " of the general member of P(1,1,1,1,1)\n"
+        )), name
 
 
 def test_zero_denominator_is_bad_input(capsys, tmp_path, monkeypatch):

@@ -86,15 +86,16 @@ def test_vertex_pairs_are_the_pairs_meeting_p4_and_p3():
 
 @pytest.mark.parametrize("bound, count", [(20, 176), (40, 282)])
 def test_candidates_are_the_pruned_systems(monkeypatch, bound, count):
-    # the predicates see each system that meets the four vertex conditions
-    # and has no three weights sharing a factor once, and no other system
+    # the walk, the first predicate, sees each system that meets the four
+    # vertex conditions and has no three weights sharing a factor once, and
+    # no other system
     seen = []
 
     def recording(w):
         seen.append(tuple(w))
-        return is_quasismooth_general(w)
+        return has_only_terminal_isolated_sings(w)
 
-    monkeypatch.setattr(enumerator, "is_quasismooth_general", recording)
+    monkeypatch.setattr(enumerator, "has_only_terminal_isolated_sings", recording)
     enumerate_families(bound)
     expected = [
         (a1, a2, a3, a4)
@@ -106,6 +107,26 @@ def test_candidates_are_the_pruned_systems(monkeypatch, bound, count):
     ]
     assert len(expected) == count
     assert sorted(seen) == sorted(expected)
+
+
+def test_criterion_sees_only_what_the_walk_accepts(monkeypatch):
+    # the walk runs first, so the criterion runs on its 95 survivors at
+    # bound 40 and on no system the walk rejected
+    walked, checked = {}, []
+
+    def walk(w):
+        walked[w] = has_only_terminal_isolated_sings(w)
+        return walked[w]
+
+    def criterion(w):
+        checked.append(w)
+        return is_quasismooth_general(w)
+
+    monkeypatch.setattr(enumerator, "has_only_terminal_isolated_sings", walk)
+    monkeypatch.setattr(enumerator, "is_quasismooth_general", criterion)
+    found = enumerate_families(40)
+    assert (len(walked), len(checked), len(found)) == (282, 95, 95)
+    assert sorted(checked) == sorted(w for w, accepted in walked.items() if accepted)
 
 
 def test_bound_validation():
