@@ -15,10 +15,8 @@ trivially by the projection formula, so
 
 with E_i^3 = r^2/(a(r-a)).  With this form w over one common denominator
 and each class over its own, a triple product is an integer dot product.
-What is *not* determined by the generic data is how the earlier
-exceptional divisors pass through later centers; those multiplicities are
-geometric input, carried on each center as `tracked_multiplicities` and
-consumed by `exceptional_strict`.
+So every number here depends only on the base and on each center's type,
+and a `Tower` is just those: its base weights and its center types.
 
 On a surface D in the tower, a Gram problem asks for the intersection
 matrix G of its base curves given decompositions A_s.D = sum m_si C_i:
@@ -42,10 +40,6 @@ from math import lcm
 from .core import InputError, QuotientSingularityType, Weights, anticanonical_cube
 
 
-class InvalidStageError(ValueError):
-    """Centers must be pushed in order and reference earlier stages only."""
-
-
 class DimensionMismatchError(ValueError):
     """A divisor class has the wrong number of exceptional coefficients."""
 
@@ -63,53 +57,11 @@ class NotSymmetricError(ValueError):
 
 
 @dataclass(frozen=True)
-class BlowupCenter:
-    """One blow up in a tower.
-
-    `tracked_multiplicities` lists, for earlier exceptional divisors passing
-    through this center, the weighted multiplicity of their local equation;
-    denominators must divide the index r of this center.
-    """
-
-    stage: int
-    sing_type: QuotientSingularityType
-    tracked_multiplicities: tuple[tuple[int, Fraction], ...] = ()
-
-    def __post_init__(self):
-        if self.stage < 1:
-            raise InvalidStageError(f"stage must be >= 1, got {self.stage}")
-        seen = set()
-        for s, m in self.tracked_multiplicities:
-            if not 1 <= s < self.stage:
-                raise InvalidStageError(
-                    f"center at stage {self.stage} tracks stage {s}"
-                )
-            if s in seen:
-                raise InvalidStageError(f"stage {s} tracked twice")
-            seen.add(s)
-            if m <= 0 or (m * self.sing_type.r).denominator != 1:
-                raise ValueError(
-                    f"multiplicity {m} invalid at a 1/{self.sing_type.r} point"
-                )
-
-    def multiplicity_of(self, stage: int) -> Fraction:
-        for s, m in self.tracked_multiplicities:
-            if s == stage:
-                return m
-        return Fraction(0)
-
-
-@dataclass(frozen=True)
 class Tower:
-    base: Weights
-    centers: tuple[BlowupCenter, ...] = ()
+    """Blow ups over `base`, the i-th at a point of type `centers[i]`."""
 
-    def __post_init__(self):
-        for idx, c in enumerate(self.centers):
-            if c.stage != idx + 1:
-                raise InvalidStageError(
-                    f"center #{idx + 1} carries stage {c.stage}"
-                )
+    base: Weights
+    centers: tuple[QuotientSingularityType, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -143,23 +95,7 @@ class DivisorClass:
 
 def anticanonical_class(tower: Tower) -> DivisorClass:
     """-K on top of the tower: H - sum (1/r_i) E_i."""
-    return DivisorClass(
-        Fraction(1),
-        tuple(-Fraction(1, c.sing_type.r) for c in tower.centers),
-    )
-
-
-def exceptional_strict(tower: Tower, stage: int) -> DivisorClass:
-    """Class of the strict transform, on top of the tower, of the stage-th
-    exceptional divisor; uses the tracked multiplicities of later centers."""
-    n = len(tower.centers)
-    if not 1 <= stage <= n:
-        raise InvalidStageError(f"no stage {stage} in a tower of length {n}")
-    es = [Fraction(0)] * n
-    es[stage - 1] = Fraction(1)
-    for later in tower.centers[stage:]:
-        es[later.stage - 1] = -later.multiplicity_of(stage)
-    return DivisorClass(Fraction(0), tuple(es))
+    return DivisorClass(Fraction(1), tuple(-Fraction(1, t.r) for t in tower.centers))
 
 
 def _check_dim(tower: Tower, dc: DivisorClass):
@@ -180,7 +116,7 @@ def _over_lcm(values: list[Fraction | int]) -> tuple[int, list[int]]:
 def _form(tower: Tower) -> tuple[int, list[int]]:
     # the diagonal form (-K^3 of the base, E_1^3, ..., E_n^3) as integers
     # over one common denominator, with -K^3 = d/(a1 a2 a3 a4)
-    b, types = tower.base, [c.sing_type for c in tower.centers]
+    b, types = tower.base, tower.centers
     dens = [b.a1 * b.a2 * b.a3 * b.a4] + [t.a * (t.r - t.a) for t in types]
     den = lcm(*dens)
     return den, [x * (den // y) for x, y in zip([b.degree] + [t.r * t.r for t in types], dens)]
@@ -205,7 +141,7 @@ def neg_k_cube(tower: Tower) -> Fraction:
     1/(r*a*(r-a)); equivalently this is triple(-K, -K, -K).
     """
     return anticanonical_cube(tower.base) - sum(
-        (c.sing_type.discrepancy_cube_drop for c in tower.centers), Fraction(0)
+        (t.discrepancy_cube_drop for t in tower.centers), Fraction(0)
     )
 
 

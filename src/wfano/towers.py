@@ -19,8 +19,10 @@ triple products to evaluate, and an optional Gram block:
 
 `center r a` is the blow up of a 1/r(1,a,r-a) point, the first one a
 point of the base's general member (a `weights` base must be an admissible
-family); `track eK=m` records the multiplicity of the stage-K exceptional
-divisor along this center.
+family); `track eK=m` gives the multiplicity m of the stage-K exceptional
+divisor along this center.  A track is checked (K an earlier stage, listed
+once, m > 0 with a denominator dividing r) and then dropped: every number
+evaluated here depends only on the base and the center types.
 `class NAME k e1 ... em` gives coefficients of H and of each pullback
 exceptional (one per center; fractions allowed).  The Gram block names a
 surface class, the base curves on it, and how each restricted class
@@ -44,7 +46,6 @@ from importlib import resources
 
 from ._linescan import LineCursor, PositionedError, content_lines
 from .blowup import (
-    BlowupCenter,
     DivisorClass,
     GramProblem,
     Restriction,
@@ -119,10 +120,11 @@ def _defined_class(cur: LineCursor, classes: dict[str, DivisorClass]) -> str:
 def parse_tower_text(source: str) -> TowerSpec:
     gimel: int | None = None
     base: Weights | None = None
-    centers: list[BlowupCenter] = []
+    centers: list[QuotientSingularityType] = []
     classes: dict[str, DivisorClass] = {}
     triples: list[tuple[str, str, str]] = []
     surface_name: str | None = None
+    gram_line: int | None = None  # the first surface/curves/restrict line
     curve_names: list[str] = []
     restrictions: dict[str, Restriction] = {}  # by the restricted class's name
 
@@ -166,15 +168,21 @@ def parse_tower_text(source: str) -> TowerSpec:
                     if cur.at_end():
                         break
             try:
-                center = BlowupCenter(
-                    len(centers) + 1, QuotientSingularityType(r, a), tuple(tracked)
-                )
+                center = QuotientSingularityType(r, a)
             except ValueError as exc:
                 cur.fail(f"valid center ({exc})", rcol)
+            stage = len(centers) + 1
+            for i, (k, m) in enumerate(tracked):
+                if not 1 <= k < stage:
+                    cur.fail(f"valid center (center at stage {stage} tracks stage {k})", rcol)
+                if k in (j for j, _ in tracked[:i]):
+                    cur.fail(f"valid center (stage {k} tracked twice)", rcol)
+                if m <= 0 or (m * r).denominator != 1:
+                    cur.fail(f"valid center (multiplicity {m} invalid at a 1/{r} point)", rcol)
             # the header's weights passed the walk: normalize only points of index r
             points = (normalize_singularity(r, *qs) for c, s, qs, _
                       in quotient_points(base.ambient, base.degree) if c and s == r)
-            if not centers and center.sing_type not in points:
+            if not centers and center not in points:
                 cur.fail(f"a first center at a point of the general member of {base}", rcol)
             centers.append(center)
             continue
@@ -195,6 +203,9 @@ def parse_tower_text(source: str) -> TowerSpec:
             cur.expect_end()
             triples.append((a, b, c))
             continue
+
+        if key in ("surface", "curves", "restrict") and gram_line is None:
+            gram_line = lineno
 
         if key == "surface":
             name = _defined_class(cur, classes)
@@ -250,11 +261,11 @@ def parse_tower_text(source: str) -> TowerSpec:
     tower = Tower(base, tuple(centers))
 
     gram = None
-    if surface_name or curve_names or restrictions:
+    if gram_line is not None:
         if surface_name is None:
-            raise TowerSpecError(1, 1, "surface line for the Gram block")
+            raise TowerSpecError(gram_line, 1, "surface line for the Gram block")
         if not restrictions:
-            raise TowerSpecError(1, 1, "restrict lines for the Gram block")
+            raise TowerSpecError(gram_line, 1, "restrict lines for the Gram block")
         gram = GramProblem(
             tower, classes[surface_name], tuple(curve_names), tuple(restrictions.values())
         )
@@ -329,7 +340,7 @@ def fixture_checks(gimel: int) -> tuple[FamilyCheck, ...]:
     for f in (f for f in FIXTURES if f.gimel == gimel):
         spec = load_fixture(f)
         ev = evaluate(spec)
-        types = ",".join(str(c.sing_type) for c in spec.tower.centers)
+        types = ",".join(str(t) for t in spec.tower.centers)
         checks.append(
             FamilyCheck(
                 f"neg_k_cube tower [{types}] = {f.neg_k_cube}",

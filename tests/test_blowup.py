@@ -5,18 +5,15 @@ import pytest
 from hypothesis import assume, example, given, strategies as st
 
 from wfano.blowup import (
-    BlowupCenter,
     DimensionMismatchError,
     DivisorClass,
     GramProblem,
     InconsistentError,
-    InvalidStageError,
     NotSymmetricError,
     Restriction,
     Tower,
     UnderdeterminedError,
     anticanonical_class,
-    exceptional_strict,
     is_negative_definite,
     neg_k_cube,
     solve_gram,
@@ -28,12 +25,8 @@ from wfano.towers import FIXTURES, evaluate, load_fixture
 F = Fraction
 
 
-def chain(base, *types, tracked=()):
-    centers = []
-    for i, (r, a) in enumerate(types):
-        tr = tracked[i] if i < len(tracked) else ()
-        centers.append(BlowupCenter(i + 1, QuotientSingularityType(r, a), tr))
-    return Tower(Weights(*base), tuple(centers))
+def chain(base, *types):
+    return Tower(Weights(*base), tuple(QuotientSingularityType(r, a) for r, a in types))
 
 
 # ---------------------------------------------------------------------------
@@ -68,36 +61,6 @@ def test_known_chain_values():
 # structural validation
 
 
-def test_center_validation():
-    t = QuotientSingularityType(2, 1)
-    with pytest.raises(InvalidStageError):
-        BlowupCenter(0, t)
-    with pytest.raises(InvalidStageError):
-        BlowupCenter(2, t, ((2, F(1, 2)),))  # tracks itself
-    with pytest.raises(InvalidStageError):
-        BlowupCenter(3, t, ((1, F(1)), (1, F(1, 2))))  # duplicate stage
-    with pytest.raises(ValueError):
-        BlowupCenter(2, t, ((1, F(1, 3)),))  # denominator must divide 2
-
-
-def test_tower_stage_sequence():
-    t = QuotientSingularityType(2, 1)
-    with pytest.raises(InvalidStageError):
-        Tower(Weights(1, 2, 3, 5), (BlowupCenter(2, t),))
-
-
-def test_exceptional_strict_uses_tracked_multiplicities():
-    tower = chain(
-        (1, 3, 4, 7), (7, 3), (4, 1), (3, 1),
-        tracked=((), ((1, F(1, 4)),), ((1, F(1, 3)), (2, F(2, 3)))),
-    )
-    assert exceptional_strict(tower, 1) == DivisorClass.of(0, 1, F(-1, 4), F(-1, 3))
-    assert exceptional_strict(tower, 2) == DivisorClass.of(0, 0, 1, F(-2, 3))
-    assert exceptional_strict(tower, 3) == DivisorClass.of(0, 0, 0, 1)
-    with pytest.raises(InvalidStageError):
-        exceptional_strict(tower, 4)
-
-
 def test_dimension_mismatch():
     tower = chain((1, 2, 3, 5), (2, 1))
     with pytest.raises(DimensionMismatchError):
@@ -112,19 +75,8 @@ TYPE_POOL = [(2, 1), (3, 1), (5, 2), (7, 3)]
 
 @st.composite
 def towers(draw):
-    n = draw(st.integers(min_value=0, max_value=3))
-    centers = []
-    for stage in range(1, n + 1):
-        r, a = draw(st.sampled_from(TYPE_POOL))
-        tracked = []
-        for earlier in range(1, stage):
-            if draw(st.booleans()):
-                num = draw(st.integers(min_value=1, max_value=2 * r))
-                tracked.append((earlier, F(num, r)))
-        centers.append(
-            BlowupCenter(stage, QuotientSingularityType(r, a), tuple(tracked))
-        )
-    return Tower(Weights(1, 2, 3, 5), tuple(centers))
+    types = draw(st.lists(st.sampled_from(TYPE_POOL), max_size=3))
+    return chain((1, 2, 3, 5), *types)
 
 
 def classes_for(tower):
@@ -171,7 +123,7 @@ def test_neg_k_cube_agrees_with_triple(tower):
 
 
 def gram_13():
-    tower = chain((1, 2, 3, 5), (5, 2), (2, 1), tracked=((), ((1, F(1, 2)),)))
+    tower = chain((1, 2, 3, 5), (5, 2), (2, 1))
     s = DivisorClass.of(1, F(-1, 5), F(-1, 2))
     t = DivisorClass.of(0, 1, F(-1, 2))
     return tower, s, t
@@ -377,7 +329,7 @@ def definitional_triple(tower, a, b, c):
     """kA*kB*kC*(-K^3) + sum_i eA_i*eB_i*eC_i*E_i^3 in Fraction arithmetic."""
     total = a.k_coeff * b.k_coeff * c.k_coeff * anticanonical_cube(tower.base)
     for i, center in enumerate(tower.centers):
-        r, q = center.sing_type.r, center.sing_type.a
+        r, q = center.r, center.a
         total += a.e_coeffs[i] * b.e_coeffs[i] * c.e_coeffs[i] * F(r * r, q * (r - q))
     return total
 

@@ -87,6 +87,12 @@ def test_fractional_decomposition_coefficients():
         # P(1,1,2,3,5) of degree 11 has no 1/4 point
         (lambda s: s.replace("center 5 2", "center 4 1"), 3, "a first center at a point"),
         (lambda s: s.replace("weights 1 2 3 5", "weights 2 4 5 7"), 2, "admissible weights"),
+        # a track names an earlier stage, once, with m > 0 and m*r an integer
+        (lambda s: s.replace("e1=1/2", "e2=1/2"), 4, "center at stage 2 tracks stage 2"),
+        (lambda s: s.replace("e1=1/2", "e0=1/2"), 4, "center at stage 2 tracks stage 0"),
+        (lambda s: s.replace("e1=1/2", "e1=1/2 e1=1"), 4, "stage 1 tracked twice"),
+        (lambda s: s.replace("e1=1/2", "e1=0"), 4, "multiplicity 0 invalid at a 1/2 point"),
+        (lambda s: s.replace("e1=1/2", "e1=1/3"), 4, "multiplicity 1/3 invalid at a 1/2 point"),
     ],
 )
 def test_positioned_errors(mangle, line, expected_part):
@@ -94,6 +100,14 @@ def test_positioned_errors(mangle, line, expected_part):
         parse_tower_text(mangle(GOOD))
     assert e.value.line == line
     assert expected_part in e.value.expected
+
+
+def test_track_error_is_at_the_center():
+    with pytest.raises(TowerSpecError) as e:
+        parse_tower_text(GOOD.replace("e1=1/2", "e1=1/2 e1=1"))
+    assert (e.value.line, e.value.col, e.value.expected) == (
+        4, 8, "valid center (stage 1 tracked twice)"
+    )
 
 
 def test_center_integers_are_ascii():
@@ -140,10 +154,15 @@ def test_center_must_be_terminal():
 
 
 def test_gram_block_needs_surface():
-    text = "weights 1 2 3 5\ncenter 2 1\nclass S 1 -1/2\ncurves C\nrestrict S = C\n"
-    with pytest.raises(TowerSpecError) as e:
-        parse_tower_text(text)
-    assert "surface" in e.value.expected
+    # an incomplete Gram block fails at column 1 of its first line
+    head = "weights 1 2 3 5\ncenter 2 1\nclass S 1 -1/2\n"
+    for block, expected in [
+        ("curves C\nrestrict S = C\n", "surface line for the Gram block"),
+        ("surface S\ncurves C\n", "restrict lines for the Gram block"),
+    ]:
+        with pytest.raises(TowerSpecError) as e:
+            parse_tower_text(head + block)
+        assert (e.value.line, e.value.col, e.value.expected) == (4, 1, expected)
 
 
 def test_underdetermined_payload_propagates():
