@@ -84,7 +84,8 @@ def has_only_terminal_isolated_sings(w: Weights) -> bool:
     a common factor are the case (i, j, k) = (1, 2, 3).
     `enumerate_families` relies on this rejection: it never builds a
     system with three weights sharing a factor.  It runs the walk before
-    the criterion: at bound 40 the walk sees 282 systems and accepts 95.
+    the criterion: at bound 40 the walk sees 95 systems and accepts them
+    all.
     """
     try:
         for _point in singular_points(w):
@@ -98,8 +99,8 @@ def _vertex_pairs(a3: int, a4: int):
     """Yield, once each, the pairs (a1, a2) with 1 <= a1 <= a2 <= a3 at
     which P(1, a1, a2, a3, a4) passes the vertex tests at P4 and P3, by
     the sum lines and member lines of `enumerate_families`."""
-    sums4 = {-a3 % a4, (1 - a3) % a4, 0}  # sigma mod a4 of the P4 sum lines
-    sums3 = {-a4 % a3, (1 - a4) % a3, 0}  # sigma mod a3 where P3 holds on the whole line
+    sums4 = {-a3 % a4, 0}  # sigma mod a4 of the P4 sum lines
+    sums3 = {-a4 % a3, 0}  # sigma mod a3 where P3 holds on the whole line
     m4 = -a3 % a4 or a4  # the fixed weight of the P4 member line
     m3 = -a4 % a3 or a3  # the weight that meets P3 on any line
     for r in sums4:
@@ -124,14 +125,27 @@ def enumerate_families(a4_bound: int = 40) -> list[Weights]:
     (degree, weights).
 
     The loop never builds a system that one of two exact integer tests
-    rejects.  Every survivor goes through the walk, and every system the
-    walk accepts goes through the criterion, so the result is that of
-    trying both predicates on every 1 <= a1 <= a2 <= a3 <= a4 <= a4_bound.
+    rejects.  Each test is necessary for a system that both predicates
+    accept, not sufficient, so every survivor goes through the walk, and
+    every system the walk accepts goes through the criterion; the result
+    is that of trying both predicates on every
+    1 <= a1 <= a2 <= a3 <= a4 <= a4_bound.
 
-    * The four vertices: the one-variable subsets {i} of
-      `is_quasismooth_general`.  At the vertex P_i the member needs x_i^k
-      or x_i^k*x_e of degree d, so a_i divides d - c for some c in
-      {0, 1, a1, a2, a3, a4} (a weight 1 always does).
+    * The four vertices: a_i divides d - c for some c in
+      {0, a1, a2, a3, a4}.  This is the vertex condition of the K3
+      elephant, the general member {x0 = 0} of degree d in
+      P(a1, a2, a3, a4): x_i^k or x_i^k*x_e of degree d with e != 0.
+      The threefold's own vertex test also allows the eliminator x0 of
+      weight 1, c = 1, but the walk rules that case out:
+      - Suppose x0 is the only eliminator at P_i.  Then the local weights
+        at P_i are the other three a's, and they sum to
+        d - a_i = 1 (mod a_i).
+      - A terminal 1/r(1, a, r-a) needs two of them to sum to 0 mod a_i,
+        so the third, a_l, is = 1 = d (mod a_i).
+      - Then x_i^k*x_l has degree d, so x0 was not the only eliminator.
+      So the test rests on the walk's terminality, not on
+      quasismoothness alone: P(1, 3, 4, 4, 5) is quasismooth only through
+      x0 at P4, and its P4 point 1/5(3, 4, 4) is not terminal.
     * No three weights with a common factor: the walk of
       `has_only_terminal_isolated_sings` rejects them all (see there).
 
@@ -141,7 +155,7 @@ def enumerate_families(a4_bound: int = 40) -> list[Weights]:
     pair it yields.  Write sigma = a1 + a2, so d = sigma + a3 + a4 and
     2 <= sigma <= 2*a3.
 
-    1. P4 with c in {0, 1, a3, a4} is a condition on sigma alone:
+    1. P4 with c in {0, a3, a4} is a condition on sigma alone:
        sigma = c - a3 (mod a4).  Each such sigma gives a *sum line*, all
        pairs with a1 + a2 = sigma.
     2. P4 with c = a1 reads a2 = -a3 (mod a4), and c = a2 reads
@@ -151,14 +165,14 @@ def enumerate_families(a4_bound: int = 40) -> list[Weights]:
        1..a3 lies on the *member line*.  A pair meets P4 exactly when it
        lies on a sum line or on the member line.
     3. P3 is the same with a3 and a4 swapped: sigma = c - a4 (mod a3) for
-       c in {0, 1, a3, a4}, or one weight equal to m3, the only weight
+       c in {0, a3, a4}, or one weight equal to m3, the only weight
        in 1..a3 that is = -a4 (mod a3).
     4. On a sum line, P3 holds on the whole line when sigma satisfies
        its congruence, and otherwise only at the pair {m3, sigma - m3}.
     5. On the member line {m4, x}, P3 holds for every x when m4 = m3.
        Otherwise it holds at x = m3 and at the x in 1..a3 with
-       m4 + x = c - a4 (mod a3), one for each of the three residues: at
-       most 4 values of x.  A member-line pair whose sum is on a sum line
+       m4 + x = c - a4 (mod a3), one for each of the two residues: at
+       most 3 values of x.  A member-line pair whose sum is on a sum line
        was yielded there and is skipped.
     6. No pair meets P4 when a4 > 3*a3: then d - a4 = sigma + a3 < a4,
        and every other d - c lies strictly between a4 and 2*a4.  So the
@@ -185,7 +199,7 @@ def enumerate_families(a4_bound: int = 40) -> list[Weights]:
                     continue
                 d = a1 + a2 + a3 + a4
                 for a in (a2, a1):
-                    if (d % a and (d - 1) % a and (d - a1) % a and (d - a2) % a
+                    if (d % a and (d - a1) % a and (d - a2) % a
                             and (d - a3) % a and (d - a4) % a):
                         break
                 else:

@@ -65,6 +65,9 @@ def test_dimension_mismatch():
     tower = chain((1, 2, 3, 5), (2, 1))
     with pytest.raises(DimensionMismatchError):
         triple(tower, DivisorClass.of(1), DivisorClass.of(1, 0), DivisorClass.of(1, 0))
+    # classes over towers with different numbers of centers do not add
+    with pytest.raises(DimensionMismatchError, match="different towers"):
+        DivisorClass.of(1, 0) + DivisorClass.of(1)
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +228,8 @@ def test_negative_definite_cases():
     assert not is_negative_definite(((F(-1), F(1)), (F(1), F(-1))))
     with pytest.raises(NotSymmetricError):
         is_negative_definite(((F(-1), F(2)), (F(1), F(-1))))
+    with pytest.raises(NotSymmetricError, match="not square"):
+        is_negative_definite(((F(-1), F(0)),))
 
 
 def test_negative_definite_reads_int_entries_as_given():

@@ -1,6 +1,8 @@
+import re
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -43,11 +45,12 @@ def test_matches_brute_force(bound):
 
 
 def passes_at_vertex(a, ws):
-    """Quasismoothness at the vertex of the weight a of ws = (a1, a2, a3,
-    a4) alone: with d = a1+a2+a3+a4, a divides one of d, d-1, d-a1, d-a2,
-    d-a3, d-a4."""
+    """Quasismoothness of the K3 elephant S_d in P(ws) at the vertex of
+    the weight a of ws = (a1, a2, a3, a4) alone: with d = a1+a2+a3+a4, a
+    divides one of d, d-a1, d-a2, d-a3, d-a4.  The threefold's eliminator
+    x0 of weight 1 (d-1) is left out."""
     d = sum(ws)
-    return any((d - e) % a == 0 for e in (0, 1, *ws))
+    return any((d - e) % a == 0 for e in (0, *ws))
 
 
 def meets_vertex_conditions(*ws):
@@ -61,8 +64,15 @@ def three_share_a_factor(a1, a2, a3, a4):
 
 def test_vertex_pruning_is_sound():
     # enumerate_families solves the P4 and P3 conditions and filters on the
-    # P2 and P1 conditions; every quasismooth system meets all four
-    assert all(meets_vertex_conditions(*w) for w in quasismooth_systems(33))
+    # P2 and P1 conditions; every admissible system meets all four, the
+    # unpruned brute force being the reference
+    assert all(meets_vertex_conditions(*w) for w in brute_force(33))
+    # quasismoothness alone does not imply them: P(1,3,4,4,5) is quasismooth
+    # only through x0 at P4, so the soundness rests on the walk rejecting it
+    w = Weights(3, 4, 4, 5)
+    assert is_quasismooth_general(w)
+    assert not passes_at_vertex(5, tuple(w))
+    assert not has_only_terminal_isolated_sings(w)
 
 
 def test_vertex_pairs_are_the_pairs_meeting_p4_and_p3():
@@ -81,10 +91,10 @@ def test_vertex_pairs_are_the_pairs_meeting_p4_and_p3():
             ]
             assert sorted(_vertex_pairs(a3, a4)) == expected, (a3, a4)
             total += len(expected)
-    assert total == 4752
+    assert total == 3230
 
 
-@pytest.mark.parametrize("bound, count", [(20, 176), (40, 282)])
+@pytest.mark.parametrize("bound, count", [(20, 87), (40, 95)])
 def test_candidates_are_the_pruned_systems(monkeypatch, bound, count):
     # the walk, the first predicate, sees each system that meets the four
     # vertex conditions and has no three weights sharing a factor once, and
@@ -110,8 +120,9 @@ def test_candidates_are_the_pruned_systems(monkeypatch, bound, count):
 
 
 def test_criterion_sees_only_what_the_walk_accepts(monkeypatch):
-    # the walk runs first, so the criterion runs on its 95 survivors at
-    # bound 40 and on no system the walk rejected
+    # the walk runs first, so the criterion runs on its survivors and on no
+    # system the walk rejected; at bound 40 the pruning leaves only the 95,
+    # and README's figures are these counts
     walked, checked = {}, []
 
     def walk(w):
@@ -125,8 +136,11 @@ def test_criterion_sees_only_what_the_walk_accepts(monkeypatch):
     monkeypatch.setattr(enumerator, "has_only_terminal_isolated_sings", walk)
     monkeypatch.setattr(enumerator, "is_quasismooth_general", criterion)
     found = enumerate_families(40)
-    assert (len(walked), len(checked), len(found)) == (282, 95, 95)
+    assert (len(walked), len(checked), len(found)) == (95, 95, 95)
     assert sorted(checked) == sorted(w for w, accepted in walked.items() if accepted)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    figures = re.search(r"at bound 40, (\d+) walked\s+and (\d+) checked", readme)
+    assert figures and tuple(map(int, figures.groups())) == (len(walked), len(checked))
 
 
 def test_bound_validation():
@@ -211,6 +225,28 @@ def unskipped_quasismooth(ws, d):
             if sum(1 for e in outside if is_representable(d - ws[e], iws)) < size:
                 return False
     return True
+
+
+def test_k3_elephants_are_the_95():
+    # the second characterization: the well-formed surfaces S_d in
+    # P(a1, a2, a3, a4), d = a1+a2+a3+a4, that are quasismooth are exactly
+    # the 95 recorded systems; neither the walk nor the threefold criterion
+    # runs.  Well-formed: no three weights share a factor, and every pair
+    # gcd divides d
+    elephants, well_formed = set(), 0
+    for a4 in range(1, 34):
+        for a3 in range(1, a4 + 1):
+            for a2 in range(1, a3 + 1):
+                for a1 in range(1, a2 + 1):
+                    ws = (a1, a2, a3, a4)
+                    d = sum(ws)
+                    if three_share_a_factor(*ws) or any(d % gcd(*pair) for pair in combinations(ws, 2)):
+                        continue
+                    well_formed += 1
+                    if unskipped_quasismooth(ws, d):
+                        elephants.add(ws)
+    assert well_formed == 17128
+    assert elephants == {tuple(rec.weights) for rec in load_families()}
 
 
 def test_weight_one_subsets_need_no_test():

@@ -93,6 +93,19 @@ def test_fractional_decomposition_coefficients():
         (lambda s: s.replace("e1=1/2", "e1=1/2 e1=1"), 4, "stage 1 tracked twice"),
         (lambda s: s.replace("e1=1/2", "e1=0"), 4, "multiplicity 0 invalid at a 1/2 point"),
         (lambda s: s.replace("e1=1/2", "e1=1/3"), 4, "multiplicity 1/3 invalid at a 1/2 point"),
+        (lambda s: s.replace("weights 1 2 3 5\n", "weights 1 2 3 5\nweights 1 2 3 5\n"), 3,
+         "a single family/weights header"),
+        (lambda s: s.replace("center 5 2", "center 1 1"), 3, "valid center (index must be >= 2"),
+        (lambda s: s.replace("center 5 2", "center 5 3"), 3, "valid center (need 1 <= a <= r-a"),
+        (lambda s: s.replace("triple S S T", "triple S S"), 7, "class name"),
+        (lambda s: s.replace("triple S S T", "banana S S T"), 7, "one of family/weights/center"),
+        (lambda s: s.replace("surface S\n", "surface S\nsurface S\n"), 9, "a single surface line"),
+        (lambda s: s.replace("curves C L\n", "curves C L\ncurves C L\n"), 10, "a single curves line"),
+        (lambda s: s.replace("curves C L", "curves C C"), 9, "fresh curve name"),
+        (lambda s: s.replace("curves C L", "curves"), 9, "at least one curve name"),
+        (lambda s: s.replace("curves C L\nrestrict S = C + L", "restrict S = C + L\ncurves C L"), 9,
+         "curves line before restrict"),
+        (lambda s: s.replace("restrict T = L", "restrict T ="), 11, "curve decomposition"),
     ],
 )
 def test_positioned_errors(mangle, line, expected_part):
