@@ -61,7 +61,7 @@ class Tower:
     """Blow ups over `base`, the i-th at a point of type `centers[i]`."""
 
     base: Weights
-    centers: tuple[QuotientSingularityType, ...] = ()
+    centers: tuple[QuotientSingularityType, ...]
 
 
 @dataclass(frozen=True)
@@ -86,11 +86,6 @@ class DivisorClass:
     def __rmul__(self, scalar) -> "DivisorClass":
         s = Fraction(scalar)
         return DivisorClass(s * self.k_coeff, tuple(s * e for e in self.e_coeffs))
-
-    def __str__(self):
-        parts = [f"{self.k_coeff}*H"]
-        parts += [f"{e}*E{i + 1}" for i, e in enumerate(self.e_coeffs) if e]
-        return " + ".join(parts)
 
 
 def anticanonical_class(tower: Tower) -> DivisorClass:

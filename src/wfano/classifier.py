@@ -44,7 +44,7 @@ from importlib import resources
 from ._linescan import LineCursor, PositionedError, content_lines
 from .core import InputError, NonTerminalError, QuotientSingularityType, Weights
 from .core import anticanonical_cube, normalize_singularity
-from .singularities import basket, singular_points, stratum_points
+from .singularities import basket, singular_points, stratum_points, type_counts
 
 
 class TableSyntaxError(PositionedError):
@@ -64,8 +64,9 @@ class UnknownGimelError(InputError):
 
 
 class InadmissibleRecordError(InputError):
-    """A dataset record whose weights are not those of a quasismooth
-    terminal family."""
+    """A dataset record whose weights the singular-point walk rejects: a
+    vertex with no eliminator, a stratum curve inside the general member,
+    or a quotient point that is not terminal."""
 
 
 class NotApplicableError(ValueError):
@@ -150,12 +151,10 @@ class PencilDescriptor:
     kind: PencilKind
     generator_text: str
     n: int  # the pencil lies in |-nK|
-    point_index: int | None = None
 
 
 @dataclass(frozen=True)
 class HalphenAnswer:
-    gimel: int
     pencils: tuple[PencilDescriptor, ...]
 
     @property
@@ -397,7 +396,7 @@ def halphen_pencils(rec: FamilyRecord) -> HalphenAnswer:
     """
     gimel, w = rec.gimel, rec.weights
     if w.a2 == 1:
-        return HalphenAnswer(gimel, ())
+        return HalphenAnswer(())
     if is_type_iii(w):
         r = type_iii_point_count(w)
         pencils = [
@@ -412,11 +411,10 @@ def halphen_pencils(rec: FamilyRecord) -> HalphenAnswer:
                 PencilKind.TYPE_III_POINT,
                 f"surfaces of |-{w.a1}K| through the distinguished point #{i}",
                 w.a1,
-                point_index=i,
             )
             for i in range(1, r + 1)
         ]
-        return HalphenAnswer(gimel, tuple(pencils))
+        return HalphenAnswer(tuple(pencils))
     principal = PencilDescriptor(
         PencilKind.PRINCIPAL,
         "lambda*x + mu*y" if w.a1 == 1 else f"lambda*x^{w.a1} + mu*y",
@@ -426,13 +424,13 @@ def halphen_pencils(rec: FamilyRecord) -> HalphenAnswer:
         extra = PencilDescriptor(
             PencilKind.TYPE_V, "lambda*x^6 + mu*f_6(x,y,z,t)", 6
         )
-        return HalphenAnswer(gimel, (principal, extra))
+        return HalphenAnswer((principal, extra))
     if gimel in TYPE_IV_GIMELS and isinstance(type_iv_presentation(w), tuple):
         extra = PencilDescriptor(
             PencilKind.TYPE_IV, f"lambda*x^{w.a2} + mu*z", w.a2
         )
-        return HalphenAnswer(gimel, (principal, extra))
-    return HalphenAnswer(gimel, (principal,))
+        return HalphenAnswer((principal, extra))
+    return HalphenAnswer((principal,))
 
 
 def derived_type_iv_set(records) -> set[int]:
@@ -475,10 +473,8 @@ def verify_family(rec: FamilyRecord) -> tuple[FamilyCheck, ...]:
         FamilyCheck("degree", w.degree == rec.degree, str(rec.degree), str(w.degree))
     )
 
-    expected_types: dict[QuotientSingularityType, int] = {}
-    for row in rec.basket_rows:
-        expected_types[row.sing_type] = expected_types.get(row.sing_type, 0) + row.count
-    computed = dict(basket(w).type_multiset())
+    expected_types = type_counts(rec.basket_rows)
+    computed = type_counts(basket(w))
     fmt = lambda d: "; ".join(f"{c} x {t}" for t, c in sorted(d.items())) or "smooth"
     checks.append(
         FamilyCheck(

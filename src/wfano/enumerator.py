@@ -120,7 +120,7 @@ def _vertex_pairs(a3: int, a4: int):
                 yield min(m4, x), max(m4, x)
 
 
-def enumerate_families(a4_bound: int = 40) -> list[Weights]:
+def enumerate_families(a4_bound: int) -> list[Weights]:
     """All admissible weight systems with a4 <= a4_bound, sorted by
     (degree, weights).
 
@@ -151,8 +151,8 @@ def enumerate_families(a4_bound: int = 40) -> list[Weights]:
 
     The loop runs over the two largest weights a3 <= a4 and solves the
     vertex conditions at P4 and P3 for (a1, a2) instead of scanning
-    (`_vertex_pairs`); P2, P1 and the common factors are tested on each
-    pair it yields.  Write sigma = a1 + a2, so d = sigma + a3 + a4 and
+    (`_vertex_pairs`); P2 and P1, then the common factors, are tested on
+    each pair it yields.  Write sigma = a1 + a2, so d = sigma + a3 + a4 and
     2 <= sigma <= 2*a3.
 
     1. P4 with c in {0, a3, a4} is a condition on sigma alone:
@@ -194,15 +194,15 @@ def enumerate_families(a4_bound: int = 40) -> list[Weights]:
     for a3 in range(1, a4_bound + 1):
         for a4 in range(a3, min(a4_bound, 3 * a3) + 1):
             for a1, a2 in _vertex_pairs(a3, a4):
-                if (gcd(a1, a2, a3) > 1 or gcd(a1, a2, a4) > 1
-                        or gcd(a1, a3, a4) > 1 or gcd(a2, a3, a4) > 1):
-                    continue
                 d = a1 + a2 + a3 + a4
                 for a in (a2, a1):
                     if (d % a and (d - a1) % a and (d - a2) % a
                             and (d - a3) % a and (d - a4) % a):
                         break
                 else:
+                    if (gcd(a1, a2, a3) > 1 or gcd(a1, a2, a4) > 1
+                            or gcd(a1, a3, a4) > 1 or gcd(a2, a3, a4) > 1):
+                        continue
                     w = Weights(a1, a2, a3, a4)
                     if has_only_terminal_isolated_sings(w) and is_quasismooth_general(w):
                         out.append(w)

@@ -43,12 +43,13 @@ class Basket:
     def __iter__(self):
         return iter(self.entries)
 
-    def type_multiset(self) -> tuple[tuple[QuotientSingularityType, int], ...]:
-        """Aggregate counts per singularity type, locus forgotten."""
-        agg: dict[QuotientSingularityType, int] = {}
-        for e in self.entries:
-            agg[e.sing_type] = agg.get(e.sing_type, 0) + e.count
-        return tuple(sorted(agg.items(), key=lambda kv: (-kv[0].r, kv[0].a)))
+
+def type_counts(entries) -> dict[QuotientSingularityType, int]:
+    """Points per type over entries with `.count` and `.sing_type`."""
+    counts: dict[QuotientSingularityType, int] = {}
+    for e in entries:
+        counts[e.sing_type] = counts.get(e.sing_type, 0) + e.count
+    return counts
 
 
 def _ambient(ws: tuple[int, ...]) -> str:

@@ -17,12 +17,13 @@ triple products to evaluate, and an optional Gram block:
     restrict S = C + L
     restrict T = L
 
-`center r a` is the blow up of a 1/r(1,a,r-a) point, the first one a
-point of the base's general member (a `weights` base must be an admissible
-family); `track eK=m` gives the multiplicity m of the stage-K exceptional
-divisor along this center.  A track is checked (K an earlier stage, listed
-once, m > 0 with a denominator dividing r) and then dropped: every number
-evaluated here depends only on the base and the center types.
+`center r a` is the blow up of a 1/r(1,a,r-a) point, the first one of a
+type that the header's one walk finds on the base's general member (a
+`weights` base must be an admissible family); `track eK=m` gives the
+multiplicity m of the stage-K exceptional divisor along this center.  A
+track is checked (K an earlier stage, listed once, m > 0 with a
+denominator dividing r) and then dropped: every number evaluated here
+depends only on the base and the center types.
 `class NAME k e1 ... em` gives coefficients of H and of each pullback
 exceptional (one per center; fractions allowed).  The Gram block names a
 surface class, the base curves on it, and how each restricted class
@@ -57,8 +58,7 @@ from .blowup import (
 )
 from .classifier import FamilyCheck, UnknownGimelError, family
 from .core import InputError, NonTerminalError, QuotientSingularityType, Weights
-from .core import normalize_singularity
-from .singularities import basket, quotient_points
+from .singularities import singular_points
 
 
 class TowerSpecError(PositionedError):
@@ -144,10 +144,10 @@ def parse_tower_text(source: str) -> TowerSpec:
                     cur.fail(f"a known family ({exc})", col)
             else:
                 base = cur.next_weights()
-                try:
-                    basket(base)
-                except NonTerminalError as exc:
-                    cur.fail(f"admissible weights ({exc})", col)
+            try:  # a family's weights passed the same walk when the dataset loaded
+                base_types = {t for c, t, _ in singular_points(base) if c}
+            except NonTerminalError as exc:
+                cur.fail(f"admissible weights ({exc})", col)
             cur.expect_end()
             continue
 
@@ -179,10 +179,7 @@ def parse_tower_text(source: str) -> TowerSpec:
                     cur.fail(f"valid center (stage {k} tracked twice)", rcol)
                 if m <= 0 or (m * r).denominator != 1:
                     cur.fail(f"valid center (multiplicity {m} invalid at a 1/{r} point)", rcol)
-            # the header's weights passed the walk: normalize only points of index r
-            points = (normalize_singularity(r, *qs) for c, s, qs, _
-                      in quotient_points(base.ambient, base.degree) if c and s == r)
-            if not centers and center not in points:
+            if not centers and center not in base_types:
                 cur.fail(f"a first center at a point of the general member of {base}", rcol)
             centers.append(center)
             continue

@@ -427,7 +427,3 @@ def outcome(solve, problem):
 @example(GramProblem(*gram_13()[:2], ("C", "L")))  # no restrictions at all
 def test_solve_gram_agrees_with_kronecker_system(problem):
     assert outcome(solve_gram, problem) == outcome(kronecker_gram, problem)
-
-
-def test_divisor_class_str():
-    assert str(DivisorClass.of(1, F(-1, 5), 0)) == "1*H + -1/5*E1"

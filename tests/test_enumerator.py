@@ -121,8 +121,9 @@ def test_candidates_are_the_pruned_systems(monkeypatch, bound, count):
 
 def test_criterion_sees_only_what_the_walk_accepts(monkeypatch):
     # the walk runs first, so the criterion runs on its survivors and on no
-    # system the walk rejected; at bound 40 the pruning leaves only the 95,
-    # and README's figures are these counts
+    # system the walk rejected; at bounds 100 and 40 the pruning leaves only
+    # the 95, so every system the walk accepts passes the criterion; README's
+    # figures are the counts at 40
     walked, checked = {}, []
 
     def walk(w):
@@ -135,9 +136,12 @@ def test_criterion_sees_only_what_the_walk_accepts(monkeypatch):
 
     monkeypatch.setattr(enumerator, "has_only_terminal_isolated_sings", walk)
     monkeypatch.setattr(enumerator, "is_quasismooth_general", criterion)
-    found = enumerate_families(40)
-    assert (len(walked), len(checked), len(found)) == (95, 95, 95)
-    assert sorted(checked) == sorted(w for w, accepted in walked.items() if accepted)
+    for bound in (100, 40):
+        walked.clear()
+        checked.clear()
+        found = enumerate_families(bound)
+        assert (len(walked), len(checked), len(found)) == (95, 95, 95), bound
+        assert sorted(checked) == sorted(w for w, accepted in walked.items() if accepted)
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     figures = re.search(r"at bound 40, (\d+) walked\s+and (\d+) checked", readme)
     assert figures and tuple(map(int, figures.groups())) == (len(walked), len(checked))

@@ -11,6 +11,7 @@ from wfano.singularities import (
     quotient_points,
     singular_points,
     stratum_points,
+    type_counts,
 )
 
 
@@ -146,16 +147,13 @@ def test_basket_order():
         (3, t3, "P3P4"),
         (1, t2, "P2"),
     ]
+    assert type_counts(basket(w)) == {t3: 3, t2: 1}
 
 
 @pytest.mark.parametrize("gimel", [5, 13, 18, 60, 91, 95])
 def test_basket_matches_dataset(gimel):
     rec = family(gimel)
-    expected = {}
-    for row in rec.basket_rows:
-        st = row.sing_type
-        expected[st] = expected.get(st, 0) + row.count
-    assert dict(basket(rec.weights).type_multiset()) == expected
+    assert type_counts(basket(rec.weights)) == type_counts(rec.basket_rows)
 
 
 def test_basket_entry_renders_as_the_cli_line():

@@ -3,8 +3,10 @@ from importlib import resources
 
 import pytest
 
+from wfano import towers
 from wfano.blowup import UnderdeterminedError
 from wfano.core import Weights
+from wfano.singularities import singular_points
 from wfano.towers import FIXTURES, TowerSpecError, evaluate, load_fixture, parse_tower_text
 
 GOOD = """\
@@ -42,6 +44,26 @@ def test_family_header_resolves_weights():
     assert spec.gimel == 13
     assert spec.tower.base == Weights(1, 2, 3, 5)
     assert evaluate(spec).neg_k_cube == Fraction(-3, 10)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["family 25\ncenter 7 3\ncenter 4 1\ncenter 3 1\n",
+     "weights 1 2 3 5\ncenter 5 2\ncenter 3 1\ncenter 2 1\n"],
+    ids=["family", "weights"],
+)
+def test_header_walks_its_base_once(monkeypatch, text):
+    # one walk at the header serves the first-center test of every center
+    walks = []
+
+    def walk(w):
+        walks.append(w)
+        return singular_points(w)
+
+    monkeypatch.setattr(towers, "singular_points", walk)
+    spec = parse_tower_text(text)
+    assert len(spec.tower.centers) == 3
+    assert walks == [spec.tower.base]
 
 
 def test_no_gram_block():
