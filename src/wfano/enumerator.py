@@ -14,7 +14,6 @@ are combined:
 """
 from __future__ import annotations
 
-from itertools import combinations
 from math import gcd
 
 from .core import NonTerminalError, Weights, extend_reach
@@ -34,33 +33,36 @@ def is_quasismooth(ws: tuple[int, ...], d: int) -> bool:
     (x^d exists), so only subsets of the variables of weight >= 2 are
     examined.
 
-    Each examined subset gets one reach mask with cap d (see `core`),
-    built by `extend_reach` from the mask of the subset without its last
-    variable, which an earlier, smaller size already built; all its tests
-    read that mask: bit d, then bit d - wt(x_e) for each variable x_e.  This
-    is exact: a mask with cap d is correct on every bit <= d, extending
-    one correct up to d by a weight keeps it correct up to d, and every
-    bit read is <= d.  A target d - wt(x_e) < 0 is never representable,
-    hence the guard wt(x_e) <= d.  A variable of I never counts once bit d
-    is clear, since d - wt(x_e) in the I-weights would put d there too, so
-    the count runs over all variables.  The masks live only for the call.
-    A weight < 1 is a ValueError.
+    Each examined subset is a bitmask s over the variables of weight >= 2,
+    taken in increasing order, and gets one reach mask with cap d (see
+    `core`), built by `extend_reach` from the mask of s without its lowest
+    member, s & (s - 1), a smaller number and so already built; its size
+    is s.bit_count(), and all its tests read that mask: bit d, then bit
+    d - wt(x_e) for each variable x_e.  This is exact: a mask with cap d
+    is correct on every bit <= d, extending one correct up to d by a
+    weight keeps it correct up to d, and every bit read is <= d.  A target
+    d - wt(x_e) < 0 is never representable, hence the guard wt(x_e) <= d.
+    A variable of I never counts once bit d is clear, since d - wt(x_e) in
+    the I-weights would put d there too, so the count runs over all
+    variables.  The masks live only for the call.  A weight < 1 is a
+    ValueError.
     """
-    heavy = [i for i, a in enumerate(ws) if a >= 2]
+    heavy = [a for a in ws if a >= 2]
     if len(heavy) + ws.count(1) < len(ws):  # a weight neither 1 nor >= 2
         raise ValueError(f"weights must be positive, got {ws}")
-    masks = {(): 1}
-    for size in range(1, len(heavy) + 1):
-        for subset in combinations(heavy, size):
-            mask = masks[subset] = extend_reach(masks[subset[:-1]], ws[subset[-1]], d)
-            if mask >> d & 1:
-                continue
-            hits = 0
-            for a in ws:
-                if a <= d and mask >> (d - a) & 1:
-                    hits += 1
-            if hits < size:
-                return False
+    masks = [1]
+    for s in range(1, 1 << len(heavy)):
+        rest = s & (s - 1)  # s without its lowest member
+        mask = extend_reach(masks[rest], heavy[(s ^ rest).bit_length() - 1], d)
+        masks.append(mask)
+        if mask >> d & 1:
+            continue
+        hits = 0
+        for a in ws:
+            if a <= d and mask >> (d - a) & 1:
+                hits += 1
+        if hits < s.bit_count():
+            return False
     return True
 
 
@@ -97,8 +99,15 @@ def has_only_terminal_isolated_sings(w: Weights) -> bool:
 
 def _vertex_pairs(a3: int, a4: int):
     """Yield, once each, the pairs (a1, a2) with 1 <= a1 <= a2 <= a3 at
-    which P(1, a1, a2, a3, a4) passes the vertex tests at P4 and P3, by
-    the sum lines and member lines of `enumerate_families`."""
+    which P(1, a1, a2, a3, a4) passes the four vertex tests and
+    gcd(a1*a2, gcd(a3, a4)) = 1, by the sum lines and member lines of
+    `enumerate_families`."""
+    g = gcd(a3, a4)
+    t = a3 + a4
+
+    def meets(a, sigma):  # step 5: the P1/P2 test of a weight a of a pair summing to sigma
+        return not ((sigma + t) % a and t % a and (sigma + a3) % a and (sigma + a4) % a)
+
     sums4 = {-a3 % a4, 0}  # sigma mod a4 of the P4 sum lines
     sums3 = {-a4 % a3, 0}  # sigma mod a3 where P3 holds on the whole line
     m4 = -a3 % a4 or a4  # the fixed weight of the P4 member line
@@ -107,16 +116,19 @@ def _vertex_pairs(a3: int, a4: int):
         for sigma in range(2 + (r - 2) % a4, 2 * a3 + 1, a4):
             if sigma % a3 in sums3:
                 for a1 in range(max(1, sigma - a3), sigma // 2 + 1):
-                    yield a1, sigma - a1
-            elif 1 <= sigma - m3 <= a3:
-                yield min(m3, sigma - m3), max(m3, sigma - m3)
-    if m4 <= a3:
+                    if meets(sigma - a1, sigma) and meets(a1, sigma) and gcd(a1, g) == 1:
+                        yield a1, sigma - a1
+            elif g == 1 and 1 <= sigma - m3 <= a3:
+                if meets(m3, sigma) and meets(sigma - m3, sigma):
+                    yield min(m3, sigma - m3), max(m3, sigma - m3)
+    if g == 1 and m4 <= a3:
         if m4 == m3:
             others = range(1, a3 + 1)
         else:
             others = {m3} | {(r - m4) % a3 or a3 for r in sums3}
         for x in others:
-            if (m4 + x) % a4 not in sums4:  # else yielded on its sum line
+            # a pair whose sum is on a sum line was tested there
+            if (m4 + x) % a4 not in sums4 and meets(m4, m4 + x) and meets(x, m4 + x):
                 yield min(m4, x), max(m4, x)
 
 
@@ -149,11 +161,13 @@ def enumerate_families(a4_bound: int) -> list[Weights]:
     * No three weights with a common factor: the walk of
       `has_only_terminal_isolated_sings` rejects them all (see there).
 
-    The loop runs over the two largest weights a3 <= a4 and solves the
-    vertex conditions at P4 and P3 for (a1, a2) instead of scanning
-    (`_vertex_pairs`); P2 and P1, then the common factors, are tested on
-    each pair it yields.  Write sigma = a1 + a2, so d = sigma + a3 + a4 and
-    2 <= sigma <= 2*a3.
+    The loop runs over the two largest weights a3 <= a4 and solves all
+    four vertex conditions, and the shared factors with both a3 and a4,
+    for (a1, a2) instead of scanning (`_vertex_pairs`); the two
+    shared-factor tests that involve both a1 and a2, gcd(a1, a2, a3) = 1
+    and gcd(a1, a2, a4) = 1, are all that is left for each pair it
+    yields.  Write sigma = a1 + a2, so d = sigma + a3 + a4 and
+    2 <= sigma <= 2*a3, and g = gcd(a3, a4).
 
     1. P4 with c in {0, a3, a4} is a condition on sigma alone:
        sigma = c - a3 (mod a4).  Each such sigma gives a *sum line*, all
@@ -169,19 +183,38 @@ def enumerate_families(a4_bound: int) -> list[Weights]:
        in 1..a3 that is = -a4 (mod a3).
     4. On a sum line, P3 holds on the whole line when sigma satisfies
        its congruence, and otherwise only at the pair {m3, sigma - m3}.
-    5. On the member line {m4, x}, P3 holds for every x when m4 = m3.
+       On the member line {m4, x}, P3 holds for every x when m4 = m3.
        Otherwise it holds at x = m3 and at the x in 1..a3 with
        m4 + x = c - a4 (mod a3), one for each of the two residues: at
        most 3 values of x.  A member-line pair whose sum is on a sum line
-       was yielded there and is skipped.
-    6. No pair meets P4 when a4 > 3*a3: then d - a4 = sigma + a3 < a4,
+       is left to that line.
+    5. P1 and P2 reduce to four numbers.  For a in {a1, a2} with b the
+       other weight of the pair, a divides d - c for some c in
+       {0, a1, a2, a3, a4} exactly when a divides one of d, a3 + a4,
+       sigma + a3 or sigma + a4: c = a gives d - a = d (mod a), c = b
+       gives a + a3 + a4 = a3 + a4 (mod a), c = a4 gives sigma + a3 and
+       c = a3 gives sigma + a4.  On a sum line all four are fixed, so
+       each pair that meets P4 and P3 costs at most eight remainders.
+    6. m3 and m4 carry g: m3 = -a4 (mod a3) and m4 = -a3 (mod a4), so g
+       divides both, and every sum line has sigma = 0 (mod g).  When
+       g > 1, a single pair {m3, sigma - m3} and a member-line pair each
+       have three weights that share g, m3 or m4 with a3 and a4, so they
+       are skipped without a test.  On a whole sum line,
+       gcd(a1, a3, a4) = gcd(a1, g) and gcd(a2, a3, a4) = gcd(a2, g),
+       which is gcd(a1, g) again since g divides sigma: the two tests are
+       the one gcd(a1, g) = 1, that is gcd(a1*a2, g) = 1.
+    7. No pair meets P4 when a4 > 3*a3: then d - a4 = sigma + a3 < a4,
        and every other d - c lies strictly between a4 and 2*a4.  So the
        loop over a4 stops at 3*a3.
 
-    So each pair meeting P4 and P3 is yielded once, and the work is one
-    step per pair (a3, a4) and per sum line, plus one per yielded pair:
-    O(a4_bound**2) plus the output, where a scan of the triples (a1, a2,
-    a3) is O(a4_bound**3).
+    So each pair meeting the four vertex conditions with
+    gcd(a1*a2, g) = 1 is yielded once.  The work is one step per pair
+    (a3, a4) and per sum line, plus the tests of step 5 on each pair of a
+    whole sum line and, when g = 1, on the single pairs and the member
+    line: O(a4_bound**2) plus at most one test per pair meeting P4 and
+    P3, where a scan of the triples (a1, a2, a3) is O(a4_bound**3).  At
+    bound 40, 1,642 pairs are tested and 99 yielded, of which 95 pass
+    the two tests left and go through the walk and the criterion.
 
     The result is monotone in the bound; a4_bound >= 33 is known to yield
     the complete list of 95 families (larger bounds add nothing, but that
@@ -194,15 +227,7 @@ def enumerate_families(a4_bound: int) -> list[Weights]:
     for a3 in range(1, a4_bound + 1):
         for a4 in range(a3, min(a4_bound, 3 * a3) + 1):
             for a1, a2 in _vertex_pairs(a3, a4):
-                d = a1 + a2 + a3 + a4
-                for a in (a2, a1):
-                    if (d % a and (d - a1) % a and (d - a2) % a
-                            and (d - a3) % a and (d - a4) % a):
-                        break
-                else:
-                    if (gcd(a1, a2, a3) > 1 or gcd(a1, a2, a4) > 1
-                            or gcd(a1, a3, a4) > 1 or gcd(a2, a3, a4) > 1):
-                        continue
+                if gcd(a1, a2, a3) == 1 and gcd(a1, a2, a4) == 1:
                     w = Weights(a1, a2, a3, a4)
                     if has_only_terminal_isolated_sings(w) and is_quasismooth_general(w):
                         out.append(w)

@@ -75,11 +75,12 @@ def test_vertex_pruning_is_sound():
     assert not has_only_terminal_isolated_sings(w)
 
 
-def test_vertex_pairs_are_the_pairs_meeting_p4_and_p3():
-    # _vertex_pairs solves the two conditions on sum lines and member lines;
-    # a scan of every (a1, a2) is the reference, each pair yielded once.
-    # a3 = 1 makes every residue mod a3 zero, and a3 = a4 has the member
-    # m4 = a3 rather than a4 - a3
+def test_vertex_pairs_meet_the_four_vertex_tests_and_share_nothing_with_a3_a4():
+    # _vertex_pairs solves the four conditions and the shared factor of a3
+    # and a4 on sum lines and member lines; a scan of every (a1, a2) is the
+    # reference, each pair yielded once.  a3 = 1 makes every residue mod a3
+    # zero, and a3 = a4 has the member m4 = a3 rather than a4 - a3; README's
+    # figure is the total
     total = 0
     for a4 in range(1, 41):
         for a3 in range(1, a4 + 1):
@@ -87,11 +88,14 @@ def test_vertex_pairs_are_the_pairs_meeting_p4_and_p3():
                 (a1, a2)
                 for a1 in range(1, a3 + 1)
                 for a2 in range(a1, a3 + 1)
-                if passes_at_vertex(a4, ws := (a1, a2, a3, a4)) and passes_at_vertex(a3, ws)
+                if meets_vertex_conditions(a1, a2, a3, a4) and gcd(a1 * a2, gcd(a3, a4)) == 1
             ]
             assert sorted(_vertex_pairs(a3, a4)) == expected, (a3, a4)
             total += len(expected)
-    assert total == 3230
+    assert total == 99
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    figure = re.search(r"yields (\d+) pairs\s+at bound 40", readme)
+    assert figure and int(figure.group(1)) == total
 
 
 @pytest.mark.parametrize("bound, count", [(20, 87), (40, 95)])
