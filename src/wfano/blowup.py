@@ -40,22 +40,6 @@ from math import lcm
 from .core import InputError, QuotientSingularityType, Weights, anticanonical_cube
 
 
-class DimensionMismatchError(ValueError):
-    """A divisor class has the wrong number of exceptional coefficients."""
-
-
-class UnderdeterminedError(InputError):
-    """The decompositions do not pin down the full Gram matrix."""
-
-
-class InconsistentError(InputError):
-    """The decompositions contradict the triple products."""
-
-
-class NotSymmetricError(ValueError):
-    """Definiteness is only defined for symmetric matrices."""
-
-
 @dataclass(frozen=True)
 class Tower:
     """Blow ups over `base`, the i-th at a point of type `centers[i]`."""
@@ -77,7 +61,7 @@ class DivisorClass:
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         if len(self.e_coeffs) != len(other.e_coeffs):
-            raise DimensionMismatchError("adding classes of different towers")
+            raise ValueError("adding classes of different towers")
         return DivisorClass(
             self.k_coeff + other.k_coeff,
             tuple(a + b for a, b in zip(self.e_coeffs, other.e_coeffs)),
@@ -95,7 +79,7 @@ def anticanonical_class(tower: Tower) -> DivisorClass:
 
 def _check_dim(tower: Tower, dc: DivisorClass):
     if len(dc.e_coeffs) != len(tower.centers):
-        raise DimensionMismatchError(
+        raise ValueError(
             f"class has {len(dc.e_coeffs)} exceptional coefficients, "
             f"tower has {len(tower.centers)} centers"
         )
@@ -163,7 +147,7 @@ class GramProblem:
         for r in self.restrictions:
             _check_dim(self.tower, r.divisor)
             if len(r.coefficients) != len(self.curves):
-                raise DimensionMismatchError(
+                raise ValueError(
                     f"decomposition has {len(r.coefficients)} coefficients "
                     f"for {len(self.curves)} curves"
                 )
@@ -222,9 +206,10 @@ def solve_gram(problem: GramProblem) -> tuple[tuple[Fraction, ...], ...]:
     the rank of the linear system in the n(n+1)/2 entries G_ij (i <= j)
     with one equation per pair s <= t.  R is symmetric, so it lies in the
     image iff its columns lie in that of N: iff the rows past rank r of the
-    eliminated [N | P] are zero on the right.  So an InconsistentError is
-    tested first, then n(n+1)/2 - r(r+1)/2 entries stay free.  When r = n
-    the second system is consistent and G comes out symmetric.
+    eliminated [N | P] are zero on the right.  So inconsistency is tested
+    first, then n(n+1)/2 - r(r+1)/2 entries stay free.  Either one raises
+    an InputError that says which, and how many entries stay free.  When
+    r = n the second system is consistent and G comes out symmetric.
     """
     n, rs = len(problem.curves), problem.restrictions
     den, dw = _form(problem.tower)
@@ -243,9 +228,9 @@ def solve_gram(problem: GramProblem) -> tuple[tuple[Fraction, ...], ...]:
     pivots = [p for p, _ in _bareiss(mat, n)]
     rank, unknowns = len(pivots), n * (n + 1) // 2
     if any(any(row[n:]) for row in mat[rank:]):
-        raise InconsistentError("decompositions contradict the triple products")
+        raise InputError("decompositions contradict the triple products")
     if rank < n:
-        raise UnderdeterminedError(
+        raise InputError(
             f"{unknowns - rank * (rank + 1) // 2} of {unknowns} Gram entries stay free"
         )
     det = pivots[-1] if pivots else 1
@@ -269,11 +254,11 @@ def is_negative_definite(matrix) -> bool:
     own.  Entries are int or Fraction, read as given."""
     n = len(matrix)
     if any(len(row) != n for row in matrix):
-        raise NotSymmetricError("matrix is not square")
+        raise ValueError("matrix is not square")
     for i in range(n):
         for j in range(i + 1, n):
             if matrix[i][j] != matrix[j][i]:
-                raise NotSymmetricError(f"entries ({i},{j}) and ({j},{i}) differ")
+                raise ValueError(f"entries ({i},{j}) and ({j},{i}) differ")
     rank = 0
     for minor, swapped in _bareiss([_over_lcm(row)[1] for row in matrix], n):
         if swapped or (minor if rank % 2 else -minor) <= 0:

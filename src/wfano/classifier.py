@@ -47,30 +47,8 @@ from .core import anticanonical_cube, normalize_singularity
 from .singularities import basket, singular_points, stratum_points, type_counts
 
 
-class TableSyntaxError(PositionedError):
-    """A dataset line that does not match the grammar; 1-based position."""
-
-
-class DuplicateGimelError(InputError):
-    pass
-
-
-class MissingGimelError(InputError):
-    pass
-
-
 class UnknownGimelError(InputError):
     pass
-
-
-class InadmissibleRecordError(InputError):
-    """A dataset record whose weights the singular-point walk rejects: a
-    vertex with no eliminator, a stratum curve inside the general member,
-    or a quotient point that is not terminal."""
-
-
-class NotApplicableError(ValueError):
-    """A counting rule does not apply to the weight system it was given."""
 
 
 # the one pencil count that is not a number; the parser and
@@ -217,12 +195,11 @@ _SCALARS = ("weights", "degree", "kcube", "invariant", "ell", "pencils")
 def parse_table(source: str) -> list[FamilyRecord]:
     """Parse dataset text into records, gimel-sorted.
 
-    Raises TableSyntaxError with a 1-based line/column on malformed input
-    (including a weight system that is not positive and ascending, a row
-    type that is not a terminal 1/r(1,a,r-a), and a locus listed twice in
-    one record),
-    DuplicateGimelError on repeated family numbers, MissingGimelError when
-    no record is present at all; all three are InputErrors.
+    Raises PositionedError, an InputError with a 1-based line/column, on
+    malformed input: among others a weight system that is not positive and
+    ascending, a row type that is not a terminal 1/r(1,a,r-a), a locus
+    listed twice in one record, a family number that appears twice (at
+    its second `family` line) and a text with no record at all (at 1:1).
     """
     records: dict[int, FamilyRecord] = {}
     current: dict | None = None
@@ -230,9 +207,7 @@ def parse_table(source: str) -> list[FamilyRecord]:
     def finish(cur):
         for field in _SCALARS:
             if field not in cur:
-                raise TableSyntaxError(cur["line"], 1, f"{field} for family {cur['gimel']}")
-        if cur["gimel"] in records:
-            raise DuplicateGimelError(f"family {cur['gimel']} appears twice")
+                raise PositionedError(cur["line"], 1, f"{field} for family {cur['gimel']}")
         records[cur["gimel"]] = FamilyRecord(
             gimel=cur["gimel"],
             weights=cur["weights"],
@@ -245,13 +220,16 @@ def parse_table(source: str) -> list[FamilyRecord]:
         )
 
     for lineno, raw in content_lines(source):
-        cur = LineCursor(lineno, raw, error=TableSyntaxError)
+        cur = LineCursor(lineno, raw)
         key, col = cur.next_token("keyword")
         if key == "family":
+            gcol = cur.next_col()
             gimel = cur.next_int("family number")
             cur.expect_end()
             if current is not None:
                 finish(current)
+            if gimel in records:
+                cur.fail(f"new family number (family {gimel} appears twice)", gcol)
             current = {"gimel": gimel, "line": lineno, "rows": []}
             continue
         if current is None:
@@ -279,7 +257,7 @@ def parse_table(source: str) -> list[FamilyRecord]:
     if current is not None:
         finish(current)
     if not records:
-        raise MissingGimelError("dataset contains no family records")
+        raise PositionedError(1, 1, "family record")
     return [records[g] for g in sorted(records)]
 
 
@@ -314,7 +292,7 @@ def _load(path: str | None) -> tuple[FamilyRecord, ...]:
             for _point in singular_points(rec.weights):
                 pass
         except NonTerminalError as exc:
-            raise InadmissibleRecordError(f"family {rec.gimel}: {exc}") from exc
+            raise InputError(f"family {rec.gimel}: {exc}") from exc
     return records
 
 
@@ -322,8 +300,10 @@ def load_families() -> tuple[FamilyRecord, ...]:
     """The dataset records, cached per file: the file the WFANO_DATA
     environment variable names, or else the packaged one.  Each record's
     weights are walked once, as `basket` walks them; the first record that
-    is not an admissible family rejects the dataset with an
-    InadmissibleRecordError, `family N: ` and the walk's reason."""
+    is not an admissible family rejects the dataset with an InputError,
+    `family N: ` and the walk's reason: a vertex with no eliminator, a
+    stratum curve inside the general member, or a quotient point that is
+    not terminal."""
     return _load(os.environ.get("WFANO_DATA") or None)
 
 
@@ -366,19 +346,6 @@ def type_iv_presentation(w: Weights) -> tuple[int, int] | str:
     return j, total // a[j]
 
 
-def type_iii_point_count(w: Weights) -> int:
-    """Number of distinguished 1/a1(1,1,a1-1) points for the three families
-    with a1 = a2 != 1 and a3 = a1 + 1, read from the singular-point walk.
-
-    They are the points of the P1P2 line of P(1,a,a,a+1,a4) on the general
-    member: the line meets it in d/a = (3a + a4 + 1)/a points.  When a does
-    not divide d, the line lies inside the member, a NonTerminalError.
-    """
-    if not is_type_iii(w):
-        raise NotApplicableError(f"{w} is not of the a1=a2, a3=a1+1 shape")
-    return stratum_points(w.ambient, w.degree, 1, 2)
-
-
 def is_type_iii(w: Weights) -> bool:
     return w.a1 == w.a2 != 1 and w.a3 == w.a1 + 1
 
@@ -398,7 +365,8 @@ def halphen_pencils(rec: FamilyRecord) -> HalphenAnswer:
     if w.a2 == 1:
         return HalphenAnswer(())
     if is_type_iii(w):
-        r = type_iii_point_count(w)
+        # the distinguished 1/a(1,1,a-1) points: the P1P2 line meets the member in d/a
+        r = stratum_points(w.ambient, w.degree, 1, 2)
         pencils = [
             PencilDescriptor(
                 PencilKind.TYPE_III_P,

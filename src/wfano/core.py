@@ -13,9 +13,11 @@ from math import gcd
 
 
 class InputError(ValueError):
-    """Bad input: malformed dataset or tower text, an unknown family, or a
-    dataset record that is not an admissible family.  The command line
-    reports it and exits 2; every other error is a bug."""
+    """Bad input: malformed dataset or tower text, an unknown family, a
+    dataset record that is not an admissible family, or a Gram block with
+    no unique solution.  The library raises it as is, or as a subclass
+    where a caller catches that case by name.  The command line reports
+    it and exits 2; every other error is a bug."""
 
 
 class NonTerminalError(ValueError):

@@ -25,10 +25,6 @@ class BasketEntry:
     sing_type: QuotientSingularityType
     locus: str
 
-    def __post_init__(self):
-        if self.count < 1:
-            raise ValueError(f"count must be positive, got {self.count}")
-
     def __str__(self):
         return f"{self.count} x {self.sing_type} at {self.locus}"
 

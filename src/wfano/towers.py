@@ -79,7 +79,6 @@ class TowerSpec:
     """A parsed description: the tower, named classes, requested triples,
     and the optional Gram problem."""
 
-    gimel: int | None
     tower: Tower
     classes: dict[str, DivisorClass]
     triples: tuple[tuple[str, str, str], ...]
@@ -118,7 +117,6 @@ def _defined_class(cur: LineCursor, classes: dict[str, DivisorClass]) -> str:
 
 
 def parse_tower_text(source: str) -> TowerSpec:
-    gimel: int | None = None
     base: Weights | None = None
     centers: list[QuotientSingularityType] = []
     classes: dict[str, DivisorClass] = {}
@@ -266,7 +264,7 @@ def parse_tower_text(source: str) -> TowerSpec:
         gram = GramProblem(
             tower, classes[surface_name], tuple(curve_names), tuple(restrictions.values())
         )
-    return TowerSpec(gimel, tower, classes, tuple(triples), gram)
+    return TowerSpec(tower, classes, tuple(triples), gram)
 
 
 def evaluate(spec: TowerSpec) -> TowerEvaluation:

@@ -5,21 +5,17 @@ import pytest
 from hypothesis import assume, example, given, strategies as st
 
 from wfano.blowup import (
-    DimensionMismatchError,
     DivisorClass,
     GramProblem,
-    InconsistentError,
-    NotSymmetricError,
     Restriction,
     Tower,
-    UnderdeterminedError,
     anticanonical_class,
     is_negative_definite,
     neg_k_cube,
     solve_gram,
     triple,
 )
-from wfano.core import QuotientSingularityType, Weights, anticanonical_cube
+from wfano.core import InputError, QuotientSingularityType, Weights, anticanonical_cube
 from wfano.towers import FIXTURES, evaluate, load_fixture
 
 F = Fraction
@@ -63,10 +59,10 @@ def test_known_chain_values():
 
 def test_dimension_mismatch():
     tower = chain((1, 2, 3, 5), (2, 1))
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(ValueError, match="0 exceptional coefficients, tower has 1 centers"):
         triple(tower, DivisorClass.of(1), DivisorClass.of(1, 0), DivisorClass.of(1, 0))
     # classes over towers with different numbers of centers do not add
-    with pytest.raises(DimensionMismatchError, match="different towers"):
+    with pytest.raises(ValueError, match="different towers"):
         DivisorClass.of(1, 0) + DivisorClass.of(1)
 
 
@@ -146,7 +142,7 @@ def test_solve_gram_known_matrix():
 def test_solve_gram_underdetermined():
     tower, s, t = gram_13()
     problem = GramProblem(tower, s, ("C", "L"), (Restriction(s, (F(1), F(1))),))
-    with pytest.raises(UnderdeterminedError) as e:
+    with pytest.raises(InputError) as e:
         solve_gram(problem)
     assert str(e.value) == "2 of 3 Gram entries stay free"
 
@@ -160,7 +156,7 @@ def test_solve_gram_zero_column():
         tower, s, ("Z", "C", "L"),
         (Restriction(s, (F(0), F(2), F(3))), Restriction(t, (F(0), F(1), F(2)))),
     )
-    with pytest.raises(UnderdeterminedError) as e:
+    with pytest.raises(InputError) as e:
         solve_gram(problem)
     assert str(e.value) == "3 of 6 Gram entries stay free"
 
@@ -174,7 +170,7 @@ def test_solve_gram_rank_deficient_and_inconsistent():
         tower, s, ("C", "L"),
         (Restriction(s, (F(1), F(1))), Restriction(s, (F(2), F(2)))),
     )
-    with pytest.raises(InconsistentError) as e:
+    with pytest.raises(InputError) as e:
         solve_gram(problem)
     assert str(e.value) == "decompositions contradict the triple products"
 
@@ -190,7 +186,7 @@ def test_solve_gram_inconsistent():
             Restriction(t, (F(0), F(1))),
         ),
     )
-    with pytest.raises(InconsistentError) as e:
+    with pytest.raises(InputError) as e:
         solve_gram(problem)
     assert str(e.value) == "decompositions contradict the triple products"
 
@@ -212,9 +208,9 @@ def test_solve_gram_more_restrictions_than_curves():
 
 def test_gram_problem_dimension_checks():
     tower, s, t = gram_13()
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(ValueError, match="decomposition has 2 coefficients for 1 curves"):
         GramProblem(tower, s, ("C",), (Restriction(s, (F(1), F(1))),))
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(ValueError, match="0 exceptional coefficients, tower has 2 centers"):
         GramProblem(tower, DivisorClass.of(1), ("C",), ())
 
 
@@ -226,9 +222,9 @@ def test_negative_definite_cases():
     assert not is_negative_definite(((F(-1), F(2)), (F(2), F(-1))))
     # negative SEMI-definite must be rejected too
     assert not is_negative_definite(((F(-1), F(1)), (F(1), F(-1))))
-    with pytest.raises(NotSymmetricError):
+    with pytest.raises(ValueError, match=r"entries \(0,1\) and \(1,0\) differ"):
         is_negative_definite(((F(-1), F(2)), (F(1), F(-1))))
-    with pytest.raises(NotSymmetricError, match="not square"):
+    with pytest.raises(ValueError, match="not square"):
         is_negative_definite(((F(-1), F(0)),))
 
 
@@ -239,7 +235,7 @@ def test_negative_definite_reads_int_entries_as_given():
     verdicts = [is_negative_definite(m) for m in cases]
     assert verdicts == [True, False, False, False, True, True]
     assert verdicts == [is_negative_definite([[F(x) for x in row] for row in m]) for m in cases]
-    with pytest.raises(NotSymmetricError):
+    with pytest.raises(ValueError, match=r"entries \(0,1\) and \(1,0\) differ"):
         is_negative_definite(((-1, 2), (1, -1)))
 
 
@@ -376,9 +372,9 @@ def kronecker_gram(problem):
                 rows[r] = [x - f * y for x, y in zip(rows[r], top)]
         rank += 1
     if any(row[m] for row in rows[rank:]):
-        raise InconsistentError("decompositions contradict the triple products")
+        raise InputError("decompositions contradict the triple products")
     if rank < m:
-        raise UnderdeterminedError(f"{m - rank} of {m} Gram entries stay free")
+        raise InputError(f"{m - rank} of {m} Gram entries stay free")
     gram = [[F(0)] * n for _ in range(n)]
     for k, (i, j) in enumerate(unknowns):
         gram[i][j] = gram[j][i] = rows[k][m]
@@ -419,8 +415,8 @@ def gram_problems(draw):
 def outcome(solve, problem):
     try:
         return solve(problem)
-    except (InconsistentError, UnderdeterminedError) as e:
-        return type(e), str(e)
+    except InputError as e:  # the message names the failure and its count
+        return str(e)
 
 
 @given(gram_problems())

@@ -14,12 +14,7 @@ from wfano.classifier import (
     QI,
     TYPE_IV_GIMELS,
     TYPE_V_GIMEL,
-    DuplicateGimelError,
-    InadmissibleRecordError,
-    MissingGimelError,
-    NotApplicableError,
     PencilKind,
-    TableSyntaxError,
     UnknownGimelError,
     derived_type_iv_set,
     family,
@@ -28,12 +23,13 @@ from wfano.classifier import (
     load_families,
     parse_table,
     serialize_table,
-    type_iii_point_count,
     type_iv_presentation,
     verify_family,
 )
-from wfano.core import NonTerminalError, QuotientSingularityType, Weights
+from wfano._linescan import PositionedError
+from wfano.core import InputError, NonTerminalError, QuotientSingularityType, Weights
 from wfano.enumerator import is_quasismooth
+from wfano.singularities import stratum_points
 
 # families that carry the distinguished index of a second pencil yet
 # have a single one
@@ -74,33 +70,33 @@ def test_parse_single_record():
 
 
 def test_parse_errors_are_positioned():
-    with pytest.raises(TableSyntaxError) as e:
+    with pytest.raises(PositionedError) as e:
         parse_table("family 18\nweights 2 2 X 5\n")
     assert (e.value.line, e.value.col) == (2, 13)
     assert e.value.expected == "weight"
 
-    with pytest.raises(TableSyntaxError) as e:
+    with pytest.raises(PositionedError) as e:
         parse_table("weights 1 2 3 4\n")
     assert e.value.line == 1
     assert e.value.expected == "family"
 
-    with pytest.raises(TableSyntaxError) as e:
+    with pytest.raises(PositionedError) as e:
         parse_table(RECORD + "family 19\nweights 1 2 3 4\n")
     assert e.value.expected.startswith("degree for family 19")
 
-    with pytest.raises(TableSyntaxError) as e:
+    with pytest.raises(PositionedError) as e:
         parse_table(RECORD.replace("pencils 7", "pencils seven"))
     assert e.value.expected == "count or 'infinite'"
 
-    with pytest.raises(TableSyntaxError) as e:
+    with pytest.raises(PositionedError) as e:
         parse_table(RECORD.replace("1/5(1,2,3)", "1/5(1,2)"))
     assert e.value.expected == "type like 1/5(1,2,3)"
 
-    with pytest.raises(TableSyntaxError) as e:
+    with pytest.raises(PositionedError) as e:
         parse_table(RECORD + "degree 13\n")
     assert e.value.expected == "degree only once per family"
 
-    with pytest.raises(TableSyntaxError) as e:
+    with pytest.raises(PositionedError) as e:
         parse_table(RECORD + "bogus 13\n")
     assert e.value.expected.startswith("one of family/row")
 
@@ -129,7 +125,7 @@ COUNT, LOCUS = "count like 3x", "locus label like P4 or P2P3"
          "no-locus", "no-kcube", "no-involution-text", "trailing-token", "unknown-annotation"],
 )
 def test_malformed_rows_are_positioned(old, new, line, col, expected):
-    with pytest.raises(TableSyntaxError) as e:
+    with pytest.raises(PositionedError) as e:
         parse_table(RECORD.replace(old, new))
     assert (e.value.line, e.value.col, e.value.expected) == (line, col, expected)
 
@@ -147,7 +143,7 @@ def test_malformed_rows_are_positioned(old, new, line, col, expected):
 )
 def test_non_terminal_row_type_is_positioned(bad, reason):
     # a row is checked where it is read, at its type column
-    with pytest.raises(TableSyntaxError) as e:
+    with pytest.raises(PositionedError) as e:
         parse_table(RECORD.replace("1/5(1,2,3)", bad))
     assert (e.value.line, e.value.col, e.value.expected) == (9, 11, f"terminal type ({reason})")
 
@@ -177,21 +173,28 @@ def test_padded_count_still_parses():
 def test_integers_are_ascii(old, new, line, col, expected):
     # '²' passes str.isdigit but not int(); '\u0661' (ARABIC-INDIC DIGIT
     # ONE) matches a plain regex \d, and int() reads it
-    with pytest.raises(TableSyntaxError) as e:
+    with pytest.raises(PositionedError) as e:
         parse_table(RECORD.replace(old, new))
     assert (e.value.line, e.value.col, e.value.expected) == (line, col, expected)
 
 
 def test_parse_rejects_duplicates():
-    with pytest.raises(DuplicateGimelError):
+    # a repeated family fails at its own `family` line, at the number, once
+    # the record before it is filed: here that record is the first family 18
+    with pytest.raises(PositionedError) as e:
         parse_table(RECORD + "\n" + RECORD)
-    with pytest.raises(TableSyntaxError):
+    assert (e.value.line, e.value.col) == (13, 8)
+    assert str(e.value) == "13:8: expected new family number (family 18 appears twice)"
+    with pytest.raises(PositionedError) as e:
         parse_table(RECORD.replace("ell 1\n", "ell 1\nell 2\n"))
+    assert (e.value.line, e.value.col, e.value.expected) == (8, 1, "ell only once per family")
 
 
 def test_parse_empty_is_missing():
-    with pytest.raises(MissingGimelError):
+    # no record at all fails at 1:1, as a tower text with no header does
+    with pytest.raises(PositionedError) as e:
         parse_table("# nothing here\n\n")
+    assert str(e.value) == "1:1: expected family record"
 
 
 def test_roundtrip_identity():
@@ -233,6 +236,11 @@ def test_type_iv_presentation_examples():
     )
 
 
+def type_iii_point_count(w):
+    # the count `halphen_pencils` reads for a type-III family
+    return stratum_points(w.ambient, w.degree, 1, 2)
+
+
 def test_type_iii_point_count():
     assert type_iii_point_count(Weights(2, 2, 3, 5)) == 6
     assert type_iii_point_count(Weights(3, 3, 4, 11)) == 7
@@ -242,8 +250,6 @@ def test_type_iii_point_count():
         for a4 in range(a + 1, 60):
             if (3 * a + a4 + 1) % a == 0:
                 assert type_iii_point_count(Weights(a, a, a + 1, a4)) == (3 * a + a4 + 1) // a
-    with pytest.raises(NotApplicableError):
-        type_iii_point_count(Weights(1, 2, 3, 5))
     # the right shape, but d = 11 is odd: the P1P2 line lies inside the member
     with pytest.raises(NonTerminalError, match="stratum P1P2 lies inside"):
         type_iii_point_count(Weights(2, 2, 3, 4))
@@ -252,10 +258,11 @@ def test_type_iii_point_count():
 def test_count_formula_check_survives_optimize():
     # python -O strips asserts; the check must not be one
     code = (
-        "from wfano.classifier import type_iii_point_count\n"
         "from wfano.core import NonTerminalError, Weights\n"
+        "from wfano.singularities import stratum_points\n"
+        "w = Weights(2, 2, 3, 4)\n"
         "try:\n"
-        "    type_iii_point_count(Weights(2, 2, 3, 4))\n"
+        "    stratum_points(w.ambient, w.degree, 1, 2)\n"
         "except NonTerminalError:\n"
         "    raise SystemExit(0)\n"
         "raise SystemExit(1)\n"
@@ -478,7 +485,7 @@ def test_loading_rejects_inadmissible_weights(tmp_path, monkeypatch):
     bad.write_text(text)
     monkeypatch.setenv("WFANO_DATA", str(bad))
     message = "family 18: 1/5(3,4,4) admits no terminal presentation"
-    with pytest.raises(InadmissibleRecordError) as info:
+    with pytest.raises(InputError) as info:
         load_families()
     assert str(info.value) == message
     assert isinstance(info.value.__cause__, NonTerminalError)

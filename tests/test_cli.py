@@ -4,7 +4,7 @@ from importlib import resources
 import pytest
 
 from wfano import classifier
-from wfano.classifier import FamilyRecord, NotApplicableError, verify_family
+from wfano.classifier import FamilyRecord, verify_family
 from wfano.cli import main
 from wfano.core import NonTerminalError, Weights, anticanonical_cube
 from wfano.enumerator import enumerate_families, has_only_terminal_isolated_sings, is_quasismooth_general
@@ -285,9 +285,7 @@ def test_enumerate_rejects_bad_bound(capsys, bound):
     assert "--bound" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "error", [NotApplicableError, ValueError], ids=["NotApplicableError", "ValueError"]
-)
+@pytest.mark.parametrize("error", [ValueError], ids=["ValueError"])
 def test_internal_error_is_not_bad_input(capsys, monkeypatch, error):
     # family 13 is admissible, so a counting rule that fails on it is a bug
     def broken(rec):

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,15 +10,10 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import wfano
-from wfano.blowup import InconsistentError, NotSymmetricError, UnderdeterminedError
-from wfano.classifier import (
-    DuplicateGimelError,
-    InadmissibleRecordError,
-    MissingGimelError,
-    NotApplicableError,
-    TableSyntaxError,
-    UnknownGimelError,
+from wfano.blowup import (
+    DivisorClass, GramProblem, Restriction, Tower, is_negative_definite, solve_gram,
 )
+from wfano.classifier import UnknownGimelError, family, load_families, parse_table, serialize_table
 from wfano.core import (
     InputError,
     NonTerminalError,
@@ -40,16 +36,43 @@ def test_weights_validation():
         Weights(True, True, True, True)  # a bool is an int, but no weight
 
 
-def test_one_class_of_bad_input():
-    # the command line exits 2 on exactly these; every other error is a bug
-    for bad_input in (
-        TableSyntaxError, TowerSpecError, DuplicateGimelError, MissingGimelError,
-        UnknownGimelError, InadmissibleRecordError, InconsistentError, UnderdeterminedError,
-    ):
-        assert issubclass(bad_input, InputError), bad_input
+def test_one_class_of_bad_input(tmp_path, monkeypatch):
+    # the command line exits 2 on exactly the InputErrors; every other error is a bug
+    record = serialize_table([family(13)])
+    tower = Tower(Weights(1, 2, 3, 5), (QuotientSingularityType(2, 1),))
+    s = DivisorClass.of(1, Fraction(-1, 2))
+    one = Restriction(s, (Fraction(1), Fraction(1)))
+
+    def gram(*restrictions):
+        return lambda: solve_gram(GramProblem(tower, s, ("C", "L"), restrictions))
+
+    inadmissible = tmp_path / "data.txt"
+    inadmissible.write_text(record.replace("weights 1 2 3 5", "weights 3 4 4 5"))
+    monkeypatch.setenv("WFANO_DATA", str(inadmissible))
+    bad_input = [
+        (lambda: parse_table(record + record), "family 13 appears twice"),
+        (lambda: parse_table("# no record\n"), "1:1: expected family record"),
+        (load_families, "family 13: 1/5(3,4,4) admits no terminal presentation"),
+        (gram(one), "2 of 3 Gram entries stay free"),
+        (gram(one, Restriction(s, (Fraction(2), Fraction(2)))),
+         "decompositions contradict the triple products"),
+    ]
+    for call, message in bad_input:
+        with pytest.raises(InputError, match=re.escape(message)):
+            call()
+    for cls in (TowerSpecError, UnknownGimelError):
+        assert issubclass(cls, InputError), cls
     assert not issubclass(UnknownGimelError, KeyError)
-    for bug in (NonTerminalError, NotApplicableError, NotSymmetricError):
-        assert not issubclass(bug, InputError), bug
+
+    bugs = [
+        (ValueError, lambda: DivisorClass.of(1, 0) + DivisorClass.of(1), "different towers"),
+        (ValueError, lambda: is_negative_definite(((Fraction(-1), Fraction(0)),)), "not square"),
+        (NonTerminalError, lambda: normalize_singularity(5, 1, 1, 1), "no terminal presentation"),
+    ]
+    for error, call, message in bugs:
+        with pytest.raises(error, match=message) as e:
+            call()
+        assert not isinstance(e.value, InputError), e.value
 
 
 def test_weights_str_and_degree():

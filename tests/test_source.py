@@ -2,7 +2,7 @@
 import ast
 import re
 import textwrap
-from importlib import resources
+from importlib import import_module, resources
 from pathlib import Path
 
 import wfano
@@ -111,3 +111,31 @@ def test_public_names_without_a_library_caller():
     unused = {f"{stem}.{name}" for stem, name in defined
               if not name.startswith("_") and name not in used}
     assert unused == set(UNREFERENCED)
+
+
+# Exception classes that no `except` clause in the library names, each with why it stays
+UNCAUGHT = {
+    "_linescan.PositionedError": "it carries `line`, `col` and `expected`, "
+                                 "and the dataset parser raises it as is",
+}
+
+
+def test_exception_classes_have_a_catcher():
+    # a subclass that no caller catches by name adds a type and no behaviour:
+    # the raise site raises its base instead, with the same message
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"), str(p)) for p in SOURCES}
+    errors = {
+        f"{stem}.{node.name}"
+        for stem, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        and issubclass(getattr(import_module(f"wfano.{stem}"), node.name), BaseException)
+    }
+    caught = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                caught |= {t.attr if isinstance(t, ast.Attribute) else t.id for t in types}
+    assert {"core.InputError", "core.NonTerminalError"} <= errors
+    assert {e for e in errors if e.split(".")[1] not in caught} == set(UNCAUGHT)

@@ -4,8 +4,8 @@ from importlib import resources
 import pytest
 
 from wfano import towers
-from wfano.blowup import UnderdeterminedError
-from wfano.core import Weights
+from wfano.classifier import family, load_families
+from wfano.core import InputError, Weights
 from wfano.singularities import singular_points
 from wfano.towers import FIXTURES, TowerSpecError, evaluate, load_fixture, parse_tower_text
 
@@ -26,7 +26,6 @@ restrict T = L
 
 def test_parse_and_evaluate():
     spec = parse_tower_text(GOOD)
-    assert spec.gimel is None
     assert spec.tower.base == Weights(1, 2, 3, 5)
     assert len(spec.tower.centers) == 2
     ev = evaluate(spec)
@@ -41,7 +40,6 @@ def test_parse_and_evaluate():
 
 def test_family_header_resolves_weights():
     spec = parse_tower_text("family 13\ncenter 3 1\ncenter 2 1\n")
-    assert spec.gimel == 13
     assert spec.tower.base == Weights(1, 2, 3, 5)
     assert evaluate(spec).neg_k_cube == Fraction(-3, 10)
 
@@ -78,7 +76,10 @@ def test_fixture_table_matches_the_packaged_files():
     folder = resources.files("wfano").joinpath("data/towers")
     shipped = {p.name.removesuffix(".tower") for p in folder.iterdir() if p.name.endswith(".tower")}
     assert sorted(f.name for f in FIXTURES) == sorted(shipped)
-    assert [load_fixture(f).gimel for f in FIXTURES] == [f.gimel for f in FIXTURES]
+    # the 95 weight systems are distinct, so a file's base names its family
+    assert len({rec.weights for rec in load_families()}) == 95
+    for f in FIXTURES:
+        assert load_fixture(f).tower.base == family(f.gimel).weights, f.name
 
 
 def scaled_restriction():
@@ -205,7 +206,7 @@ def test_underdetermined_payload_propagates():
         "weights 1 2 3 5\ncenter 2 1\nclass S 1 -1/2\n"
         "surface S\ncurves C L\nrestrict S = C + L\n"
     )
-    with pytest.raises(UnderdeterminedError):
+    with pytest.raises(InputError, match="2 of 3 Gram entries stay free"):
         evaluate(parse_tower_text(text))
 
 
