@@ -22,19 +22,19 @@ _TOKEN = re.compile(r"\S+")
 # ASCII only: `\d` alone matches any decimal digit, such as '\u0661', and
 # `str.isdigit` also accepts '²', which `int` rejects
 _INT = re.compile(r"\d+", re.ASCII)
+RATIONAL = r"(\d+)(?:/(0*[1-9]\d*))?"  # numerator, denominator; never zero
 
 
 class LineCursor:
     """Whitespace-separated token scanner over one line."""
 
-    def __init__(self, lineno: int, line: str, error=PositionedError):
+    def __init__(self, lineno: int, line: str):
         self.lineno = lineno
         self.line = line.rstrip()
         self.pos = 0
-        self._error = error
 
     def fail(self, expected: str, col: int | None = None):
-        raise self._error(self.lineno, self.pos + 1 if col is None else col, expected)
+        raise PositionedError(self.lineno, self.pos + 1 if col is None else col, expected)
 
     def next_col(self) -> int:
         """Skip whitespace; the 1-based column of the next token (one past
@@ -75,9 +75,6 @@ class LineCursor:
             return Weights(*ws)
         except ValueError as exc:
             self.fail(f"valid weights ({exc})", col)
-
-    def rest(self) -> str:
-        return self.line[self.pos:].strip()
 
     def at_end(self) -> bool:
         return _TOKEN.search(self.line, self.pos) is None

@@ -22,7 +22,8 @@ is read; one that is not terminal is a positioned syntax error:
 Annotations: `BC b c` records the auxiliary surface class -bK+cE attached
 to a blow up whose anticanonical cube goes negative, `QI`/`EI` record
 untwisting involution data (kept verbatim, no semantics attached), and an
-absent annotation means none is needed.
+absent annotation means none is needed.  Every field is one token, a
+`QI`/`EI` text included.
 
 Only `load_families` and `family` read the dataset, and loading rejects
 it whole when a record's weights are not an admissible family (see
@@ -41,7 +42,7 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
-from ._linescan import LineCursor, PositionedError, content_lines
+from ._linescan import RATIONAL, LineCursor, PositionedError, content_lines
 from .core import InputError, NonTerminalError, QuotientSingularityType, Weights
 from .core import anticanonical_cube, normalize_singularity
 from .singularities import basket, singular_points, stratum_points, type_counts
@@ -157,7 +158,7 @@ _LOCUS_RE = re.compile(r"P[1-4]|P1P[2-4]|P2P[34]|P3P4")  # edges ascend
 # numbers are ASCII digits: without re.ASCII, \d matches any decimal digit
 _TYPE_RE = re.compile(r"1/(\d+)\((\d+),(\d+),(\d+)\)", re.ASCII)
 _COUNT_RE = re.compile(r"(0*[1-9]\d*)x", re.ASCII)  # a locus carries at least one point
-_KCUBE_RE = re.compile(r"\d+(/0*[1-9]\d*)?", re.ASCII)
+_KCUBE_RE = re.compile(RATIONAL, re.ASCII)
 _PENCILS_RE = re.compile(rf"{INFINITE}|\d+", re.ASCII)
 
 
@@ -178,14 +179,11 @@ def _parse_row(cur: LineCursor, earlier: list[TableRow]) -> TableRow:
         tag, col = cur.next_token("annotation tag")
         if tag == "BC":
             annotation = BC(cur.next_int("integer b"), cur.next_int("integer c"))
-            cur.expect_end()
         elif tag in ("QI", "EI"):
-            text = cur.rest()
-            if not text:
-                cur.fail("involution text")
-            annotation = QI(text) if tag == "QI" else EI(text)
+            annotation = (QI if tag == "QI" else EI)(cur.next_token("involution text")[0])
         else:
             cur.fail("annotation BC/QI/EI", col)
+        cur.expect_end()
     return TableRow(locus, count, tuple(local), sing_type, annotation)
 
 

@@ -29,7 +29,9 @@ exceptional (one per center; fractions allowed).  The Gram block names a
 surface class, the base curves on it, and how each restricted class
 decomposes into those curves (`restrict T = 5L` means T.D = 5L).
 
-Parse failures raise TowerSpecError with a 1-based line and column.
+Every field is one whitespace-separated token; a `restrict` term is one
+token `[p/q]NAME`, and terms are joined by `+` tokens.  Parse failures
+raise PositionedError with a 1-based line and column.
 
 The package ships the `.tower` files of `FIXTURES` under ``data/towers/``,
 each with the values its evaluation must reproduce, computed once with
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
-from ._linescan import LineCursor, PositionedError, content_lines
+from ._linescan import RATIONAL, LineCursor, PositionedError, content_lines
 from .blowup import (
     DivisorClass,
     GramProblem,
@@ -56,22 +58,17 @@ from .blowup import (
     solve_gram,
     triple,
 )
-from .classifier import FamilyCheck, UnknownGimelError, family
+from .classifier import FamilyCheck, UnknownGimelError, family, load_families
 from .core import InputError, NonTerminalError, QuotientSingularityType, Weights
 from .singularities import singular_points
 
 
-class TowerSpecError(PositionedError):
-    """A tower description line that does not match the grammar."""
-
-
 # ASCII only: without re.ASCII, \d and \w match any decimal digit or letter
-_RATIONAL = r"(\d+)(?:/(0*[1-9]\d*))?"  # numerator, denominator; never zero
-_FRACTION_RE = re.compile(rf"(-?){_RATIONAL}", re.ASCII)
-_TRACK_RE = re.compile(rf"e(\d+)={_RATIONAL}", re.ASCII)
+_FRACTION_RE = re.compile(rf"(-?){RATIONAL}", re.ASCII)
+_TRACK_RE = re.compile(rf"e(\d+)={RATIONAL}", re.ASCII)
 _NAME_RE = re.compile(r"[A-Za-z]\w*", re.ASCII)
-_TERM_RE = re.compile(rf"(?:{_RATIONAL})?\s*([A-Za-z]\w*)", re.ASCII)
-_TRACK_TAG, _EQUALS = re.compile("track"), re.compile("=")
+_TERM_RE = re.compile(rf"(?:{RATIONAL})?([A-Za-z]\w*)", re.ASCII)
+_TRACK_TAG, _EQUALS, _PLUS = re.compile("track"), re.compile("="), re.compile(r"\+")
 
 
 @dataclass(frozen=True)
@@ -127,7 +124,7 @@ def parse_tower_text(source: str) -> TowerSpec:
     restrictions: dict[str, Restriction] = {}  # by the restricted class's name
 
     for lineno, raw in content_lines(source):
-        cur = LineCursor(lineno, raw, error=TowerSpecError)
+        cur = LineCursor(lineno, raw)
         key, kcol = cur.next_token("keyword")
 
         if key in ("family", "weights"):
@@ -153,7 +150,7 @@ def parse_tower_text(source: str) -> TowerSpec:
             cur.fail("family or weights header first", kcol)
 
         if key == "center":
-            if classes or triples or surface_name:
+            if classes:
                 cur.fail("centers before classes", kcol)
             rcol = cur.next_col()
             r, a = cur.next_int("index r"), cur.next_int("weight a")
@@ -230,19 +227,19 @@ def parse_tower_text(source: str) -> TowerSpec:
             if name in restrictions:
                 cur.fail(f"class {name} restricted once only", col)
             cur.next_match(_EQUALS, "=")
-            col, body = cur.next_col(), cur.rest()
-            if not body:
+            if cur.at_end():
                 cur.fail("curve decomposition")
             coeffs = {c: Fraction(0) for c in curve_names}
-            for part in body.split("+"):
-                term = part.strip()
+            while True:
+                term, col = cur.next_token("term like 5L or C")
                 m = _TERM_RE.fullmatch(term)
-                if not m or m.group(3) not in coeffs:
-                    col += len(part) - len(part.lstrip())
+                if not m or m[3] not in coeffs:
                     cur.fail(f"term like 5L or C (got {term!r})", col)
-                col += len(part) + 1
                 num, den, curve = m.groups()
                 coeffs[curve] += _rational(num, den) if num else 1
+                if cur.at_end():
+                    break
+                cur.next_match(_PLUS, "+")
             restrictions[name] = Restriction(classes[name], tuple(coeffs[c] for c in curve_names))
             continue
 
@@ -252,15 +249,15 @@ def parse_tower_text(source: str) -> TowerSpec:
         )
 
     if base is None:
-        raise TowerSpecError(1, 1, "family or weights header")
+        raise PositionedError(1, 1, "family or weights header")
     tower = Tower(base, tuple(centers))
 
     gram = None
     if gram_line is not None:
         if surface_name is None:
-            raise TowerSpecError(gram_line, 1, "surface line for the Gram block")
+            raise PositionedError(gram_line, 1, "surface line for the Gram block")
         if not restrictions:
-            raise TowerSpecError(gram_line, 1, "restrict lines for the Gram block")
+            raise PositionedError(gram_line, 1, "restrict lines for the Gram block")
         gram = GramProblem(
             tower, classes[surface_name], tuple(curve_names), tuple(restrictions.values())
         )
@@ -316,9 +313,10 @@ FIXTURES: tuple[TowerFixture, ...] = (
 
 def load_fixture(fixture: TowerFixture) -> TowerSpec:
     path = resources.files("wfano").joinpath(f"data/towers/{fixture.name}.tower")
+    load_families()  # so that the handler below sees only this file's errors
     try:
         return parse_tower_text(path.read_text())
-    except TowerSpecError as exc:
+    except PositionedError as exc:
         # a packaged file that does not fit the family the dataset gives it
         raise InputError(f"packaged {fixture.name}.tower:{exc}") from exc
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import wfano
+from wfano._linescan import PositionedError
 from wfano.blowup import (
     DivisorClass, GramProblem, Restriction, Tower, is_negative_definite, solve_gram,
 )
@@ -24,7 +25,6 @@ from wfano.core import (
     is_representable,
     normalize_singularity,
 )
-from wfano.towers import TowerSpecError
 
 
 def test_weights_validation():
@@ -60,7 +60,7 @@ def test_one_class_of_bad_input(tmp_path, monkeypatch):
     for call, message in bad_input:
         with pytest.raises(InputError, match=re.escape(message)):
             call()
-    for cls in (TowerSpecError, UnknownGimelError):
+    for cls in (PositionedError, UnknownGimelError):
         assert issubclass(cls, InputError), cls
     assert not issubclass(UnknownGimelError, KeyError)
 

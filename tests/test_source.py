@@ -1,5 +1,6 @@
 """Checks on the library's source text."""
 import ast
+import inspect
 import re
 import textwrap
 from importlib import import_module, resources
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import wfano
 from wfano import classifier, towers
-from wfano._linescan import content_lines
+from wfano._linescan import LineCursor, content_lines
 from wfano.classifier import family, parse_table
 from wfano.towers import FIXTURES, evaluate, load_fixture, parse_tower_text
 
@@ -114,10 +115,7 @@ def test_public_names_without_a_library_caller():
 
 
 # Exception classes that no `except` clause in the library names, each with why it stays
-UNCAUGHT = {
-    "_linescan.PositionedError": "it carries `line`, `col` and `expected`, "
-                                 "and the dataset parser raises it as is",
-}
+UNCAUGHT = {}
 
 
 def test_exception_classes_have_a_catcher():
@@ -139,3 +137,20 @@ def test_exception_classes_have_a_catcher():
                 caught |= {t.attr if isinstance(t, ast.Attribute) else t.id for t in types}
     assert {"core.InputError", "core.NonTerminalError"} <= errors
     assert {e for e in errors if e.split(".")[1] not in caught} == set(UNCAUGHT)
+
+
+def test_only_the_line_scanner_cuts_a_line():
+    # both line formats read every field as one `LineCursor` token, and the
+    # cursor raises one error class
+    cutters = {"split", "strip", "lstrip", "rstrip", "partition"}
+    readers = [p for p in SOURCES if p.name in ("classifier.py", "towers.py")]
+    assert len(readers) == 2
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in readers
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in cutters
+    ]
+    assert found == []
+    assert list(inspect.signature(LineCursor.__init__).parameters) == ["self", "lineno", "line"]

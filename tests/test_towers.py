@@ -4,10 +4,11 @@ from importlib import resources
 import pytest
 
 from wfano import towers
+from wfano._linescan import PositionedError
 from wfano.classifier import family, load_families
 from wfano.core import InputError, Weights
 from wfano.singularities import singular_points
-from wfano.towers import FIXTURES, TowerSpecError, evaluate, load_fixture, parse_tower_text
+from wfano.towers import FIXTURES, evaluate, load_fixture, parse_tower_text
 
 GOOD = """\
 # two blow ups over explicit weights
@@ -132,14 +133,14 @@ def test_fractional_decomposition_coefficients():
     ],
 )
 def test_positioned_errors(mangle, line, expected_part):
-    with pytest.raises(TowerSpecError) as e:
+    with pytest.raises(PositionedError) as e:
         parse_tower_text(mangle(GOOD))
     assert e.value.line == line
     assert expected_part in e.value.expected
 
 
 def test_track_error_is_at_the_center():
-    with pytest.raises(TowerSpecError) as e:
+    with pytest.raises(PositionedError) as e:
         parse_tower_text(GOOD.replace("e1=1/2", "e1=1/2 e1=1"))
     assert (e.value.line, e.value.col, e.value.expected) == (
         4, 8, "valid center (stage 1 tracked twice)"
@@ -147,7 +148,7 @@ def test_track_error_is_at_the_center():
 
 
 def test_center_integers_are_ascii():
-    with pytest.raises(TowerSpecError) as e:
+    with pytest.raises(PositionedError) as e:
         parse_tower_text(GOOD.replace("center 5 2", "center 5 \u00b2"))
     assert (e.value.line, e.value.col, e.value.expected) == (3, 10, "weight a")
 
@@ -167,24 +168,45 @@ NON_ASCII_IDS = ["track-multiplicity", "track-stage", "h-coefficient", "e-coeffi
 @pytest.mark.parametrize("old, new, line, col, expected", NON_ASCII_DIGITS, ids=NON_ASCII_IDS)
 def test_regex_numbers_are_ascii(old, new, line, col, expected):
     # '\u0661' (ARABIC-INDIC DIGIT ONE) matches a plain \d and int() reads it
-    with pytest.raises(TowerSpecError) as e:
+    with pytest.raises(PositionedError) as e:
         parse_tower_text(GOOD.replace(old, new))
     assert (e.value.line, e.value.col, e.value.expected) == (line, col, expected)
 
 
 def test_term_error_is_at_the_term():
-    with pytest.raises(TowerSpecError) as e:
+    with pytest.raises(PositionedError) as e:
         parse_tower_text(GOOD.replace("restrict T = L", "restrict T =  L + M"))
     assert (e.value.line, e.value.col) == (11, 19)
 
 
+@pytest.mark.parametrize(
+    "body, col, expected",
+    [
+        ("2 C + L", 14, "term like 5L or C (got '2')"),  # a space inside a term
+        ("2C+L", 14, "term like 5L or C (got '2C+L')"),  # a `+` without spaces
+        ("C +L", 16, "+"),
+        ("C +", 17, "term like 5L or C"),
+    ],
+    ids=["spaced-term", "unspaced-plus", "half-spaced-plus", "trailing-plus"],
+)
+def test_a_term_and_each_plus_are_one_token(body, col, expected):
+    with pytest.raises(PositionedError) as e:
+        parse_tower_text(GOOD.replace("restrict S = C + L", f"restrict S = {body}"))
+    assert (e.value.line, e.value.col, e.value.expected) == (10, col, expected)
+
+
+def test_a_curve_named_twice_adds_up():
+    twice = evaluate(parse_tower_text(GOOD.replace("restrict S = C + L", "restrict S = C + L + L")))
+    assert twice == evaluate(parse_tower_text(GOOD.replace("restrict S = C + L", "restrict S = C + 2L")))
+
+
 def test_empty_input():
-    with pytest.raises(TowerSpecError):
+    with pytest.raises(PositionedError):
         parse_tower_text("# nothing\n")
 
 
 def test_center_must_be_terminal():
-    with pytest.raises(TowerSpecError) as e:
+    with pytest.raises(PositionedError) as e:
         parse_tower_text("weights 1 2 3 5\ncenter 4 2\n")
     assert "valid center" in e.value.expected
 
@@ -196,7 +218,7 @@ def test_gram_block_needs_surface():
         ("curves C\nrestrict S = C\n", "surface line for the Gram block"),
         ("surface S\ncurves C\n", "restrict lines for the Gram block"),
     ]:
-        with pytest.raises(TowerSpecError) as e:
+        with pytest.raises(PositionedError) as e:
             parse_tower_text(head + block)
         assert (e.value.line, e.value.col, e.value.expected) == (4, 1, expected)
 
@@ -211,17 +233,29 @@ def test_underdetermined_payload_propagates():
 
 
 def test_duplicate_class_and_restrict():
-    with pytest.raises(TowerSpecError) as e:
+    with pytest.raises(PositionedError) as e:
         parse_tower_text(GOOD.replace("class T", "class S"))
     assert "fresh class name" in e.value.expected
-    with pytest.raises(TowerSpecError) as e:
+    with pytest.raises(PositionedError) as e:
         parse_tower_text(GOOD + "restrict T = L\n")
     assert "restricted once" in e.value.expected
     assert (e.value.line, e.value.col) == (12, 10)  # at the class name
 
 
+def test_a_dataset_error_is_not_charged_to_a_packaged_tower(tmp_path, monkeypatch):
+    # the dataset is loaded before a packaged file is parsed, so its own
+    # positioned error reaches the caller as it is
+    bad = tmp_path / "bad.txt"
+    bad.write_text("family 13\nweights 1 2 3\n")
+    monkeypatch.setenv("WFANO_DATA", str(bad))
+    with pytest.raises(PositionedError) as e:
+        load_fixture(FIXTURES[0])
+    assert (e.value.line, e.value.col, e.value.expected) == (2, 14, "weight")
+    assert "packaged" not in str(e.value)
+
+
 def test_unknown_family_header_is_positioned():
-    with pytest.raises(TowerSpecError) as e:
+    with pytest.raises(PositionedError) as e:
         parse_tower_text("family 999\n")
     assert (e.value.line, e.value.col) == (1, 8)
     assert e.value.expected == "a known family (no family 999 in the dataset)"
