@@ -33,21 +33,23 @@ inside the loop.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from .core import InputError, QuotientSingularityType, Weights, anticanonical_cube
 
 
-@dataclass(frozen=True)
-class Tower:
+class Tower(NamedTuple):
     """Blow ups over `base`, the i-th at a point of type `centers[i]`."""
 
     base: Weights
     centers: tuple[QuotientSingularityType, ...]
 
 
+# a dataclass, not a tuple: its `+` and scalar `*` would otherwise sit
+# beside the tuple's own, and `dc * 2` would repeat the coefficients
 @dataclass(frozen=True)
 class DivisorClass:
     """A class k*H + sum_i e_i*E_i in the pullback basis of some tower."""
@@ -124,33 +126,37 @@ def neg_k_cube(tower: Tower) -> Fraction:
     )
 
 
-@dataclass(frozen=True)
-class Restriction:
+class Restriction(NamedTuple):
     """A_s restricted to the surface: A_s . D = sum_i coefficients[i] * C_i."""
 
     divisor: DivisorClass
     coefficients: tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class GramProblem:
-    """Determine the pairwise intersections of named base curves on a
-    surface D from decompositions of restricted divisor classes."""
-
+class _GramFields(NamedTuple):
     tower: Tower
     surface: DivisorClass
     curves: tuple[str, ...]
-    restrictions: tuple[Restriction, ...] = field(default_factory=tuple)
+    restrictions: tuple[Restriction, ...] = ()
 
-    def __post_init__(self):
-        _check_dim(self.tower, self.surface)
-        for r in self.restrictions:
-            _check_dim(self.tower, r.divisor)
-            if len(r.coefficients) != len(self.curves):
+
+class GramProblem(_GramFields):
+    """Determine the pairwise intersections of named base curves on a
+    surface D from decompositions of restricted divisor classes."""
+
+    __slots__ = ()
+
+    def __new__(cls, tower: Tower, surface: DivisorClass, curves: tuple[str, ...],
+                restrictions: tuple[Restriction, ...] = ()):
+        _check_dim(tower, surface)
+        for r in restrictions:
+            _check_dim(tower, r.divisor)
+            if len(r.coefficients) != len(curves):
                 raise ValueError(
                     f"decomposition has {len(r.coefficients)} coefficients "
-                    f"for {len(self.curves)} curves"
+                    f"for {len(curves)} curves"
                 )
+        return tuple.__new__(cls, (tower, surface, curves, restrictions))
 
 
 def _bareiss(mat: list[list[int]], n_cols: int) -> Iterator[tuple[int, bool]]:

@@ -21,9 +21,9 @@ is read; one that is not terminal is a positioned syntax error:
 
 Annotations: `BC b c` records the auxiliary surface class -bK+cE attached
 to a blow up whose anticanonical cube goes negative, `QI`/`EI` record
-untwisting involution data (kept verbatim, no semantics attached), and an
-absent annotation means none is needed.  Every field is one token, a
-`QI`/`EI` text included.
+untwisting involution data (one `Involution` that keeps its tag and the
+text verbatim, no semantics attached), and an absent annotation means
+none is needed.  Every field is one token, a `QI`/`EI` text included.
 
 Only `load_families` and `family` read the dataset, and loading rejects
 it whole when a record's weights are not an admissible family (see
@@ -37,10 +37,10 @@ from __future__ import annotations
 import enum
 import os
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
+from typing import NamedTuple
 
 from ._linescan import RATIONAL, LineCursor, PositionedError, content_lines
 from .core import InputError, NonTerminalError, QuotientSingularityType, Weights
@@ -57,31 +57,29 @@ class UnknownGimelError(InputError):
 INFINITE = "infinite"
 
 
-@dataclass(frozen=True)
-class BC:
+# Records and their parts are tuples, which compare by value across
+# classes; so QI and EI are one class that keeps its tag, and a BC never
+# equals an Involution, whose fields are strings
+class BC(NamedTuple):
     b: int
     c: int
 
 
-@dataclass(frozen=True)
-class QI:
+class Involution(NamedTuple):
+    """A `QI` or `EI` annotation: its tag and its verbatim text."""
+
+    tag: str
     text: str
 
 
-@dataclass(frozen=True)
-class EI:
-    text: str
-
-
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     """One singular locus of a family, verbatim from the dataset."""
 
     locus: str
     count: int
     local_weights: tuple[int, int, int]
     sing_type: QuotientSingularityType  # the type normalized to 1/r(1,a,r-a)
-    annotation: BC | QI | EI | None = None
+    annotation: BC | Involution | None = None
 
     def type_text(self) -> str:
         q = self.local_weights
@@ -95,7 +93,7 @@ class TableRow:
             return {}
         if isinstance(a, BC):
             return {"BC": [a.b, a.c]}
-        return {type(a).__name__: a.text}
+        return {a.tag: a.text}
 
     def __str__(self):
         """The row as the dataset writes it, after the `row` keyword."""
@@ -105,8 +103,7 @@ class TableRow:
         return " ".join(words)
 
 
-@dataclass(frozen=True)
-class FamilyRecord:
+class FamilyRecord(NamedTuple):
     gimel: int
     weights: Weights
     degree: int
@@ -125,15 +122,13 @@ class PencilKind(enum.Enum):
     TYPE_V = "type V"
 
 
-@dataclass(frozen=True)
-class PencilDescriptor:
+class PencilDescriptor(NamedTuple):
     kind: PencilKind
     generator_text: str
     n: int  # the pencil lies in |-nK|
 
 
-@dataclass(frozen=True)
-class HalphenAnswer:
+class HalphenAnswer(NamedTuple):
     pencils: tuple[PencilDescriptor, ...]
 
     @property
@@ -174,13 +169,13 @@ def _parse_row(cur: LineCursor, earlier: list[TableRow]) -> TableRow:
         sing_type = normalize_singularity(index, *local)
     except ValueError as exc:
         cur.fail(f"terminal type ({exc})", m.start() + 1)
-    annotation: BC | QI | EI | None = None
+    annotation: BC | Involution | None = None
     if not cur.at_end():
         tag, col = cur.next_token("annotation tag")
         if tag == "BC":
             annotation = BC(cur.next_int("integer b"), cur.next_int("integer c"))
         elif tag in ("QI", "EI"):
-            annotation = (QI if tag == "QI" else EI)(cur.next_token("involution text")[0])
+            annotation = Involution(tag, cur.next_token("involution text")[0])
         else:
             cur.fail("annotation BC/QI/EI", col)
         cur.expect_end()
@@ -414,8 +409,7 @@ def derived_type_iv_set(records) -> set[int]:
 # cross-checks
 
 
-@dataclass(frozen=True)
-class FamilyCheck:
+class FamilyCheck(NamedTuple):
     name: str
     passed: bool
     expected: str

@@ -7,9 +7,9 @@ of a weighted degree, and cyclic quotient singularity types 1/r(1, a, r-a).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 
 class InputError(ValueError):
@@ -29,30 +29,31 @@ class NonTerminalError(ValueError):
     the member."""
 
 
-@dataclass(frozen=True, order=True)
-class Weights:
-    """The four non-trivial weights of an ambient P(1, a1, a2, a3, a4).
-
-    The leading weight 1 is implicit.  A general hypersurface of degree
-    d = a1+a2+a3+a4 in this space is anticanonically embedded.
-    """
-
+class _WeightFields(NamedTuple):
     a1: int
     a2: int
     a3: int
     a4: int
 
-    def __post_init__(self):
-        ws = (self.a1, self.a2, self.a3, self.a4)
-        # `is int`, not isinstance: a bool is an int but no weight
-        if (not type(self.a1) is type(self.a2) is type(self.a3) is type(self.a4) is int
-                or min(ws) < 1):
-            raise ValueError(f"weights must be positive integers, got {ws}")
-        if not self.a1 <= self.a2 <= self.a3 <= self.a4:
-            raise ValueError(f"weights must be ascending, got {ws}")
 
-    def __iter__(self):
-        return iter((self.a1, self.a2, self.a3, self.a4))
+class Weights(_WeightFields):
+    """The four non-trivial weights of an ambient P(1, a1, a2, a3, a4).
+
+    The leading weight 1 is implicit.  A general hypersurface of degree
+    d = a1+a2+a3+a4 in this space is anticanonically embedded.  A tuple
+    of the four weights, so it iterates, compares and orders as one.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, a1: int, a2: int, a3: int, a4: int):
+        ws = (a1, a2, a3, a4)
+        # `is int`, not isinstance: a bool is an int but no weight
+        if not type(a1) is type(a2) is type(a3) is type(a4) is int or min(ws) < 1:
+            raise ValueError(f"weights must be positive integers, got {ws}")
+        if not a1 <= a2 <= a3 <= a4:
+            raise ValueError(f"weights must be ascending, got {ws}")
+        return tuple.__new__(cls, ws)
 
     def __str__(self):
         return f"P(1,{self.a1},{self.a2},{self.a3},{self.a4})"
@@ -60,12 +61,12 @@ class Weights:
     @property
     def degree(self) -> int:
         """Degree of the anticanonically embedded hypersurface."""
-        return self.a1 + self.a2 + self.a3 + self.a4
+        return sum(self)
 
     @property
     def ambient(self) -> tuple[int, int, int, int, int]:
         """All five ambient weights, including the implicit 1."""
-        return (1, self.a1, self.a2, self.a3, self.a4)
+        return (1, *self)
 
 
 def anticanonical_cube(w: Weights) -> Fraction:
@@ -112,20 +113,25 @@ def is_representable(target: int, weights: tuple[int, ...]) -> bool:
     return bool(mask >> target & 1)
 
 
-@dataclass(frozen=True, order=True)
-class QuotientSingularityType:
-    """A terminal cyclic quotient singularity 1/r(1, a, r-a)."""
-
+class _TypeFields(NamedTuple):
     r: int
     a: int
 
-    def __post_init__(self):
-        if self.r < 2:
-            raise ValueError(f"index must be >= 2, got {self.r}")
-        if not (1 <= self.a <= self.r - self.a):
-            raise ValueError(f"need 1 <= a <= r-a, got a={self.a}, r={self.r}")
-        if gcd(self.a, self.r) != 1:
-            raise ValueError(f"need gcd(a, r) = 1, got a={self.a}, r={self.r}")
+
+class QuotientSingularityType(_TypeFields):
+    """A terminal cyclic quotient singularity 1/r(1, a, r-a), the tuple
+    (r, a)."""
+
+    __slots__ = ()
+
+    def __new__(cls, r: int, a: int):
+        if r < 2:
+            raise ValueError(f"index must be >= 2, got {r}")
+        if not (1 <= a <= r - a):
+            raise ValueError(f"need 1 <= a <= r-a, got a={a}, r={r}")
+        if gcd(a, r) != 1:
+            raise ValueError(f"need gcd(a, r) = 1, got a={a}, r={r}")
+        return tuple.__new__(cls, (r, a))
 
     def __str__(self):
         return f"1/{self.r}(1,{self.a},{self.r - self.a})"

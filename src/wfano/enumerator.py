@@ -231,5 +231,5 @@ def enumerate_families(a4_bound: int) -> list[Weights]:
                     w = Weights(a1, a2, a3, a4)
                     if has_only_terminal_isolated_sings(w) and is_quasismooth_general(w):
                         out.append(w)
-    out.sort(key=lambda w: (w.degree, tuple(w)))
+    out.sort(key=lambda w: (w.degree, w))
     return out

@@ -15,12 +15,12 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
+from typing import NamedTuple
 
 from .core import NonTerminalError, QuotientSingularityType, Weights, normalize_singularity
 
 
-@dataclass(frozen=True)
-class BasketEntry:
+class BasketEntry(NamedTuple):
     count: int
     sing_type: QuotientSingularityType
     locus: str
@@ -29,6 +29,8 @@ class BasketEntry:
         return f"{self.count} x {self.sing_type} at {self.locus}"
 
 
+# a dataclass, not a tuple: bench/test_oracles.py rebuilds one with
+# `dataclasses.replace`
 @dataclass(frozen=True)
 class Basket:
     """The multiset of quotient points on a general member, as entries

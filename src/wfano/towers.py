@@ -46,6 +46,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from typing import NamedTuple
 
 from ._linescan import RATIONAL, LineCursor, PositionedError, content_lines
 from .blowup import (
@@ -71,8 +72,7 @@ _TERM_RE = re.compile(rf"(?:{RATIONAL})?([A-Za-z]\w*)", re.ASCII)
 _TRACK_TAG, _EQUALS, _PLUS = re.compile("track"), re.compile("="), re.compile(r"\+")
 
 
-@dataclass(frozen=True)
-class TowerSpec:
+class TowerSpec(NamedTuple):
     """A parsed description: the tower, named classes, requested triples,
     and the optional Gram problem."""
 
@@ -82,6 +82,8 @@ class TowerSpec:
     gram: GramProblem | None
 
 
+# a dataclass, not a tuple: bench/test_oracles.py rebuilds one with
+# `dataclasses.replace`
 @dataclass(frozen=True)
 class TowerEvaluation:
     neg_k_cube: Fraction
@@ -285,8 +287,7 @@ def evaluate(spec: TowerSpec) -> TowerEvaluation:
 F = Fraction
 
 
-@dataclass(frozen=True)
-class TowerFixture:
+class TowerFixture(NamedTuple):
     name: str
     gimel: int
     neg_k_cube: Fraction

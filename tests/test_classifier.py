@@ -9,11 +9,10 @@ import wfano
 from wfano import classifier
 from wfano.classifier import (
     BC,
-    EI,
     INFINITE,
-    QI,
     TYPE_IV_GIMELS,
     TYPE_V_GIMEL,
+    Involution,
     PencilKind,
     UnknownGimelError,
     derived_type_iv_set,
@@ -60,7 +59,7 @@ def test_parse_single_record():
     assert rec.ell == "1"
     assert rec.halphen_count == 7
     assert len(rec.basket_rows) == 2
-    assert rec.basket_rows[0].annotation == QI("yw^2,7,12")
+    assert rec.basket_rows[0].annotation == Involution("QI", "yw^2,7,12")
     assert rec.basket_rows[1].annotation == BC(2, 0)
     assert rec.basket_rows[1].count == 6
     # each row's type is normalized once, as it is read
@@ -204,6 +203,17 @@ def test_roundtrip_identity():
     text = serialize_table(records)
     assert tuple(parse_table(text)) == records
     assert serialize_table(parse_table(text)) == text
+
+
+def test_annotations_of_different_kinds_never_compare_equal():
+    # records are tuples, which compare by value across classes: a row
+    # re-tagged from QI to EI must still differ from the original
+    (rec,) = parse_table(RECORD)
+    (retagged,) = parse_table(RECORD.replace("QI yw^2", "EI yw^2"))
+    assert retagged.basket_rows[0].annotation == Involution("EI", "yw^2,7,12")
+    assert retagged.basket_rows[0] != rec.basket_rows[0]
+    assert retagged != rec
+    assert BC(1, 2) != Involution("QI", "x")
 
 
 def test_dataset_shape():

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 
@@ -222,3 +223,26 @@ def test_k3_elephants():
     assert len(ranks) == 95
     assert max(ranks.values()) == 18
     assert {g for g, rank in ranks.items() if rank == 18} == {76, 84, 93}
+
+
+def test_orbifold_euler_number_of_the_elephant():
+    # The K3 elephant S = S_d in P(a1,a2,a3,a4) has one A_{r-1} point for
+    # each threefold point of index r (see above), and its orbifold Euler
+    # number is 24 - sum count*(r - 1/r), each such point trading the r
+    # Euler number of its resolution chain for 1/r.  As the degree of c2
+    # of the orbifold tangent bundle it is (d/a1a2a3a4)(e2 - d*e1 + d^2),
+    # with e1, e2 elementary symmetric in the four weights; this is also
+    # -K.c2(X) = 24 - sum(r - 1/r) (Kawamata, "Boundedness of Q-Fano
+    # threefolds", 1992).  The recorded side reads only the weights and
+    # each row's count and index, never the walk; the rank bound of
+    # `test_k3_elephants` holds on both sides.
+    for rec in load_families():
+        w = rec.weights
+        d = w.degree
+        e1, e2 = sum(w), sum(a * b for a, b in combinations(w, 2))
+        e_orb = Fraction(d * (e2 - d * e1 + d * d), w.a1 * w.a2 * w.a3 * w.a4)
+        recorded = [(row.count, row.sing_type.r) for row in rec.basket_rows]
+        computed = [(c, t.r) for t, c in type_counts(basket(w)).items()]
+        for points in (recorded, computed):
+            assert sum(c * (r - Fraction(1, r)) for c, r in points) == 24 - e_orb, rec.gimel
+            assert sum(c * (r - 1) for c, r in points) <= 19, rec.gimel

@@ -1,7 +1,10 @@
 """Checks on the library's source text."""
 import ast
 import inspect
+import os
 import re
+import subprocess
+import sys
 import textwrap
 from importlib import import_module, resources
 from pathlib import Path
@@ -154,3 +157,54 @@ def test_only_the_line_scanner_cuts_a_line():
     ]
     assert found == []
     assert list(inspect.signature(LineCursor.__init__).parameters) == ["self", "lineno", "line"]
+
+
+# The classes in `src/` that stay `@dataclass`es, each with why: defining a
+# frozen dataclass costs about a millisecond of every cold start, defining a
+# NamedTuple about a seventh of that
+DATACLASSES = {
+    "singularities.Basket": "bench/test_oracles.py rebuilds one with `dataclasses.replace`",
+    "towers.TowerEvaluation": "bench/test_oracles.py rebuilds one with `dataclasses.replace`",
+    "blowup.DivisorClass": "its `+` and scalar `*` would sit beside the tuple's own",
+}
+
+
+def _names_dataclass(decorator):
+    # `@dataclass`, `@dataclass(...)` or `@dataclasses.dataclass(...)`
+    node = decorator.func if isinstance(decorator, ast.Call) else decorator
+    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+    return name == "dataclass"
+
+
+def test_value_types_are_tuples_but_the_listed_dataclasses():
+    found = {
+        f"{path.stem}.{node.name}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.ClassDef) and any(map(_names_dataclass, node.decorator_list))
+    }
+    assert found == set(DATACLASSES)
+
+
+def test_loading_the_dataset_imports_no_command_or_tower_code():
+    # the cold start a user pays before any command: `import wfano` and the
+    # dataset load reach none of the modules that only commands and towers use
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import wfano\n"
+        "wfano.load_families()\n"
+        "print('\\n'.join(sys.modules))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "WFANO_DATA"}
+    src = str(Path(wfano.__file__).parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-I", "-c", code, src], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    loaded = set(result.stdout.split())
+    assert "wfano.classifier" in loaded
+    avoided = {
+        "wfano.cli", "wfano.towers", "wfano.blowup", "wfano.enumerator", "argparse", "json", "csv",
+    }
+    assert loaded & avoided == set()
