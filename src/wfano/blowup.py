@@ -33,7 +33,6 @@ inside the loop.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
@@ -48,30 +47,11 @@ class Tower(NamedTuple):
     centers: tuple[QuotientSingularityType, ...]
 
 
-# a dataclass, not a tuple: its `+` and scalar `*` would otherwise sit
-# beside the tuple's own, and `dc * 2` would repeat the coefficients
-@dataclass(frozen=True)
-class DivisorClass:
-    """A class k*H + sum_i e_i*E_i in the pullback basis of some tower."""
+class DivisorClass(NamedTuple):
+    """A class k*H + sum_i e_i*E_i in a tower's pullback basis; coefficients int or Fraction."""
 
-    k_coeff: Fraction
-    e_coeffs: tuple[Fraction, ...]
-
-    @classmethod
-    def of(cls, k, *es) -> "DivisorClass":
-        return cls(Fraction(k), tuple(Fraction(e) for e in es))
-
-    def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        if len(self.e_coeffs) != len(other.e_coeffs):
-            raise ValueError("adding classes of different towers")
-        return DivisorClass(
-            self.k_coeff + other.k_coeff,
-            tuple(a + b for a, b in zip(self.e_coeffs, other.e_coeffs)),
-        )
-
-    def __rmul__(self, scalar) -> "DivisorClass":
-        s = Fraction(scalar)
-        return DivisorClass(s * self.k_coeff, tuple(s * e for e in self.e_coeffs))
+    k_coeff: Fraction | int
+    e_coeffs: tuple[Fraction | int, ...]
 
 
 def anticanonical_class(tower: Tower) -> DivisorClass:
@@ -145,6 +125,7 @@ class GramProblem(_GramFields):
     surface D from decompositions of restricted divisor classes."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # `_replace` builds with it: both check
 
     def __new__(cls, tower: Tower, surface: DivisorClass, curves: tuple[str, ...],
                 restrictions: tuple[Restriction, ...] = ()):

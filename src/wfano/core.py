@@ -45,6 +45,7 @@ class Weights(_WeightFields):
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # `_replace` builds with it: both check
 
     def __new__(cls, a1: int, a2: int, a3: int, a4: int):
         ws = (a1, a2, a3, a4)
@@ -123,6 +124,7 @@ class QuotientSingularityType(_TypeFields):
     (r, a)."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # `_replace` builds with it: both check
 
     def __new__(cls, r: int, a: int):
         if r < 2:

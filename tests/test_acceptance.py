@@ -174,15 +174,14 @@ def test_criterion_8_property_suites(announce):
         dim = len(tower.centers) + 1
 
         def rnd_class():
-            return DivisorClass.of(
-                *(F(rng.randint(-8, 8), rng.randint(1, 5)) for _ in range(dim))
-            )
+            k, *es = (F(rng.randint(-8, 8), rng.randint(1, 5)) for _ in range(dim))
+            return DivisorClass(k, tuple(es))
 
         a, b, c, d = (rnd_class() for _ in range(4))
         s = F(rng.randint(-6, 6), rng.randint(1, 4))
-        lin = triple(tower, s * a + b, c, d) == s * triple(tower, a, c, d) + triple(
-            tower, b, c, d
-        )
+        sa_b = DivisorClass(s * a.k_coeff + b.k_coeff,
+                            tuple(s * x + y for x, y in zip(a.e_coeffs, b.e_coeffs)))
+        lin = triple(tower, sa_b, c, d) == s * triple(tower, a, c, d) + triple(tower, b, c, d)
         sym = triple(tower, a, b, c) == triple(tower, b, c, a) == triple(tower, c, a, b)
         algebra_ok = algebra_ok and lin and sym
 

@@ -83,16 +83,23 @@ def test_doc_examples_parse_like_the_packaged_data():
         assert _content(text) == _content(packaged)
 
 
-# Public top-level names that no library code uses, each with why it stays
+# Public names and class members that no library code names, each with why
+# it stays; a reason that cites a `bench/` file expires with its use there
 UNREFERENCED = {
     "blowup.anticanonical_class": "the BC-value and derived-class checks will call it",
-    "classifier.serialize_table": "the bench `verify` workload round-trips the dataset through it",
+    "classifier.serialize_table": "bench/workloads.py round-trips the dataset through it",
     "classifier.derived_type_iv_set": "stays until a Kodaira-dimension oracle replaces it",
+    "core.is_representable": "bench/test_tracing.py looks it up in `core` and `enumerator`",
 }
+
+# the dunders the interpreter calls for builtins: construction, str(),
+# iteration and calls reach them without naming them
+IMPLICIT_DUNDERS = {"__new__", "__init__", "__str__", "__iter__", "__call__"}
 
 
 def test_public_names_without_a_library_caller():
-    # aim: the public API keeps only what a command, a check or a claim reaches
+    # aim: the public API keeps only what a command, a check or a claim
+    # reaches; an import names a function but calls nothing
     trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"), str(p)) for p in SOURCES}
     used = set()
     for tree in trees.values():
@@ -101,9 +108,8 @@ def test_public_names_without_a_library_caller():
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
-            elif isinstance(node, ast.alias):
-                used.add(node.name)
     defined = set()
+    members = {}  # methods, properties and operator dunders, by the name a use gives
     for stem, tree in trees.items():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -112,8 +118,15 @@ def test_public_names_without_a_library_caller():
                 defined |= {(stem, t.id) for t in node.targets if isinstance(t, ast.Name)}
             elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
                 defined.add((stem, node.target.id))
+            if isinstance(node, ast.ClassDef):
+                members |= {
+                    f"{stem}.{node.name}.{m.name}": m.name for m in node.body
+                    if isinstance(m, ast.FunctionDef) and m.name not in IMPLICIT_DUNDERS
+                    and re.fullmatch(r"__\w+__|[^_]\w*", m.name)
+                }
     unused = {f"{stem}.{name}" for stem, name in defined
               if not name.startswith("_") and name not in used}
+    unused |= {member for member, name in members.items() if name not in used}
     assert unused == set(UNREFERENCED)
 
 
@@ -165,7 +178,6 @@ def test_only_the_line_scanner_cuts_a_line():
 DATACLASSES = {
     "singularities.Basket": "bench/test_oracles.py rebuilds one with `dataclasses.replace`",
     "towers.TowerEvaluation": "bench/test_oracles.py rebuilds one with `dataclasses.replace`",
-    "blowup.DivisorClass": "its `+` and scalar `*` would sit beside the tuple's own",
 }
 
 
@@ -184,6 +196,31 @@ def test_value_types_are_tuples_but_the_listed_dataclasses():
         if isinstance(node, ast.ClassDef) and any(map(_names_dataclass, node.decorator_list))
     }
     assert found == set(DATACLASSES)
+
+
+def _names_in(path):
+    # every name, attribute and `module.attribute` the file's code uses
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+            if isinstance(node.value, ast.Name):
+                names.add(f"{node.value.id}.{node.attr}")
+    return names
+
+
+def test_pins_citing_the_benchmark_still_hold():
+    # a name kept only for `bench/` goes once the cited file stops using it
+    root = README.parent
+    pins = [(pin, reason, pin.rsplit(".", 1)[1]) for pin, reason in UNREFERENCED.items()]
+    pins += [(pin, reason, "dataclasses.replace") for pin, reason in DATACLASSES.items()]
+    cited = [(pin, path, name) for pin, reason, name in pins
+             for path in re.findall(r"bench/\w+\.py", reason)]
+    assert cited
+    for pin, path, name in cited:
+        assert name in _names_in(root / path), f"{path} no longer uses {name}: drop the pin on {pin}"
 
 
 def test_loading_the_dataset_imports_no_command_or_tower_code():
