@@ -282,8 +282,7 @@ def _load(path: str | None) -> tuple[FamilyRecord, ...]:
     records = tuple(parse_table(text))
     for rec in records:
         try:
-            for _point in singular_points(rec.weights):
-                pass
+            singular_points(rec.weights)
         except NonTerminalError as exc:
             raise InputError(f"family {rec.gimel}: {exc}") from exc
     return records
@@ -292,11 +291,12 @@ def _load(path: str | None) -> tuple[FamilyRecord, ...]:
 def load_families() -> tuple[FamilyRecord, ...]:
     """The dataset records, cached per file: the file the WFANO_DATA
     environment variable names, or else the packaged one.  Each record's
-    weights are walked once, as `basket` walks them; the first record that
-    is not an admissible family rejects the dataset with an InputError,
-    `family N: ` and the walk's reason: a vertex with no eliminator, a
-    stratum curve inside the general member, or a quotient point that is
-    not terminal."""
+    weights are walked once, by the memoized `singular_points` that
+    `basket` and a `.tower` `family` header read afterwards, so neither
+    walks them again; the first record that is not an admissible family
+    rejects the dataset with an InputError, `family N: ` and the walk's
+    reason: a vertex with no eliminator, a stratum curve inside the
+    general member, or a quotient point that is not terminal."""
     return _load(os.environ.get("WFANO_DATA") or None)
 
 

@@ -46,6 +46,14 @@ def is_quasismooth(ws: tuple[int, ...], d: int) -> bool:
     the I-weights would put d there too, so the count runs over all
     variables.  The masks live only for the call.  A weight < 1 is a
     ValueError.
+
+    Supersets of a subset that reaches d are pruned: when the mask of
+    s & (s - 1) has bit d, so has the mask of s, which contains it, so s
+    passes with no `extend_reach` and stores that smaller mask unchanged.
+    A stored mask is thus always contained in the true reach set of its
+    subset, so a set bit d in it is never wrong, and a stored mask without
+    bit d was never pruned, nor was any mask it was built from, so it is
+    exact and so is every mask extended from it.
     """
     heavy = [a for a in ws if a >= 2]
     if len(heavy) + ws.count(1) < len(ws):  # a weight neither 1 nor >= 2
@@ -53,7 +61,9 @@ def is_quasismooth(ws: tuple[int, ...], d: int) -> bool:
     masks = [1]
     for s in range(1, 1 << len(heavy)):
         rest = s & (s - 1)  # s without its lowest member
-        mask = extend_reach(masks[rest], heavy[(s ^ rest).bit_length() - 1], d)
+        mask = masks[rest]
+        if not mask >> d & 1:  # else s passes, as every superset of rest does
+            mask = extend_reach(mask, heavy[(s ^ rest).bit_length() - 1], d)
         masks.append(mask)
         if mask >> d & 1:
             continue
@@ -87,11 +97,11 @@ def has_only_terminal_isolated_sings(w: Weights) -> bool:
     `enumerate_families` relies on this rejection: it never builds a
     system with three weights sharing a factor.  It runs the walk before
     the criterion: at bound 40 the walk sees 95 systems and accepts them
-    all.
+    all.  The walk is memoized (see `singular_points`), so a system
+    accepted here is not walked again by `basket` or the dataset load.
     """
     try:
-        for _point in singular_points(w):
-            pass
+        singular_points(w)
     except NonTerminalError:
         return False
     return True

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import gcd
 from typing import NamedTuple
@@ -100,24 +101,43 @@ def stratum_points(ws: tuple[int, ...], d: int, i: int, j: int) -> int:
     binary form in x_i^(a_j/g) and x_j^(a_i/g) of degree pairs - 1, whose
     roots are the points with both coordinates non-zero.  With no pair the
     whole stratum curve lies inside the hypersurface, a NonTerminalError.
+
+    The pairs are counted in closed form: there are none unless g divides
+    d, and then m*a_i = d (mod a_j) reads m = m0 (mod step) with
+    step = a_j/g and m0 = (d/g)*(a_i/g)^-1 mod step: the m in 0..d // a_i
+    are m0, m0 + step, ..., (d // a_i - m0) // step + 1 of them when
+    m0 <= d // a_i and none otherwise.
     """
     a, b = ws[i], ws[j]
-    pairs = sum(1 for m in range(d // a + 1) if (d - m * a) % b == 0)
-    if not pairs:
+    g = gcd(a, b)
+    step, top = b // g, d // a
+    m0 = d // g * pow(a // g, -1, step) % step
+    if d % g or m0 > top:
         raise NonTerminalError(f"stratum P{i}P{j} lies inside the general member of {_ambient(ws)}")
-    return pairs - 1
+    return (top - m0) // step
 
 
-def singular_points(w: Weights) -> Iterator[tuple[int, QuotientSingularityType, str]]:
+@lru_cache(maxsize=None)
+def singular_points(w: Weights) -> tuple[tuple[int, QuotientSingularityType, str], ...]:
     """The threefold instance of `quotient_points`: (count, type, locus)
-    for each quotient point of the general member of w, every type
-    normalized to 1/r(1, a, r-a).  A stratum of count 0 is normalized all
-    the same; this is what rejects three weights with a common factor.
-    Raises one NonTerminalError at the first point that is not a terminal
-    quotient point.
+    for each quotient point of the general member of w, in walk order,
+    every type normalized to 1/r(1, a, r-a).  A stratum of count 0 is
+    normalized all the same; this is what rejects three weights with a
+    common factor.  Raises one NonTerminalError at the first point that
+    is not a terminal quotient point.
+
+    Memoized per process: the walk runs once for each weight system it
+    accepts, and `has_only_terminal_isolated_sings`, `basket`, the dataset
+    load and a `.tower` header all share that one tuple.  A raised
+    NonTerminalError is not stored, so a rejected system is walked again
+    on each call; every system the walk accepts with a4 <= 33 is one of
+    the 95 families, which bounds what the memo holds in practice.
+    `singular_points.cache_clear()` empties it.
     """
-    for count, r, qs, locus in quotient_points(w.ambient, w.degree):
-        yield count, normalize_singularity(r, *qs), locus
+    return tuple(
+        (count, normalize_singularity(r, *qs), locus)
+        for count, r, qs, locus in quotient_points(w.ambient, w.degree)
+    )
 
 
 def basket(w: Weights) -> Basket:

@@ -141,7 +141,7 @@ def parse_tower_text(source: str) -> TowerSpec:
                     cur.fail(f"a known family ({exc})", col)
             else:
                 base = cur.next_weights()
-            try:  # a family's weights passed the same walk when the dataset loaded
+            try:  # memoized: a family's weights were walked when the dataset loaded
                 base_types = {t for c, t, _ in singular_points(base) if c}
             except NonTerminalError as exc:
                 cur.fail(f"admissible weights ({exc})", col)

@@ -1,3 +1,4 @@
+import random
 import re
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
@@ -8,7 +9,7 @@ import pytest
 
 from wfano import enumerator
 from wfano.classifier import load_families
-from wfano.core import NonTerminalError, Weights, is_representable
+from wfano.core import NonTerminalError, Weights, extend_reach, is_representable
 from wfano.enumerator import (
     _vertex_pairs,
     enumerate_families,
@@ -271,6 +272,57 @@ def test_weight_one_subsets_need_no_test():
                         assert is_quasismooth(ws, d) == unskipped_quasismooth(ws, d), ws
                         ambients += 1
     assert ambients == 7752
+
+
+def unpruned_quasismooth(ws, d):
+    """`is_quasismooth` without its superset pruning: every subset of the
+    variables of weight >= 2 gets its own exact reach mask."""
+    heavy = [a for a in ws if a >= 2]
+    masks = [1]
+    for s in range(1, 1 << len(heavy)):
+        rest = s & (s - 1)
+        mask = extend_reach(masks[rest], heavy[(s ^ rest).bit_length() - 1], d)
+        masks.append(mask)
+        if not mask >> d & 1:
+            hits = sum(1 for a in ws if a <= d and mask >> (d - a) & 1)
+            if hits < s.bit_count():
+                return False
+    return True
+
+
+def test_superset_pruning_changes_no_verdict():
+    # every ascending tuple of 1 to 5 weights from 1..8 at every degree
+    # below 40, then seeded random inputs with up to 6 weights
+    inputs = [
+        (ws, d)
+        for n in range(1, 6)
+        for ws in combinations_with_replacement(range(1, 9), n)
+        for d in range(1, 40)
+    ]
+    rng = random.Random(28)
+    for _ in range(3000):
+        ws = tuple(sorted(rng.randint(1, 40) for _ in range(rng.randint(1, 6))))
+        inputs.append((ws, rng.randint(1, 3 * ws[-1])))
+    verdicts = [is_quasismooth(ws, d) for ws, d in inputs]
+    assert verdicts == [unpruned_quasismooth(ws, d) for ws, d in inputs]
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_superset_pruning_skips_mask_builds(monkeypatch):
+    # on the 95 ambients, about half the subsets of weight >= 2 variables
+    # sit above one that already reaches d
+    builds = []
+
+    def counting(mask, a, d):
+        builds.append(a)
+        return extend_reach(mask, a, d)
+
+    monkeypatch.setattr(enumerator, "extend_reach", counting)
+    subsets = 0
+    for rec in load_families():
+        assert is_quasismooth_general(rec.weights)
+        subsets += (1 << sum(a >= 2 for a in rec.weights)) - 1
+    assert (subsets, len(builds)) == (1054, 512)
 
 
 @pytest.mark.parametrize("n, top", [(3, 9), (4, 7), (5, 5)])

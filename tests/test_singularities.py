@@ -1,12 +1,13 @@
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import gcd, lcm
 
 import pytest
 
+from wfano import singularities
 from wfano.classifier import family, load_families
 from wfano.core import NonTerminalError, QuotientSingularityType, Weights, normalize_singularity
-from wfano.enumerator import is_quasismooth
+from wfano.enumerator import has_only_terminal_isolated_sings, is_quasismooth
 from wfano.singularities import (
     basket,
     quotient_points,
@@ -87,6 +88,20 @@ def test_stratum_empty_restriction():
         stratum_points((1, 1, 3, 3, 3), 10, 2, 3)
 
 
+def test_stratum_points_closed_form_matches_the_loop():
+    # the count of exponent pairs m*a + n*b = d, m, n >= 0, by trying every
+    # m, against the closed form; no pair at all is a NonTerminalError
+    for a in range(1, 25):
+        for b in range(1, 25):
+            for d in range(max(a, b), 120):
+                pairs = sum(1 for m in range(d // a + 1) if (d - m * a) % b == 0)
+                try:
+                    actual = stratum_points((a, b), d, 0, 1)
+                except NonTerminalError:
+                    actual = None
+                assert actual == (pairs - 1 if pairs else None), (a, b, d)
+
+
 def residual_count(ws, d, i, j):
     """The stratum count as first computed: the restriction of the general
     polynomial factors as x_i^ei * x_j^ej * g, and the degree of g over
@@ -134,6 +149,59 @@ def test_singular_points_walk_vertices_then_strata():
         (1, QuotientSingularityType(5, 2), "P4"),
         (6, QuotientSingularityType(2, 1), "P1P2"),
     ]
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The ambient weights of each run of the walk, from a cold memo."""
+    seen = []
+
+    def counting(ws, d):
+        seen.append(ws)
+        return quotient_points(ws, d)
+
+    monkeypatch.setattr(singularities, "quotient_points", counting)
+    singular_points.cache_clear()
+    yield seen
+    singular_points.cache_clear()
+
+
+def test_singular_points_is_memoized(walks):
+    w = Weights(1, 2, 3, 5)
+    points = singular_points(w)
+    assert isinstance(points, tuple)
+    assert singular_points(w) is points
+    # the predicate and the basket read the same walk
+    assert has_only_terminal_isolated_sings(w)
+    assert {(e.count, e.sing_type, e.locus) for e in basket(w)} == {p for p in points if p[0]}
+    assert walks == [w.ambient]
+    singular_points.cache_clear()
+    assert singular_points(w) == points
+    assert walks == [w.ambient, w.ambient]
+
+
+def test_a_rejected_system_raises_on_every_call(walks):
+    w = Weights(3, 4, 4, 5)
+    for _ in range(3):
+        with pytest.raises(NonTerminalError, match=r"1/5\(3,4,4\)"):
+            singular_points(w)
+    assert walks == [w.ambient] * 3
+    assert singular_points.cache_info().currsize == 0
+
+
+def test_the_walk_accepts_exactly_the_95_below_33():
+    # the memo keeps only what the walk accepts, and with a4 <= 33 that is
+    # the 95 families: quasismoothness rejects nothing the walk accepts
+    singular_points.cache_clear()
+    accepted = set()
+    for ws in combinations_with_replacement(range(1, 34), 4):
+        try:
+            singular_points(Weights(*ws))
+        except NonTerminalError:
+            continue
+        accepted.add(ws)
+    assert singular_points.cache_info().currsize == 95
+    assert accepted == {tuple(rec.weights) for rec in load_families()}
 
 
 def test_basket_order():

@@ -3,11 +3,11 @@ from importlib import resources
 
 import pytest
 
-from wfano import towers
+from wfano import classifier, singularities
 from wfano._linescan import PositionedError
 from wfano.classifier import family, load_families
 from wfano.core import InputError, Weights
-from wfano.singularities import singular_points
+from wfano.singularities import quotient_points, singular_points
 from wfano.towers import FIXTURES, evaluate, load_fixture, parse_tower_text
 
 GOOD = """\
@@ -52,17 +52,28 @@ def test_family_header_resolves_weights():
     ids=["family", "weights"],
 )
 def test_header_walks_its_base_once(monkeypatch, text):
-    # one walk at the header serves the first-center test of every center
+    # the walk is memoized per process: once the dataset has loaded, a
+    # `family` header walks nothing; a `weights` header walks its base once
+    # on a cold memo and not at all on a second parse
     walks = []
 
-    def walk(w):
-        walks.append(w)
-        return singular_points(w)
+    def walk(ws, d):
+        walks.append(ws)
+        return quotient_points(ws, d)
 
-    monkeypatch.setattr(towers, "singular_points", walk)
+    monkeypatch.setattr(singularities, "quotient_points", walk)
+    singular_points.cache_clear()
+    classifier._load.cache_clear()
+    load_families()
+    if text.startswith("weights"):
+        singular_points.cache_clear()
+    walks.clear()
     spec = parse_tower_text(text)
     assert len(spec.tower.centers) == 3
-    assert walks == [spec.tower.base]
+    expected = [] if text.startswith("family") else [spec.tower.base.ambient]
+    assert walks == expected
+    assert parse_tower_text(text) == spec
+    assert walks == expected
 
 
 def test_no_gram_block():
