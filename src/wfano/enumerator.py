@@ -33,6 +33,19 @@ def is_quasismooth(ws: tuple[int, ...], d: int) -> bool:
     (x^d exists), so only subsets of the variables of weight >= 2 are
     examined.
 
+    The single-variable subsets {x_i} are the vertex conditions, decided
+    first by remainders, before any mask is built.  At the vertex P_i
+    every coordinate but x_i vanishes, so the general member misses P_i
+    iff some x_i^k has degree d; otherwise it passes through P_i, its
+    partial derivative by x_e there is the coefficient of x_i^k*x_e, and
+    its cone is smooth over P_i iff some x_i^k*x_e has degree d -- the
+    eliminator of `singularities.quotient_points`.  The test, a_i | d or
+    a_i | d - a_e for some a_e <= d, reads the mask test's bits: the mask
+    of {a_i} with cap d has bit k <= d iff a_i | k, and a subset of size 1
+    needs one hit.  So a vertex rejection runs no `extend_reach`; the loop
+    below still builds each single-variable mask for its supersets, but
+    skips its test.
+
     Each examined subset is a bitmask s over the variables of weight >= 2,
     taken in increasing order, and gets one reach mask with cap d (see
     `core`), built by `extend_reach` from the mask of s without its lowest
@@ -58,6 +71,13 @@ def is_quasismooth(ws: tuple[int, ...], d: int) -> bool:
     heavy = [a for a in ws if a >= 2]
     if len(heavy) + ws.count(1) < len(ws):  # a weight neither 1 nor >= 2
         raise ValueError(f"weights must be positive, got {ws}")
+    for r in heavy:  # the single-variable subsets, by remainders
+        if d % r:
+            for a in ws:
+                if a <= d and (d - a) % r == 0:
+                    break
+            else:
+                return False
     masks = [1]
     for s in range(1, 1 << len(heavy)):
         rest = s & (s - 1)  # s without its lowest member
@@ -65,7 +85,7 @@ def is_quasismooth(ws: tuple[int, ...], d: int) -> bool:
         if not mask >> d & 1:  # else s passes, as every superset of rest does
             mask = extend_reach(mask, heavy[(s ^ rest).bit_length() - 1], d)
         masks.append(mask)
-        if mask >> d & 1:
+        if not rest or mask >> d & 1:  # a single variable passed above
             continue
         hits = 0
         for a in ws:

@@ -17,7 +17,7 @@ from wfano.enumerator import (
     is_quasismooth,
     is_quasismooth_general,
 )
-from wfano.singularities import singular_points
+from wfano.singularities import quotient_points, singular_points
 
 
 @lru_cache(maxsize=None)
@@ -323,6 +323,46 @@ def test_superset_pruning_skips_mask_builds(monkeypatch):
         assert is_quasismooth_general(rec.weights)
         subsets += (1 << sum(a >= 2 for a in rec.weights)) - 1
     assert (subsets, len(builds)) == (1054, 512)
+
+
+def test_vertex_rejections_build_no_mask(monkeypatch):
+    # the single-variable subsets are the vertex conditions: where the
+    # walk's vertex loop finds a vertex with no eliminator, the criterion
+    # rejects before its first mask build; elsewhere a rejection needs the
+    # mask of the failing subset.  Seeded ambients with d >= every weight,
+    # as the walk assumes, threefold ones among them
+    builds = []
+
+    def counting(mask, a, d):
+        builds.append(a)
+        return extend_reach(mask, a, d)
+
+    monkeypatch.setattr(enumerator, "extend_reach", counting)
+    rng = random.Random(29)
+    vertex_rejections = later_rejections = passed = 0
+    for n in range(2000):
+        if n % 2:  # P(1, a1, a2, a3, a4) at the anticanonical degree
+            ws = (1, *sorted(rng.randint(1, 12) for _ in range(4)))
+            d = sum(ws)
+        else:
+            ws = tuple(sorted(rng.randint(1, 12) for _ in range(rng.randint(2, 6))))
+            d = rng.randint(ws[-1], 3 * ws[-1])
+        try:
+            list(quotient_points(ws, d))
+            no_eliminator = False
+        except NonTerminalError as e:
+            no_eliminator = str(e).startswith("no monomial")
+        builds.clear()
+        verdict = is_quasismooth(ws, d)
+        if no_eliminator:
+            assert (verdict, len(builds)) == (False, 0), (ws, d)
+            vertex_rejections += 1
+        elif not verdict:
+            assert builds, (ws, d)
+            later_rejections += 1
+        else:
+            passed += 1
+    assert (vertex_rejections, later_rejections, passed) == (1559, 111, 330)
 
 
 @pytest.mark.parametrize("n, top", [(3, 9), (4, 7), (5, 5)])
