@@ -2,11 +2,13 @@
 
 The dataset is a small line-oriented text file shipped with the package
 (`data/families.txt`; the WFANO_DATA environment variable names another
-file).  One record per family: the weight system, exact -K^3, two opaque
-columns ('invariant' and 'ell', stored verbatim), the pencil count, and one
-line per singular locus with its verbatim local type and optional
-annotation.  A row's type is normalized to 1/r(1,a,r-a) once, as the row
-is read; one that is not terminal is a positioned syntax error:
+file).  One record per family, a `FamilyRecord` whose fields are named
+after the keywords and come in the order of its lines: the weight system,
+its degree, exact -K^3, two opaque columns ('invariant' and 'ell', stored
+verbatim), the pencil count, and the `rows`, one `row` line per singular
+locus with its verbatim local type and optional annotation.  A row's type
+is normalized to 1/r(1,a,r-a) once, as the row is read; one that is not
+terminal is a positioned syntax error:
 
     family 13
     weights 1 2 3 5
@@ -104,14 +106,15 @@ class TableRow(NamedTuple):
 
 
 class FamilyRecord(NamedTuple):
+    # the one field list: the parser, the serializer and the CLI read it
     gimel: int
     weights: Weights
     degree: int
-    minus_k_cube: Fraction
+    kcube: Fraction
     invariant: str
     ell: str
-    basket_rows: tuple[TableRow, ...]
-    halphen_count: int | str
+    pencils: int | str
+    rows: tuple[TableRow, ...]
 
 
 class PencilKind(enum.Enum):
@@ -182,7 +185,7 @@ def _parse_row(cur: LineCursor, earlier: list[TableRow]) -> TableRow:
     return TableRow(locus, count, tuple(local), sing_type, annotation)
 
 
-_SCALARS = ("weights", "degree", "kcube", "invariant", "ell", "pencils")
+_SCALARS = FamilyRecord._fields[1:-1]  # the one-line keywords, in order
 
 
 def parse_table(source: str) -> list[FamilyRecord]:
@@ -202,14 +205,7 @@ def parse_table(source: str) -> list[FamilyRecord]:
             if field not in cur:
                 raise PositionedError(cur["line"], 1, f"{field} for family {cur['gimel']}")
         records[cur["gimel"]] = FamilyRecord(
-            gimel=cur["gimel"],
-            weights=cur["weights"],
-            degree=cur["degree"],
-            minus_k_cube=cur["kcube"],
-            invariant=cur["invariant"],
-            ell=cur["ell"],
-            basket_rows=tuple(cur["rows"]),
-            halphen_count=cur["pencils"],
+            cur["gimel"], *(cur[f] for f in _SCALARS), tuple(cur["rows"])
         )
 
     for lineno, raw in content_lines(source):
@@ -258,16 +254,9 @@ def serialize_table(records) -> str:
     """Canonical text form; parse(serialize(parse(s))) == parse(s)."""
     chunks = []
     for rec in sorted(records, key=lambda r: r.gimel):
-        lines = [
-            f"family {rec.gimel}",
-            "weights " + " ".join(str(a) for a in rec.weights),
-            f"degree {rec.degree}",
-            f"kcube {rec.minus_k_cube}",
-            f"invariant {rec.invariant}",
-            f"ell {rec.ell}",
-            f"pencils {rec.halphen_count}",
-        ]
-        lines += [f"row {row}" for row in rec.basket_rows]
+        lines = [f"family {rec.gimel}", "weights " + " ".join(str(a) for a in rec.weights)]
+        lines += [f"{f} {getattr(rec, f)}" for f in _SCALARS[1:]]
+        lines += [f"row {row}" for row in rec.rows]
         chunks.append("\n".join(lines))
     return "\n\n".join(chunks) + "\n"
 
@@ -400,7 +389,7 @@ def derived_type_iv_set(records) -> set[int]:
     second-pencil presentation."""
     return {
         rec.gimel for rec in records
-        if rec.halphen_count == 2 and rec.gimel != TYPE_V_GIMEL
+        if rec.pencils == 2 and rec.gimel != TYPE_V_GIMEL
         and isinstance(type_iv_presentation(rec.weights), tuple)
     }
 
@@ -427,13 +416,13 @@ def verify_family(rec: FamilyRecord) -> tuple[FamilyCheck, ...]:
 
     kcube = anticanonical_cube(w)
     checks.append(
-        FamilyCheck("kcube", kcube == rec.minus_k_cube, str(rec.minus_k_cube), str(kcube))
+        FamilyCheck("kcube", kcube == rec.kcube, str(rec.kcube), str(kcube))
     )
     checks.append(
         FamilyCheck("degree", w.degree == rec.degree, str(rec.degree), str(w.degree))
     )
 
-    expected_types = type_counts(rec.basket_rows)
+    expected_types = type_counts(rec.rows)
     computed = type_counts(basket(w))
     fmt = lambda d: "; ".join(f"{c} x {t}" for t, c in sorted(d.items())) or "smooth"
     checks.append(
@@ -445,7 +434,7 @@ def verify_family(rec: FamilyRecord) -> tuple[FamilyCheck, ...]:
         )
     )
 
-    for row in rec.basket_rows:
+    for row in rec.rows:
         b3 = kcube - row.sing_type.discrepancy_cube_drop
         has_bc = isinstance(row.annotation, BC)
         checks.append(
@@ -458,12 +447,12 @@ def verify_family(rec: FamilyRecord) -> tuple[FamilyCheck, ...]:
             )
         )
 
-    want = rec.halphen_count
+    want = rec.pencils
     got = halphen_pencils(rec).count
     checks.append(FamilyCheck("pencil count rule", got == want, str(want), str(got)))
     if is_type_iii(w):
         # the distinguished points the record lists, against its count
-        r = sum(row.count for row in rec.basket_rows if row.locus == "P1P2")
+        r = sum(row.count for row in rec.rows if row.locus == "P1P2")
         checks.append(
             FamilyCheck(
                 "distinguished point count",

@@ -20,7 +20,7 @@ import json
 import sys
 
 from . import classifier
-from .classifier import load_families, verify_family
+from .classifier import FamilyRecord, load_families, verify_family
 from .core import InputError, anticanonical_cube
 from .enumerator import enumerate_families
 from .singularities import basket
@@ -48,14 +48,12 @@ def cmd_show(args) -> int:
     answer = classifier.halphen_pencils(rec)
     print(f"family {rec.gimel}")
     print(f"weights {rec.weights}")
-    print(f"degree {rec.degree}")
-    print(f"kcube {rec.minus_k_cube}")
-    print(f"invariant {rec.invariant}")
-    print(f"ell {rec.ell}")
+    for field in FamilyRecord._fields[2:-2]:  # degree to ell
+        print(f"{field} {getattr(rec, field)}")
     print(f"pencils {answer.count}")
     for p in answer.pencils:
         print(f"  |-{p.n}K| {p.kind.value}: {p.generator_text}")
-    for row in rec.basket_rows:
+    for row in rec.rows:
         print(f"row {row.locus} {row.count}x {row.type_text()}")
     return 0
 
@@ -103,13 +101,8 @@ def cmd_export(args) -> int:
         payload = {
             "families": [
                 {
-                    "gimel": rec.gimel,
-                    "weights": list(rec.weights),
-                    "degree": rec.degree,
-                    "kcube": str(rec.minus_k_cube),
-                    "invariant": rec.invariant,
-                    "ell": rec.ell,
-                    "pencils": rec.halphen_count,
+                    **rec._asdict(),  # the weights, a tuple, dump as a list
+                    "kcube": str(rec.kcube),
                     "rows": [
                         {
                             "locus": row.locus,
@@ -120,7 +113,7 @@ def cmd_export(args) -> int:
                                 for tag, value in row.annotation_field().items()
                             },
                         }
-                        for row in rec.basket_rows
+                        for row in rec.rows
                     ],
                 }
                 for rec in records
@@ -130,24 +123,11 @@ def cmd_export(args) -> int:
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            [
-                "gimel", "a1", "a2", "a3", "a4", "degree", "kcube",
-                "invariant", "ell", "pencils", "basket",
-            ]
-        )
+        # the columns between the weights and the rows, degree to pencils
+        writer.writerow(["gimel", "a1", "a2", "a3", "a4", *FamilyRecord._fields[2:-1], "basket"])
         for rec in records:
             writer.writerow(
-                [
-                    rec.gimel,
-                    *rec.weights,
-                    rec.degree,
-                    str(rec.minus_k_cube),
-                    rec.invariant,
-                    rec.ell,
-                    rec.halphen_count,
-                    "; ".join(str(row) for row in rec.basket_rows),
-                ]
+                [rec.gimel, *rec.weights, *rec[2:-1], "; ".join(str(row) for row in rec.rows)]
             )
         text = buf.getvalue()
     if args.out:

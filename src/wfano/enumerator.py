@@ -57,8 +57,8 @@ def is_quasismooth(ws: tuple[int, ...], d: int) -> bool:
     d - wt(x_e) < 0 is never representable, hence the guard wt(x_e) <= d.
     A variable of I never counts once bit d is clear, since d - wt(x_e) in
     the I-weights would put d there too, so the count runs over all
-    variables.  The masks live only for the call.  A weight < 1 is a
-    ValueError.
+    variables.  The masks live only for the call.  A degree or a weight
+    < 1 is a ValueError.
 
     Supersets of a subset that reaches d are pruned: when the mask of
     s & (s - 1) has bit d, so has the mask of s, which contains it, so s
@@ -68,6 +68,8 @@ def is_quasismooth(ws: tuple[int, ...], d: int) -> bool:
     bit d was never pruned, nor was any mask it was built from, so it is
     exact and so is every mask extended from it.
     """
+    if d < 1:
+        raise ValueError(f"degree must be positive, got {d}")
     heavy = [a for a in ws if a >= 2]
     if len(heavy) + ws.count(1) < len(ws):  # a weight neither 1 nor >= 2
         raise ValueError(f"weights must be positive, got {ws}")

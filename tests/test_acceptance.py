@@ -56,7 +56,7 @@ def test_criterion_1_enumeration(announce):
 
 def test_criterion_2_degrees(announce):
     records = load_families()
-    bad = [r.gimel for r in records if anticanonical_cube(r.weights) != r.minus_k_cube]
+    bad = [r.gimel for r in records if anticanonical_cube(r.weights) != r.kcube]
     spot = (
         anticanonical_cube(load_families()[6].weights) == F(2, 3)
         and anticanonical_cube(load_families()[94].weights) == F(1, 330)
@@ -68,7 +68,7 @@ def test_criterion_2_degrees(announce):
 def test_criterion_3_baskets(announce):
     bad = []
     for rec in load_families():
-        if type_counts(basket(rec.weights)) != type_counts(rec.basket_rows):
+        if type_counts(basket(rec.weights)) != type_counts(rec.rows):
             bad.append(rec.gimel)
     ok = not bad
     assert announce(3, ok, "singular-point baskets match for all 95 families"), bad
@@ -81,7 +81,7 @@ def test_criterion_4_bc_presence(announce):
     total = 0
     for rec in load_families():
         cube = anticanonical_cube(rec.weights)
-        for row in rec.basket_rows:
+        for row in rec.rows:
             total += 1
             negative = cube - row.sing_type.discrepancy_cube_drop < 0
             if isinstance(row.annotation, BC) != negative:
@@ -144,11 +144,11 @@ def test_criterion_7_classification(announce):
 
     records = load_families()
     count_bad = [
-        r.gimel for r in records if halphen_pencils(r).count != r.halphen_count
+        r.gimel for r in records if halphen_pencils(r).count != r.pencils
     ]
-    infinite = {r.gimel for r in records if r.halphen_count is INFINITE}
+    infinite = {r.gimel for r in records if r.pencils is INFINITE}
     triple_counts = {g: halphen_pencils(family(g)).count for g in (18, 22, 28)}
-    two = {r.gimel for r in records if r.halphen_count == 2}
+    two = {r.gimel for r in records if r.pencils == 2}
     derived = derived_type_iv_set(records)
     literal = {45, 48, 55, 57, 58, 66, 69, 74, 76, 79, 80, 81, 84, 86, 91, 93, 95}
     ok = (

@@ -54,16 +54,16 @@ def test_parse_single_record():
     assert rec.gimel == 18
     assert rec.weights == Weights(2, 2, 3, 5)
     assert rec.degree == 12
-    assert rec.minus_k_cube == Fraction(1, 5)
+    assert rec.kcube == Fraction(1, 5)
     assert rec.invariant == "F_1"
     assert rec.ell == "1"
-    assert rec.halphen_count == 7
-    assert len(rec.basket_rows) == 2
-    assert rec.basket_rows[0].annotation == Involution("QI", "yw^2,7,12")
-    assert rec.basket_rows[1].annotation == BC(2, 0)
-    assert rec.basket_rows[1].count == 6
+    assert rec.pencils == 7
+    assert len(rec.rows) == 2
+    assert rec.rows[0].annotation == Involution("QI", "yw^2,7,12")
+    assert rec.rows[1].annotation == BC(2, 0)
+    assert rec.rows[1].count == 6
     # each row's type is normalized once, as it is read
-    assert [row.sing_type for row in rec.basket_rows] == [
+    assert [row.sing_type for row in rec.rows] == [
         QuotientSingularityType(5, 2), QuotientSingularityType(2, 1)
     ]
 
@@ -151,7 +151,7 @@ def test_non_terminal_row_type_is_positioned(bad, reason):
 
 def test_padded_count_still_parses():
     (rec,) = parse_table(RECORD.replace("P1P2 6x", "P1P2 06x"))
-    assert rec.basket_rows[1].count == 6
+    assert rec.rows[1].count == 6
 
 
 @pytest.mark.parametrize(
@@ -210,8 +210,8 @@ def test_annotations_of_different_kinds_never_compare_equal():
     # re-tagged from QI to EI must still differ from the original
     (rec,) = parse_table(RECORD)
     (retagged,) = parse_table(RECORD.replace("QI yw^2", "EI yw^2"))
-    assert retagged.basket_rows[0].annotation == Involution("EI", "yw^2,7,12")
-    assert retagged.basket_rows[0] != rec.basket_rows[0]
+    assert retagged.rows[0].annotation == Involution("EI", "yw^2,7,12")
+    assert retagged.rows[0] != rec.rows[0]
     assert retagged != rec
     assert BC(1, 2) != Involution("QI", "x")
 
@@ -220,7 +220,7 @@ def test_dataset_shape():
     records = load_families()
     assert len(records) == 95
     assert [r.gimel for r in records] == list(range(1, 96))
-    assert sum(len(r.basket_rows) for r in records) == 248
+    assert sum(len(r.rows) for r in records) == 248
 
 
 def test_unknown_gimel():
@@ -287,7 +287,7 @@ def test_count_formula_check_survives_optimize():
 
 def test_counts_match_dataset_everywhere():
     for rec in load_families():
-        assert halphen_pencils(rec).count == rec.halphen_count, rec.gimel
+        assert halphen_pencils(rec).count == rec.pencils, rec.gimel
 
 
 def test_infinite_exactly_when_second_weight_is_one():
@@ -316,7 +316,7 @@ def test_triple_point_families():
 def test_two_pencil_membership_is_cross_derivable():
     records = load_families()
     assert derived_type_iv_set(records) == TYPE_IV_GIMELS
-    two = {r.gimel for r in records if r.halphen_count == 2}
+    two = {r.gimel for r in records if r.pencils == 2}
     assert two == TYPE_IV_GIMELS | {TYPE_V_GIMEL}
 
 
@@ -329,7 +329,7 @@ def test_divisibility_alone_does_not_give_membership():
         assert w.a1 not in (1, w.a2)
         assert not is_type_iii(w)
         assert isinstance(type_iv_presentation(w), tuple)
-        assert rec.halphen_count == 1
+        assert rec.pencils == 1
         assert gimel not in TYPE_IV_GIMELS
 
 
@@ -386,8 +386,8 @@ def test_distinct_low_weights_cap_the_count():
     # families with a1 != a2 never carry more than two pencils
     for rec in load_families():
         w = rec.weights
-        if w.a1 != w.a2 and rec.halphen_count is not INFINITE:
-            assert rec.halphen_count <= 2, rec.gimel
+        if w.a1 != w.a2 and rec.pencils is not INFINITE:
+            assert rec.pencils <= 2, rec.gimel
 
 
 def test_weight_one_families_have_one_principal_pencil():
@@ -508,6 +508,6 @@ def test_env_var_overrides_dataset(tmp_path, monkeypatch):
     alt.write_text(RECORD.replace("pencils 7", "pencils 4"))
     monkeypatch.setenv("WFANO_DATA", str(alt))
     recs = load_families()
-    assert len(recs) == 1 and recs[0].halphen_count == 4
+    assert len(recs) == 1 and recs[0].pencils == 4
     monkeypatch.delenv("WFANO_DATA")
     assert len(load_families()) == 95

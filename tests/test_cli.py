@@ -1,10 +1,11 @@
 import json
+import textwrap
 from importlib import resources
 
 import pytest
 
 from wfano import classifier
-from wfano.classifier import FamilyRecord, verify_family
+from wfano.classifier import FamilyRecord, serialize_table, verify_family
 from wfano.cli import main
 from wfano.core import NonTerminalError, Weights, anticanonical_cube
 from wfano.enumerator import enumerate_families, has_only_terminal_isolated_sings, is_quasismooth_general
@@ -241,11 +242,56 @@ def test_zero_denominator_is_bad_input(capsys, tmp_path, monkeypatch):
         assert code == 2 and where in err, (body, err)
 
 
+SHOW_13 = """\
+family 13
+weights P(1,1,2,3,5)
+degree 11
+kcube 11/30
+invariant F_2
+ell 1
+pencils 1
+  |-1K| principal: lambda*x + mu*y
+row P4 1x 1/5(1,2,3)
+row P3 1x 1/3(1,1,2)
+row P2 1x 1/2(1,1,1)
+"""
+
+FAMILY_18_JSON = """\
+{
+  "degree": 12,
+  "ell": "1",
+  "gimel": 18,
+  "invariant": "F_1",
+  "kcube": "1/5",
+  "pencils": 7,
+  "rows": [
+    {
+      "count": 1,
+      "locus": "P4",
+      "qi": "yw^2,7,12",
+      "type": "1/5(1,2,3)"
+    },
+    {
+      "bc": [
+        2,
+        0
+      ],
+      "count": 6,
+      "locus": "P1P2",
+      "type": "1/2(1,1,1)"
+    }
+  ],
+  "weights": [
+    2,
+    2,
+    3,
+    5
+  ]
+}"""
+
+
 def test_show(capsys):
-    code, out, err = run(capsys, "show", "13")
-    assert code == 0
-    assert "kcube 11/30" in out
-    assert "pencils 1" in out
+    assert run(capsys, "show", "13") == (0, SHOW_13, "")
 
 
 def test_show_pencil_listing(capsys):
@@ -424,7 +470,7 @@ def test_walk_rejects_inadmissible_weights_with_non_terminal_error_alone():
     assert len(rejected) == len(systems) - len(enumerate_families(12))
     for w in rejected:
         for gimel in (1, 45, 60):
-            rec = FamilyRecord(gimel, w, w.degree, anticanonical_cube(w), "F_0", "1", (), 1)
+            rec = FamilyRecord(gimel, w, w.degree, anticanonical_cube(w), "F_0", "1", 1, ())
             with pytest.raises(NonTerminalError):
                 verify_family(rec)
 
@@ -437,18 +483,34 @@ def test_export_json_roundtrip(capsys):
     g7 = data["families"][6]
     assert g7["gimel"] == 7 and g7["kcube"] == "2/3"
     assert (data["families"][0]["pencils"], data["families"][17]["pencils"]) == ("infinite", 7)
+    # the layout, byte for byte: family 18 as it sits in the list
+    assert out.startswith('{\n  "families": [\n    {\n')
+    assert "\n" + textwrap.indent(FAMILY_18_JSON, "    ") + ",\n" in out
 
 
 def test_export_csv_anchors(capsys):
     code, out, err = run(capsys, "export", "--format", "csv")
     rows = out.splitlines()
-    assert rows[0].startswith("gimel,a1,a2,a3,a4,")
+    assert rows[0] == "gimel,a1,a2,a3,a4,degree,kcube,invariant,ell,pencils,basket"
+    assert rows[18] == '18,2,2,3,5,12,1/5,F_1,1,7,"P4 1x 1/5(1,2,3) QI yw^2,7,12; P1P2 6x 1/2(1,1,1) BC 2 0"'
     (g7,) = [r for r in rows if r.startswith("7,")]
     assert "2/3" in g7
     (g18,) = [r for r in rows if r.startswith("18,")]
     assert ",7," in g18
     (g1,) = [r for r in rows if r.startswith("1,")]
     assert g1.split(",")[rows[0].split(",").index("pencils")] == "infinite"
+
+
+def test_every_format_follows_the_record_fields(capsys):
+    # the record's field list is the one place a format's keys are named
+    fields = FamilyRecord._fields
+    out = run(capsys, "export", "--format", "json")[1]
+    assert {tuple(sorted(f)) for f in json.loads(out)["families"]} == {tuple(sorted(fields))}
+    header = run(capsys, "export", "--format", "csv")[1].splitlines()[0]
+    assert header.split(",") == ["gimel", "a1", "a2", "a3", "a4", *fields[2:-1], "basket"]
+    rec = classifier.family(18)
+    keywords = [line.split()[0] for line in serialize_table([rec]).splitlines()]
+    assert keywords == ["family", *fields[1:-1]] + ["row"] * len(rec.rows)
 
 
 def test_export_deterministic(capsys, tmp_path):

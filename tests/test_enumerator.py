@@ -391,3 +391,10 @@ def test_growth_is_monotone():
 def test_quasismooth_rejects_weight_below_one(ws):
     with pytest.raises(ValueError, match=r"weights must be positive, got \("):
         is_quasismooth(ws, 3)
+
+
+@pytest.mark.parametrize("d", [0, -3, -4])
+def test_quasismooth_rejects_degree_below_one(d):
+    # (2,) fails its vertex at -3 and would shift by -4: the degree is checked first
+    with pytest.raises(ValueError, match=rf"degree must be positive, got {d}$"):
+        is_quasismooth((2,), d)

@@ -222,7 +222,7 @@ def test_basket_order():
 @pytest.mark.parametrize("gimel", [5, 13, 18, 60, 91, 95])
 def test_basket_matches_dataset(gimel):
     rec = family(gimel)
-    assert type_counts(basket(rec.weights)) == type_counts(rec.basket_rows)
+    assert type_counts(basket(rec.weights)) == type_counts(rec.rows)
 
 
 def test_basket_entry_renders_as_the_cli_line():
@@ -241,7 +241,7 @@ def test_family_26_locus_label():
     # weights (1,1,3,5,6) only allow them on the (3,6) edge, i.e. P2P4;
     # counts and types agree, so only the printed label is off
     rec = family(26)
-    (row,) = [r for r in rec.basket_rows if r.count == 2]
+    (row,) = [r for r in rec.rows if r.count == 2]
     assert row.locus == "P3P4"
     (entry,) = [e for e in basket(rec.weights) if e.count == 2]
     assert entry.locus == "P2P4"
@@ -254,7 +254,7 @@ def test_every_dataset_locus_else_matches():
         if rec.gimel == 26:
             continue
         computed = {(e.locus, e.sing_type, e.count) for e in basket(rec.weights)}
-        recorded = {(r.locus, r.sing_type, r.count) for r in rec.basket_rows}
+        recorded = {(r.locus, r.sing_type, r.count) for r in rec.rows}
         assert computed == recorded, rec.gimel
 
 
@@ -309,7 +309,7 @@ def test_orbifold_euler_number_of_the_elephant():
         d = w.degree
         e1, e2 = sum(w), sum(a * b for a, b in combinations(w, 2))
         e_orb = Fraction(d * (e2 - d * e1 + d * d), w.a1 * w.a2 * w.a3 * w.a4)
-        recorded = [(row.count, row.sing_type.r) for row in rec.basket_rows]
+        recorded = [(row.count, row.sing_type.r) for row in rec.rows]
         computed = [(c, t.r) for t, c in type_counts(basket(w)).items()]
         for points in (recorded, computed):
             assert sum(c * (r - Fraction(1, r)) for c, r in points) == 24 - e_orb, rec.gimel

@@ -53,6 +53,14 @@ def test_readme_layout_lists_the_public_modules():
     assert listed == {p.stem for p in SOURCES if not p.name.startswith("_")}
 
 
+def test_readme_dataset_bullets_name_the_record_fields():
+    # one bullet per keyword, in the record's field order
+    section = README.read_text(encoding="utf-8").split("\n## The dataset\n")[1].split("\n## ")[0]
+    bullets = re.findall(r"^\* (`.*?) —", section, re.M)
+    named = [name.split()[0] for b in bullets for name in re.findall(r"`([^`]+)`", b)]
+    assert named == [*classifier.FamilyRecord._fields[1:-1], "row"]
+
+
 def _readme_block(first_line):
     blocks = re.findall(r"\n```\n(.*?)```\n", README.read_text(encoding="utf-8"), re.S)
     return next(b for b in blocks if b.startswith(first_line + "\n"))
