@@ -405,6 +405,12 @@ class FamilyCheck(NamedTuple):
     actual: str
 
 
+def compare(name: str, expected, actual) -> FamilyCheck:
+    """The check of a recomputed value: it passes iff the two are equal,
+    and prints both with `str`."""
+    return FamilyCheck(name, expected == actual, str(expected), str(actual))
+
+
 def verify_family(rec: FamilyRecord) -> tuple[FamilyCheck, ...]:
     """Recompute everything recomputable about one family and compare with
     its record: the anticanonical cube, the degree, the singular loci
@@ -412,27 +418,15 @@ def verify_family(rec: FamilyRecord) -> tuple[FamilyCheck, ...]:
     the pencil-count rule, and for the three type-III families the count
     against the distinguished points the record's P1P2 rows list."""
     w = rec.weights
-    checks = []
-
     kcube = anticanonical_cube(w)
-    checks.append(
-        FamilyCheck("kcube", kcube == rec.kcube, str(rec.kcube), str(kcube))
-    )
-    checks.append(
-        FamilyCheck("degree", w.degree == rec.degree, str(rec.degree), str(w.degree))
-    )
-
-    expected_types = type_counts(rec.rows)
-    computed = type_counts(basket(w))
+    # every count is positive and `str` of a type is injective, so the two
+    # texts are equal iff the two type counts are
     fmt = lambda d: "; ".join(f"{c} x {t}" for t, c in sorted(d.items())) or "smooth"
-    checks.append(
-        FamilyCheck(
-            "basket types",
-            computed == expected_types,
-            fmt(expected_types),
-            fmt(computed),
-        )
-    )
+    checks = [
+        compare("kcube", rec.kcube, kcube),
+        compare("degree", rec.degree, w.degree),
+        compare("basket types", fmt(type_counts(rec.rows)), fmt(type_counts(basket(w)))),
+    ]
 
     for row in rec.rows:
         b3 = kcube - row.sing_type.discrepancy_cube_drop
@@ -448,8 +442,7 @@ def verify_family(rec: FamilyRecord) -> tuple[FamilyCheck, ...]:
         )
 
     want = rec.pencils
-    got = halphen_pencils(rec).count
-    checks.append(FamilyCheck("pencil count rule", got == want, str(want), str(got)))
+    checks.append(compare("pencil count rule", want, halphen_pencils(rec).count))
     if is_type_iii(w):
         # the distinguished points the record lists, against its count
         r = sum(row.count for row in rec.rows if row.locus == "P1P2")

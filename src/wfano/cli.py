@@ -45,13 +45,11 @@ def cmd_enumerate(args) -> int:
 
 def cmd_show(args) -> int:
     rec = classifier.family(args.gimel)
-    answer = classifier.halphen_pencils(rec)
+    pencils = classifier.halphen_pencils(rec).pencils
     print(f"family {rec.gimel}")
-    print(f"weights {rec.weights}")
-    for field in FamilyRecord._fields[2:-2]:  # degree to ell
+    for field in FamilyRecord._fields[1:-1]:  # weights to pencils
         print(f"{field} {getattr(rec, field)}")
-    print(f"pencils {answer.count}")
-    for p in answer.pencils:
+    for p in pencils:
         print(f"  |-{p.n}K| {p.kind.value}: {p.generator_text}")
     for row in rec.rows:
         print(f"row {row.locus} {row.count}x {row.type_text()}")

@@ -59,7 +59,7 @@ from .blowup import (
     solve_gram,
     triple,
 )
-from .classifier import FamilyCheck, UnknownGimelError, family, load_families
+from .classifier import FamilyCheck, UnknownGimelError, compare, family, load_families
 from .core import InputError, NonTerminalError, QuotientSingularityType, Weights
 from .singularities import singular_points
 
@@ -336,18 +336,14 @@ def fixture_checks(gimel: int) -> tuple[FamilyCheck, ...]:
         ev = evaluate(spec)
         types = ",".join(str(t) for t in spec.tower.centers)
         checks.append(
-            FamilyCheck(
-                f"neg_k_cube tower [{types}] = {f.neg_k_cube}",
-                ev.neg_k_cube == f.neg_k_cube,
-                str(f.neg_k_cube),
-                str(ev.neg_k_cube),
-            )
+            compare(f"neg_k_cube tower [{types}] = {f.neg_k_cube}", f.neg_k_cube, ev.neg_k_cube)
         )
         if f.gram is not None:
+            # the texts are equal iff the matrices are and the solved one is
+            # negative definite
             checks.append(
-                FamilyCheck(
+                compare(
                     f"gram tower [{types}]",
-                    ev.gram_matrix == f.gram and ev.negative_definite is True,
                     f"{_matrix_text(f.gram)}, {definiteness(True)}",
                     f"{_matrix_text(ev.gram_matrix)}, {definiteness(ev.negative_definite)}",
                 )

@@ -294,6 +294,87 @@ def test_show(capsys):
     assert run(capsys, "show", "13") == (0, SHOW_13, "")
 
 
+def packaged_copy(tmp_path, monkeypatch, old, new):
+    """Point WFANO_DATA at the packaged dataset with the one `old` made `new`."""
+    text = resources.files("wfano").joinpath("data/families.txt").read_text()
+    assert text.count(old) == 1
+    data = tmp_path / "families.txt"
+    data.write_text(text.replace(old, new))
+    monkeypatch.setenv("WFANO_DATA", str(data))
+
+
+def test_show_prints_the_recorded_pencil_count(capsys, tmp_path, monkeypatch):
+    # the record's own count under its keyword, then the rule's descriptors
+    packaged_copy(tmp_path, monkeypatch, "pencils 1\nrow P4 1x 1/5(1,2,3) QI xw^2,6,11",
+                  "pencils 2\nrow P4 1x 1/5(1,2,3) QI xw^2,6,11")
+    assert run(capsys, "show", "13") == (0, SHOW_13.replace("pencils 1\n", "pencils 2\n"), "")
+
+
+@pytest.mark.parametrize(
+    "old, new, failed",
+    [
+        ("weights 1 2 3 5\ndegree 11", "weights 1 2 3 5\ndegree 12", "degree, FAIL, 12, 11"),
+        ("row P3 1x 1/3(1,1,2) QI *t^2w,8,11", "row P3 1x 1/4(1,1,3) QI *t^2w,8,11",
+         "basket types, FAIL, 1 x 1/2(1,1,1); 1 x 1/4(1,1,3); 1 x 1/5(1,2,3), "
+         "1 x 1/2(1,1,1); 1 x 1/3(1,1,2); 1 x 1/5(1,2,3)"),
+    ],
+    ids=["degree", "row-type"],
+)
+def test_a_wrong_recorded_value_fails_its_check(capsys, tmp_path, monkeypatch, old, new, failed):
+    packaged_copy(tmp_path, monkeypatch, old, new)
+    code, out, err = run(capsys, "verify", "--gimel", "13")
+    assert (code, err) == (1, "")
+    assert [l for l in out.splitlines() if ", FAIL, " in l] == [f"13, {failed}"]
+
+
+# three fixtures, type III, type V, and type IV with a Gram fixture
+VERIFY_13_18_60_91 = """\
+13, kcube, PASS, 11/30, 11/30
+13, degree, PASS, 11, 11
+13, basket types, PASS, 1 x 1/2(1,1,1); 1 x 1/3(1,1,2); 1 x 1/5(1,2,3), 1 x 1/2(1,1,1); 1 x 1/3(1,1,2); 1 x 1/5(1,2,3)
+13, bc presence P4 1/5(1,2,3), PASS, no BC iff non-negative, single-blowup kcube 1/3, annotation absent
+13, bc presence P3 1/3(1,1,2), PASS, no BC iff non-negative, single-blowup kcube 1/5, annotation absent
+13, bc presence P2 1/2(1,1,1), PASS, BC iff negative, single-blowup kcube -2/15, annotation BC
+13, pencil count rule, PASS, 1, 1
+13, neg_k_cube tower [1/3(1,1,2),1/2(1,1,1)] = -3/10, PASS, -3/10, -3/10
+13, neg_k_cube tower [1/5(1,2,3),1/2(1,1,1)] = -1/6, PASS, -1/6, -1/6
+13, gram tower [1/5(1,2,3),1/2(1,1,1)], PASS, -5/6 1 / 1 -4/3, negative-definite, -5/6 1 / 1 -4/3, negative-definite
+13, neg_k_cube tower [1/5(1,2,3),1/3(1,1,2),1/2(1,1,1)] = -1/3, PASS, -1/3, -1/3
+13, gram tower [1/5(1,2,3),1/3(1,1,2),1/2(1,1,1)], PASS, -5/6 1 / 1 -3/2, negative-definite, -5/6 1 / 1 -3/2, negative-definite
+18, kcube, PASS, 1/5, 1/5
+18, degree, PASS, 12, 12
+18, basket types, PASS, 6 x 1/2(1,1,1); 1 x 1/5(1,2,3), 6 x 1/2(1,1,1); 1 x 1/5(1,2,3)
+18, bc presence P4 1/5(1,2,3), PASS, no BC iff non-negative, single-blowup kcube 1/6, annotation absent
+18, bc presence P1P2 1/2(1,1,1), PASS, BC iff negative, single-blowup kcube -3/10, annotation BC
+18, pencil count rule, PASS, 7, 7
+18, distinguished point count, PASS, 7, 1 + 6
+60, kcube, PASS, 1/45, 1/45
+60, degree, PASS, 24, 24
+60, basket types, PASS, 2 x 1/2(1,1,1); 1 x 1/3(1,1,2); 1 x 1/5(1,1,4); 1 x 1/9(1,4,5), 2 x 1/2(1,1,1); 1 x 1/3(1,1,2); 1 x 1/5(1,1,4); 1 x 1/9(1,4,5)
+60, bc presence P4 1/9(1,4,5), PASS, no BC iff non-negative, single-blowup kcube 1/60, annotation absent
+60, bc presence P2 1/5(1,4,1), PASS, BC iff negative, single-blowup kcube -1/36, annotation BC
+60, bc presence P3P4 1/3(1,1,2), PASS, BC iff negative, single-blowup kcube -13/90, annotation BC
+60, bc presence P1P3 1/2(1,1,1), PASS, BC iff negative, single-blowup kcube -43/90, annotation BC
+60, pencil count rule, PASS, 2, 2
+91, kcube, PASS, 1/130, 1/130
+91, degree, PASS, 44, 44
+91, basket types, PASS, 1 x 1/2(1,1,1); 1 x 1/5(1,2,3); 1 x 1/13(1,4,9), 1 x 1/2(1,1,1); 1 x 1/5(1,2,3); 1 x 1/13(1,4,9)
+91, bc presence P3 1/13(1,4,9), PASS, no BC iff non-negative, single-blowup kcube 1/180, annotation absent
+91, bc presence P2 1/5(1,3,2), PASS, BC iff negative, single-blowup kcube -1/39, annotation BC
+91, bc presence P1P4 1/2(1,1,1), PASS, BC iff negative, single-blowup kcube -32/65, annotation BC
+91, pencil count rule, PASS, 2, 2
+91, second pencil presentation, PASS, index j with a1+a3+a4 = m*a_j, j=3, m=3
+91, neg_k_cube tower [1/13(1,4,9),1/4(1,1,3)] = -7/90, PASS, -7/90, -7/90
+91, gram tower [1/13(1,4,9),1/4(1,1,3)], PASS, -1/6 0 / 0 -2/9, negative-definite, -1/6 0 / 0 -2/9, negative-definite
+"""
+
+
+def test_verify_output_of_four_families(capsys):
+    runs = [run(capsys, "verify", "--gimel", g) for g in ("13", "18", "60", "91")]
+    assert all((code, err) == (0, "") for code, _, err in runs)
+    assert "".join(out for _, out, _ in runs) == VERIFY_13_18_60_91
+
+
 def test_show_pencil_listing(capsys):
     code, out, err = run(capsys, "show", "18")
     assert code == 0

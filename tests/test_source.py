@@ -104,6 +104,14 @@ UNREFERENCED = {
 # iteration and calls reach them without naming them
 IMPLICIT_DUNDERS = {"__new__", "__init__", "__str__", "__iter__", "__call__"}
 
+# Class members whose name is also a field of another class, so a read of
+# the field counts as a use of the member; each names a library function and
+# the expression in it that reads the member itself
+SHADOWED = {
+    "classifier.HalphenAnswer.count": ("classifier.verify_family", "halphen_pencils(rec).count"),
+    "core.Weights.degree": ("core.anticanonical_cube", "w.degree"),
+}
+
 
 def test_public_names_without_a_library_caller():
     # aim: the public API keeps only what a command, a check or a claim
@@ -118,6 +126,7 @@ def test_public_names_without_a_library_caller():
                 used.add(node.attr)
     defined = set()
     members = {}  # methods, properties and operator dunders, by the name a use gives
+    fields = {}  # class-level annotated names, by the class that declares them
     for stem, tree in trees.items():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -132,10 +141,27 @@ def test_public_names_without_a_library_caller():
                     if isinstance(m, ast.FunctionDef) and m.name not in IMPLICIT_DUNDERS
                     and re.fullmatch(r"__\w+__|[^_]\w*", m.name)
                 }
+                fields[f"{stem}.{node.name}"] = {
+                    m.target.id for m in node.body
+                    if isinstance(m, ast.AnnAssign) and isinstance(m.target, ast.Name)
+                }
     unused = {f"{stem}.{name}" for stem, name in defined
               if not name.startswith("_") and name not in used}
     unused |= {member for member, name in members.items() if name not in used}
     assert unused == set(UNREFERENCED)
+    # a field read hides an unused member of the same name, so each such
+    # member is pinned with a read of its own
+    shadowed = {
+        member for member, name in members.items()
+        if any(name in names for cls, names in fields.items() if not member.startswith(cls + "."))
+    }
+    assert shadowed == set(SHADOWED)
+    for member, (function, expression) in SHADOWED.items():
+        stem, name = function.split(".")
+        (node,) = (n for n in trees[stem].body if isinstance(n, ast.FunctionDef) and n.name == name)
+        reads = {ast.unparse(a) for a in ast.walk(node)
+                 if isinstance(a, ast.Attribute) and a.attr == member.rsplit(".", 1)[1]}
+        assert expression in reads, (member, sorted(reads))
 
 
 # Exception classes that no `except` clause in the library names, each with why it stays

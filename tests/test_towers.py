@@ -1,14 +1,15 @@
+from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
 
 import pytest
 
-from wfano import classifier, singularities
+from wfano import classifier, singularities, towers
 from wfano._linescan import PositionedError
-from wfano.classifier import family, load_families
+from wfano.classifier import FamilyCheck, family, load_families
 from wfano.core import InputError, Weights
 from wfano.singularities import quotient_points, singular_points
-from wfano.towers import FIXTURES, evaluate, load_fixture, parse_tower_text
+from wfano.towers import FIXTURES, evaluate, fixture_checks, load_fixture, parse_tower_text
 
 GOOD = """\
 # two blow ups over explicit weights
@@ -270,3 +271,33 @@ def test_unknown_family_header_is_positioned():
         parse_tower_text("family 999\n")
     assert (e.value.line, e.value.col) == (1, 8)
     assert e.value.expected == "a known family (no family 999 in the dataset)"
+
+
+GRAM_91 = "-1/6 0 / 0 -2/9"
+
+
+@pytest.mark.parametrize(
+    "change, failed",
+    [
+        (
+            lambda ev: replace(ev, neg_k_cube=ev.neg_k_cube + 1),
+            FamilyCheck("neg_k_cube tower [1/13(1,4,9),1/4(1,1,3)] = -7/90", False, "-7/90", "83/90"),
+        ),
+        (
+            lambda ev: replace(ev, gram_matrix=((Fraction(-1, 6), 0), (0, Fraction(-1, 3)))),
+            FamilyCheck("gram tower [1/13(1,4,9),1/4(1,1,3)]", False,
+                        f"{GRAM_91}, negative-definite", "-1/6 0 / 0 -1/3, negative-definite"),
+        ),
+        (
+            lambda ev: replace(ev, negative_definite=False),
+            FamilyCheck("gram tower [1/13(1,4,9),1/4(1,1,3)]", False,
+                        f"{GRAM_91}, negative-definite", f"{GRAM_91}, not negative-definite"),
+        ),
+    ],
+    ids=["neg_k_cube", "gram-matrix", "definiteness"],
+)
+def test_a_changed_evaluation_fails_its_fixture_check(monkeypatch, change, failed):
+    # family 91's one fixture gives a cube check and a Gram check; only the
+    # check of the changed value fails
+    monkeypatch.setattr(towers, "evaluate", lambda spec: change(evaluate(spec)))
+    assert [c for c in fixture_checks(91) if not c.passed] == [failed]
