@@ -46,13 +46,10 @@ def cmd_enumerate(args) -> int:
 def cmd_show(args) -> int:
     rec = classifier.family(args.gimel)
     pencils = classifier.halphen_pencils(rec).pencils
-    print(f"family {rec.gimel}")
-    for field in FamilyRecord._fields[1:-1]:  # weights to pencils
-        print(f"{field} {getattr(rec, field)}")
+    # the dataset record, then the rule's pencils as comments: valid dataset text
+    sys.stdout.write(classifier.serialize_table([rec]))
     for p in pencils:
-        print(f"  |-{p.n}K| {p.kind.value}: {p.generator_text}")
-    for row in rec.rows:
-        print(f"row {row.locus} {row.count}x {row.type_text()}")
+        print(f"# |-{p.n}K| {p.kind.value}: {p.generator_text}")
     return 0
 
 

@@ -119,11 +119,13 @@ COUNT, LOCUS = "count like 3x", "locus label like P4 or P2P3"
         ("QI yw^2,7,12", "QI", 9, 24, "involution text"),
         ("QI yw^2,7,12", "QI yw^2, 7,12", 9, 31, "end of line"),  # the text is one token
         ("BC 2 0", "BC 2 0  7", 10, 32, "end of line"),  # at the stray token
+        # only a whole line is a comment: a trailing `#` is a stray token
+        ("weights 2 2 3 5", "weights 2 2 3 5 # note", 3, 17, "end of line"),
         ("QI yw^2,7,12", "XI yw^2,7,12", 9, 22, "annotation BC/QI/EI"),
     ],
     ids=["zero-count", "zero-count-padded", "repeated-locus", "descending-locus", "locus-listed-twice",
          "no-locus", "no-kcube", "no-involution-text", "spaced-involution-text", "trailing-token",
-         "unknown-annotation"],
+         "trailing-comment", "unknown-annotation"],
 )
 def test_malformed_rows_are_positioned(old, new, line, col, expected):
     with pytest.raises(PositionedError) as e:

@@ -244,16 +244,16 @@ def test_zero_denominator_is_bad_input(capsys, tmp_path, monkeypatch):
 
 SHOW_13 = """\
 family 13
-weights P(1,1,2,3,5)
+weights 1 2 3 5
 degree 11
 kcube 11/30
 invariant F_2
 ell 1
 pencils 1
-  |-1K| principal: lambda*x + mu*y
-row P4 1x 1/5(1,2,3)
-row P3 1x 1/3(1,1,2)
-row P2 1x 1/2(1,1,1)
+row P4 1x 1/5(1,2,3) QI xw^2,6,11
+row P3 1x 1/3(1,1,2) QI *t^2w,8,11
+row P2 1x 1/2(1,1,1) BC 1 0
+# |-1K| principal: lambda*x + mu*y
 """
 
 FAMILY_18_JSON = """\
@@ -292,6 +292,14 @@ FAMILY_18_JSON = """\
 
 def test_show(capsys):
     assert run(capsys, "show", "13") == (0, SHOW_13, "")
+
+
+def test_show_prints_the_dataset_record(capsys):
+    # the pencil lines are comments, so show's stdout is a dataset of one record
+    for rec in classifier.load_families():
+        code, out, err = run(capsys, "show", str(rec.gimel))
+        assert (code, err) == (0, "")
+        assert classifier.parse_table(out) == [rec], rec.gimel
 
 
 def packaged_copy(tmp_path, monkeypatch, old, new):
@@ -379,7 +387,7 @@ def test_show_pencil_listing(capsys):
     code, out, err = run(capsys, "show", "18")
     assert code == 0
     assert "pencils 7" in out
-    listed = [l for l in out.splitlines() if l.startswith("  |-2K|")]
+    listed = [l for l in out.splitlines() if l.startswith("# |-2K|")]
     assert len(listed) == 7
 
 

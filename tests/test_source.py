@@ -95,7 +95,6 @@ def test_doc_examples_parse_like_the_packaged_data():
 # it stays; a reason that cites a `bench/` file expires with its use there
 UNREFERENCED = {
     "blowup.anticanonical_class": "the BC-value and derived-class checks will call it",
-    "classifier.serialize_table": "bench/workloads.py round-trips the dataset through it",
     "classifier.derived_type_iv_set": "stays until a Kodaira-dimension oracle replaces it",
     "core.is_representable": "bench/test_tracing.py looks it up in `core` and `enumerator`",
 }
