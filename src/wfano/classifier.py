@@ -23,9 +23,9 @@ terminal is a positioned syntax error:
 
 Annotations: `BC b c` records the auxiliary surface class -bK+cE attached
 to a blow up whose anticanonical cube goes negative, `QI`/`EI` record
-untwisting involution data (one `Involution` that keeps its tag and the
-text verbatim, no semantics attached), and an absent annotation means
-none is needed.  Every field is one token, a `QI`/`EI` text included.
+untwisting involution data verbatim, and an absent annotation means none
+is needed.  Each is one `Annotation(tag, value)`, its value the pair
+(b, c) or the text.  Every field is one token, a `QI`/`EI` text included.
 
 Only `load_families` and `family` read the dataset, and loading rejects
 it whole when a record's weights are not an admissible family (see
@@ -59,19 +59,17 @@ class UnknownGimelError(InputError):
 INFINITE = "infinite"
 
 
-# Records and their parts are tuples, which compare by value across
-# classes; so QI and EI are one class that keeps its tag, and a BC never
-# equals an Involution, whose fields are strings
-class BC(NamedTuple):
-    b: int
-    c: int
-
-
-class Involution(NamedTuple):
-    """A `QI` or `EI` annotation: its tag and its verbatim text."""
+class Annotation(NamedTuple):
+    """A row's `BC b c`, `QI text` or `EI text`: its tag, and the pair
+    (b, c) or the verbatim text."""
 
     tag: str
-    text: str
+    value: tuple[int, int] | str
+
+    def __str__(self):
+        """The annotation as the dataset writes it, `BC 2 0` or `QI yw^2,7,12`."""
+        v = self.value
+        return f"{self.tag} {v if isinstance(v, str) else ' '.join(map(str, v))}"
 
 
 class TableRow(NamedTuple):
@@ -81,27 +79,17 @@ class TableRow(NamedTuple):
     count: int
     local_weights: tuple[int, int, int]
     sing_type: QuotientSingularityType  # the type normalized to 1/r(1,a,r-a)
-    annotation: BC | Involution | None = None
+    annotation: Annotation | None = None
 
     def type_text(self) -> str:
         q = self.local_weights
         return f"1/{self.sing_type.r}({q[0]},{q[1]},{q[2]})"
 
-    def annotation_field(self) -> dict[str, list[int] | str]:
-        """The annotation as {tag: value}: BC -> [b, c], QI/EI -> text, or
-        {} when there is none."""
-        a = self.annotation
-        if a is None:
-            return {}
-        if isinstance(a, BC):
-            return {"BC": [a.b, a.c]}
-        return {a.tag: a.text}
-
     def __str__(self):
         """The row as the dataset writes it, after the `row` keyword."""
         words = [self.locus, f"{self.count}x", self.type_text()]
-        for tag, value in self.annotation_field().items():
-            words += [tag, *map(str, value)] if isinstance(value, list) else [tag, value]
+        if self.annotation is not None:
+            words.append(str(self.annotation))
         return " ".join(words)
 
 
@@ -172,13 +160,13 @@ def _parse_row(cur: LineCursor, earlier: list[TableRow]) -> TableRow:
         sing_type = normalize_singularity(index, *local)
     except ValueError as exc:
         cur.fail(f"terminal type ({exc})", m.start() + 1)
-    annotation: BC | Involution | None = None
+    annotation = None
     if not cur.at_end():
         tag, col = cur.next_token("annotation tag")
         if tag == "BC":
-            annotation = BC(cur.next_int("integer b"), cur.next_int("integer c"))
+            annotation = Annotation(tag, (cur.next_int("integer b"), cur.next_int("integer c")))
         elif tag in ("QI", "EI"):
-            annotation = Involution(tag, cur.next_token("involution text")[0])
+            annotation = Annotation(tag, cur.next_token("involution text")[0])
         else:
             cur.fail("annotation BC/QI/EI", col)
         cur.expect_end()
@@ -266,7 +254,7 @@ def _load(path: str | None) -> tuple[FamilyRecord, ...]:
     if path is None:
         text = resources.files("wfano").joinpath("data/families.txt").read_text()
     else:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # a byte-order mark is skipped
             text = fh.read()
     records = tuple(parse_table(text))
     for rec in records:
@@ -430,7 +418,7 @@ def verify_family(rec: FamilyRecord) -> tuple[FamilyCheck, ...]:
 
     for row in rec.rows:
         b3 = kcube - row.sing_type.discrepancy_cube_drop
-        has_bc = isinstance(row.annotation, BC)
+        has_bc = row.annotation is not None and row.annotation.tag == "BC"
         checks.append(
             FamilyCheck(
                 f"bc presence {row.locus} {row.type_text()}",

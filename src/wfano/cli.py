@@ -77,7 +77,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_eval_tower(args) -> int:
-    with open(args.file, encoding="utf-8") as fh:
+    with open(args.file, encoding="utf-8-sig") as fh:  # a byte-order mark is skipped
         ev = evaluate(parse_tower_text(fh.read()))
     print(f"neg_k_cube = {ev.neg_k_cube}")
     for (a, b, c), value in ev.triples:
@@ -103,10 +103,8 @@ def cmd_export(args) -> int:
                             "locus": row.locus,
                             "count": row.count,
                             "type": row.type_text(),
-                            **{
-                                tag.lower(): value
-                                for tag, value in row.annotation_field().items()
-                            },
+                            **({row.annotation.tag.lower(): row.annotation.value}
+                               if row.annotation else {}),
                         }
                         for row in rec.rows
                     ],

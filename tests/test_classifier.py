@@ -8,11 +8,10 @@ import pytest
 import wfano
 from wfano import classifier
 from wfano.classifier import (
-    BC,
     INFINITE,
     TYPE_IV_GIMELS,
     TYPE_V_GIMEL,
-    Involution,
+    Annotation,
     PencilKind,
     UnknownGimelError,
     derived_type_iv_set,
@@ -59,8 +58,8 @@ def test_parse_single_record():
     assert rec.ell == "1"
     assert rec.pencils == 7
     assert len(rec.rows) == 2
-    assert rec.rows[0].annotation == Involution("QI", "yw^2,7,12")
-    assert rec.rows[1].annotation == BC(2, 0)
+    assert rec.rows[0].annotation == Annotation("QI", "yw^2,7,12")
+    assert rec.rows[1].annotation == Annotation("BC", (2, 0))
     assert rec.rows[1].count == 6
     # each row's type is normalized once, as it is read
     assert [row.sing_type for row in rec.rows] == [
@@ -208,14 +207,14 @@ def test_roundtrip_identity():
 
 
 def test_annotations_of_different_kinds_never_compare_equal():
-    # records are tuples, which compare by value across classes: a row
-    # re-tagged from QI to EI must still differ from the original
+    # the tag is a field of the annotation, so a row re-tagged from QI to
+    # EI differs from the original, and no BC equals a QI or an EI
     (rec,) = parse_table(RECORD)
     (retagged,) = parse_table(RECORD.replace("QI yw^2", "EI yw^2"))
-    assert retagged.rows[0].annotation == Involution("EI", "yw^2,7,12")
+    assert retagged.rows[0].annotation == Annotation("EI", "yw^2,7,12")
     assert retagged.rows[0] != rec.rows[0]
     assert retagged != rec
-    assert BC(1, 2) != Involution("QI", "x")
+    assert Annotation("BC", (1, 2)) != Annotation("QI", "x")
 
 
 def test_dataset_shape():

@@ -1,5 +1,8 @@
+import csv
+import io
 import json
 import textwrap
+from collections import Counter
 from importlib import resources
 
 import pytest
@@ -97,6 +100,22 @@ def test_non_utf8_input_reports_the_decode_error(capsys, tmp_path, monkeypatch):
     code, out, err = run(capsys, "verify")
     assert code == 2
     assert err.startswith("error: 'utf-8' codec can't decode byte 0xe9 in position 14")
+
+
+def test_a_tower_with_a_byte_order_mark_is_read(capsys, tmp_path):
+    # a leading byte-order mark is skipped, so the `#` comment after it stays one
+    chain = resources.files("wfano").joinpath("data/towers/family13-chain.tower").read_bytes()
+    assert chain.startswith(b"#")
+    tower = tmp_path / "bom.tower"
+    tower.write_bytes(b"\xef\xbb\xbf" + chain)
+    assert run(capsys, "eval-tower", str(tower)) == (0, "neg_k_cube = -3/10\n", "")
+
+
+def test_a_dataset_with_a_byte_order_mark_is_read(capsys, tmp_path, monkeypatch):
+    data = tmp_path / "families.txt"
+    data.write_bytes(b"\xef\xbb\xbf" + resources.files("wfano").joinpath("data/families.txt").read_bytes())
+    monkeypatch.setenv("WFANO_DATA", str(data))
+    assert run(capsys, "show", "13") == (0, SHOW_13, "")
 
 
 @pytest.mark.parametrize(
@@ -316,6 +335,13 @@ def test_show_prints_the_recorded_pencil_count(capsys, tmp_path, monkeypatch):
     packaged_copy(tmp_path, monkeypatch, "pencils 1\nrow P4 1x 1/5(1,2,3) QI xw^2,6,11",
                   "pencils 2\nrow P4 1x 1/5(1,2,3) QI xw^2,6,11")
     assert run(capsys, "show", "13") == (0, SHOW_13.replace("pencils 1\n", "pencils 2\n"), "")
+
+
+def test_show_prints_the_canonical_form(capsys, tmp_path, monkeypatch):
+    # the record as the serializer writes it, not the file's own spelling
+    packaged_copy(tmp_path, monkeypatch, "kcube 11/30\ninvariant F_2\nell 1\npencils 1\nrow P4 1x",
+                  "kcube 22/60\ninvariant F_2\nell 1\npencils 1\nrow P4 01x")
+    assert run(capsys, "show", "13") == (0, SHOW_13, "")
 
 
 @pytest.mark.parametrize(
@@ -588,6 +614,38 @@ def test_export_csv_anchors(capsys):
     assert ",7," in g18
     (g1,) = [r for r in rows if r.startswith("1,")]
     assert g1.split(",")[rows[0].split(",").index("pencils")] == "infinite"
+
+
+def test_both_exports_reproduce_every_row(capsys):
+    # the rows split from the packaged file's own `row` lines, without the parser
+    rows: dict[int, list[list[str]]] = {}
+    for line in resources.files("wfano").joinpath("data/families.txt").read_text().splitlines():
+        words = line.split()
+        if words[:1] == ["family"]:
+            gimel = int(words[1])
+            rows[gimel] = []
+        elif words[:1] == ["row"]:
+            rows[gimel].append(words[1:])
+    tags = Counter(w[3] if len(w) > 3 else None for ws in rows.values() for w in ws)
+    assert tags == {"BC": 133, "QI": 54, "EI": 8, None: 53}
+
+    def json_row(locus, count, type_text, tag=None, *value):
+        obj = {"locus": locus, "count": int(count.removesuffix("x")), "type": type_text}
+        if tag == "BC":
+            b, c = value
+            obj["bc"] = [int(b), int(c)]
+        elif tag is not None:
+            (obj[tag.lower()],) = value
+        return obj
+
+    families = json.loads(run(capsys, "export", "--format", "json")[1])["families"]
+    assert {f["gimel"]: f["rows"] for f in families} == {
+        g: [json_row(*w) for w in ws] for g, ws in rows.items()
+    }
+    table = list(csv.reader(io.StringIO(run(capsys, "export", "--format", "csv")[1])))
+    assert {int(r[0]): r[-1] for r in table[1:]} == {
+        g: "; ".join(" ".join(w) for w in ws) for g, ws in rows.items()
+    }
 
 
 def test_every_format_follows_the_record_fields(capsys):

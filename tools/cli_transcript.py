@@ -1,0 +1,125 @@
+"""Print what the `wfano` command line writes for a fixed list of commands.
+
+    python tools/cli_transcript.py CHECKOUT > transcript.txt
+
+imports `wfano.cli` from CHECKOUT/src and runs every command in this one
+process, through `cli.main`.  For each command it prints the argv (with
+the WFANO_DATA file it runs under, if any), the exit code, stdout and
+stderr.  The commands: `enumerate` at the default bound and at 1, 12, 33,
+60 and 100; `verify`; `show`, `basket` and `verify --gimel` for families 0
+to 96 (0 and 96 are unknown); both exports; `eval-tower` on the shipped
+fixtures; and bad, byte-order-marked and non-canonical dataset and
+`.tower` files that it writes to a temporary directory.  Files are named
+by their file names, never by an absolute path, so the transcripts of two
+checkouts diff cleanly:
+
+    diff <(python tools/cli_transcript.py OLD) <(python tools/cli_transcript.py NEW)
+"""
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import sys
+import tempfile
+import traceback
+from pathlib import Path
+
+BOM = b"\xef\xbb\xbf"
+FAMILY_13 = b"kcube 11/30\ninvariant F_2\nell 1\npencils 1\nrow P4 1x"
+
+
+def replaced(text: bytes, old: bytes, new: bytes) -> bytes:
+    if text.count(old) != 1:
+        raise SystemExit(f"expected one {old!r} in the packaged dataset")
+    return text.replace(old, new)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print("usage: python tools/cli_transcript.py CHECKOUT", file=sys.stderr)
+        return 2
+    src = Path(argv[1]).resolve() / "src"
+    sys.path.insert(0, str(src))
+    from wfano import cli
+
+    if not Path(cli.__file__).resolve().is_relative_to(src):
+        raise SystemExit(f"wfano.cli was imported from {cli.__file__}, not from {src}")
+    os.environ.pop("WFANO_DATA", None)
+    towers = src / "wfano" / "data" / "towers"
+    packaged = (src / "wfano" / "data" / "families.txt").read_bytes()
+    fixtures = sorted(towers.glob("*.tower"))
+
+    with tempfile.TemporaryDirectory() as tmp:
+        dirs = (str(towers) + os.sep, tmp + os.sep)
+
+        def short(text: str) -> str:
+            for d in dirs:
+                text = text.replace(d, "")
+            return text
+
+        def run(*args: str, data: str | None = None) -> None:
+            if data is not None:
+                os.environ["WFANO_DATA"] = os.path.join(tmp, data)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = cli.main(list(args))
+                except SystemExit as exc:  # argparse rejects the argv
+                    code = exc.code
+                except Exception as exc:  # a bug: the transcript names it and goes on
+                    traceback.print_exc(file=sys.__stderr__)
+                    code = f"raised {type(exc).__name__}: {exc}"
+            os.environ.pop("WFANO_DATA", None)
+            env = f"WFANO_DATA={data} " if data is not None else ""
+            print(f"$ {env}wfano {short(' '.join(args))}")
+            print(f"exit {short(str(code))}")
+            for name, text in (("stdout", out.getvalue()), ("stderr", err.getvalue())):
+                print(f"--- {name}")
+                text = short(text)
+                sys.stdout.write(text if text.endswith("\n") or not text else text + "\n(no newline at end)\n")
+            print()
+
+        def write(name: str, content: bytes) -> str:
+            Path(tmp, name).write_bytes(content)
+            return os.path.join(tmp, name)
+
+        run("enumerate")
+        for bound in (1, 12, 33, 60, 100):
+            run("enumerate", "--bound", str(bound))
+        run("enumerate", "--bound", "0")
+        run("verify")
+        for gimel in range(97):
+            run("show", str(gimel))
+            run("basket", str(gimel))
+            run("verify", "--gimel", str(gimel))
+        run("export", "--format", "json")
+        run("export", "--format", "csv")
+        for path in fixtures:
+            run("eval-tower", str(path))
+
+        write("bom-families.txt", BOM + packaged)
+        write("noncanonical.txt", replaced(
+            packaged, FAMILY_13, b"kcube 22/60\ninvariant F_2\nell 1\npencils 1\nrow P4 01x"))
+        write("latin1.txt", b"family 1\n# caf\xe9\n")
+        write("no-record.txt", b"# no record\n")
+        write("bad-row.txt", replaced(packaged, FAMILY_13, FAMILY_13.replace(b"1x", b"0x")))
+        write("inadmissible.txt", b"family 1\nweights 3 4 4 5\ndegree 16\nkcube 1/15\n"
+              b"invariant F_0\nell 1\npencils 1\n")
+        for data in ("bom-families.txt", "noncanonical.txt"):
+            run("show", "13", data=data)
+            run("verify", "--gimel", "13", data=data)
+        for data in ("latin1.txt", "no-record.txt", "bad-row.txt", "inadmissible.txt", "missing.txt"):
+            run("verify", data=data)
+
+        chain = (towers / "family13-chain.tower").read_bytes()
+        run("eval-tower", write("bom-family13-chain.tower", BOM + chain))
+        run("eval-tower", write("latin1.tower", b"weights 1 2 3 5\n# caf\xe9\n"))
+        run("eval-tower", write("no-header.tower", b"center 5 2\n"))
+        run("eval-tower", write("bad-center.tower", b"weights 1 2 3 5\ncenter 7 3\n"))
+        run("eval-tower", os.path.join(tmp, "missing.tower"))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
