@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 
 from .core import InputError, Weights
 
@@ -23,6 +24,12 @@ _TOKEN = re.compile(r"\S+")
 # `str.isdigit` also accepts '²', which `int` rejects
 _INT = re.compile(r"\d+", re.ASCII)
 RATIONAL = r"(\d+)(?:/(0*[1-9]\d*))?"  # numerator, denominator; never zero
+
+
+def rational(num: str, den: str | None) -> Fraction:
+    """The value of a `RATIONAL` match's two groups, the numerator perhaps
+    signed; `Fraction(text)` would parse the matched text a second time."""
+    return Fraction(int(num), int(den or 1))
 
 
 class LineCursor:
@@ -55,13 +62,10 @@ class LineCursor:
         fails at the end of the line, one that does not match at its own
         column.  The match is taken in the line, so the token's column is
         `m.start() + 1`."""
-        tok = _TOKEN.search(self.line, self.pos)
-        if tok is None:
-            self.fail(expected, len(self.line) + 1)
-        m = pattern.fullmatch(self.line, tok.start(), tok.end())
+        _, col = self.next_token(expected)
+        m = pattern.fullmatch(self.line, col - 1, self.pos)
         if m is None:
-            self.fail(expected, tok.start() + 1)
-        self.pos = tok.end()
+            self.fail(expected, col)
         return m
 
     def next_int(self, expected: str) -> int:
@@ -85,8 +89,11 @@ class LineCursor:
 
 
 def content_lines(source: str):
-    """Yield (lineno, line) for lines that are neither blank nor comments."""
+    """Yield (cursor, keyword, column) for each line that is neither blank
+    nor a comment: both formats start every line with a keyword, which the
+    cursor has read."""
     for lineno, raw in enumerate(source.splitlines(), start=1):
         stripped = raw.strip()
         if stripped and not stripped.startswith("#"):
-            yield lineno, raw
+            cur = LineCursor(lineno, raw)
+            yield cur, *cur.next_token("keyword")

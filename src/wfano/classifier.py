@@ -42,9 +42,10 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
+from pathlib import Path
 from typing import NamedTuple
 
-from ._linescan import RATIONAL, LineCursor, PositionedError, content_lines
+from ._linescan import RATIONAL, LineCursor, PositionedError, content_lines, rational
 from .core import InputError, NonTerminalError, QuotientSingularityType, Weights
 from .core import anticanonical_cube, normalize_singularity
 from .singularities import basket, singular_points, stratum_points, type_counts
@@ -196,9 +197,7 @@ def parse_table(source: str) -> list[FamilyRecord]:
             cur["gimel"], *(cur[f] for f in _SCALARS), tuple(cur["rows"])
         )
 
-    for lineno, raw in content_lines(source):
-        cur = LineCursor(lineno, raw)
-        key, col = cur.next_token("keyword")
+    for cur, key, col in content_lines(source):
         if key == "family":
             gcol = cur.next_col()
             gimel = cur.next_int("family number")
@@ -207,7 +206,7 @@ def parse_table(source: str) -> list[FamilyRecord]:
                 finish(current)
             if gimel in records:
                 cur.fail(f"new family number (family {gimel} appears twice)", gcol)
-            current = {"gimel": gimel, "line": lineno, "rows": []}
+            current = {"gimel": gimel, "line": cur.lineno, "rows": []}
             continue
         if current is None:
             cur.fail("family", col)
@@ -223,7 +222,7 @@ def parse_table(source: str) -> list[FamilyRecord]:
         elif key == "degree":
             current[key] = cur.next_int("integer")
         elif key == "kcube":
-            current[key] = Fraction(cur.next_match(_KCUBE_RE, "fraction p/q").group())
+            current[key] = rational(*cur.next_match(_KCUBE_RE, "fraction p/q").groups())
         elif key == "pencils":
             tok = cur.next_match(_PENCILS_RE, "count or 'infinite'").group()
             current[key] = INFINITE if tok == INFINITE else int(tok)
@@ -251,12 +250,8 @@ def serialize_table(records) -> str:
 
 @lru_cache(maxsize=None)
 def _load(path: str | None) -> tuple[FamilyRecord, ...]:
-    if path is None:
-        text = resources.files("wfano").joinpath("data/families.txt").read_text()
-    else:
-        with open(path, encoding="utf-8-sig") as fh:  # a byte-order mark is skipped
-            text = fh.read()
-    records = tuple(parse_table(text))
+    file = resources.files("wfano").joinpath("data/families.txt") if path is None else Path(path)
+    records = tuple(parse_table(file.read_text(encoding="utf-8-sig")))  # skips a byte-order mark
     for rec in records:
         try:
             singular_points(rec.weights)

@@ -48,7 +48,7 @@ from fractions import Fraction
 from importlib import resources
 from typing import NamedTuple
 
-from ._linescan import RATIONAL, LineCursor, PositionedError, content_lines
+from ._linescan import RATIONAL, LineCursor, PositionedError, content_lines, rational
 from .blowup import (
     DivisorClass,
     GramProblem,
@@ -97,15 +97,9 @@ def definiteness(negative_definite: bool) -> str:
     return ("" if negative_definite else "not ") + "negative-definite"
 
 
-def _rational(num: str, den: str | None) -> Fraction:
-    # from the digits a regex has already matched; `Fraction(text)` would
-    # parse the text a second time
-    return Fraction(int(num), int(den or 1))
-
-
 def _fraction(cur: LineCursor, what: str) -> Fraction:
     sign, num, den = cur.next_match(_FRACTION_RE, what).groups()
-    return _rational(sign + num, den)
+    return rational(sign + num, den)
 
 
 def _defined_class(cur: LineCursor, classes: dict[str, DivisorClass]) -> str:
@@ -125,10 +119,7 @@ def parse_tower_text(source: str) -> TowerSpec:
     curve_names: list[str] = []
     restrictions: dict[str, Restriction] = {}  # by the restricted class's name
 
-    for lineno, raw in content_lines(source):
-        cur = LineCursor(lineno, raw)
-        key, kcol = cur.next_token("keyword")
-
+    for cur, key, kcol in content_lines(source):
         if key in ("family", "weights"):
             if base is not None:
                 cur.fail("a single family/weights header", kcol)
@@ -161,7 +152,7 @@ def parse_tower_text(source: str) -> TowerSpec:
                 cur.next_match(_TRACK_TAG, "track")
                 while True:
                     m = cur.next_match(_TRACK_RE, "tracked multiplicity like e1=1/4")
-                    tracked.append((int(m[1]), _rational(m[2], m[3])))
+                    tracked.append((int(m[1]), rational(m[2], m[3])))
                     if cur.at_end():
                         break
             try:
@@ -199,7 +190,7 @@ def parse_tower_text(source: str) -> TowerSpec:
             continue
 
         if key in ("surface", "curves", "restrict") and gram_line is None:
-            gram_line = lineno
+            gram_line = cur.lineno
 
         if key == "surface":
             name = _defined_class(cur, classes)
@@ -238,7 +229,7 @@ def parse_tower_text(source: str) -> TowerSpec:
                 if not m or m[3] not in coeffs:
                     cur.fail(f"term like 5L or C (got {term!r})", col)
                 num, den, curve = m.groups()
-                coeffs[curve] += _rational(num, den) if num else 1
+                coeffs[curve] += rational(num, den) if num else 1
                 if cur.at_end():
                     break
                 cur.next_match(_PLUS, "+")
@@ -316,7 +307,7 @@ def load_fixture(fixture: TowerFixture) -> TowerSpec:
     path = resources.files("wfano").joinpath(f"data/towers/{fixture.name}.tower")
     load_families()  # so that the handler below sees only this file's errors
     try:
-        return parse_tower_text(path.read_text())
+        return parse_tower_text(path.read_text(encoding="utf-8-sig"))
     except PositionedError as exc:
         # a packaged file that does not fit the family the dataset gives it
         raise InputError(f"packaged {fixture.name}.tower:{exc}") from exc

@@ -1,9 +1,14 @@
 import csv
 import io
 import json
+import os
+import re
+import subprocess
+import sys
 import textwrap
 from collections import Counter
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +27,15 @@ def run(capsys, *argv):
 
 def tower_path(name):
     return str(resources.files("wfano").joinpath(f"data/towers/{name}.tower"))
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def child_env():
+    # the packaged dataset, and `wfano` from this checkout
+    env = {k: v for k, v in os.environ.items() if k != "WFANO_DATA"}
+    return {**env, "PYTHONPATH": str(ROOT / "src")}
 
 
 def test_verify_single_family(capsys):
@@ -669,3 +683,30 @@ def test_export_deterministic(capsys, tmp_path):
     run(capsys, "export", "--format", "csv", "--out", str(c))
     run(capsys, "export", "--format", "csv", "--out", str(d))
     assert c.read_bytes() == d.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify"], ["show", "13"], ["export", "--format", "csv"],
+     ["eval-tower", tower_path("family13-gram")]],
+    ids=["verify", "show", "export", "eval-tower"],
+)
+def test_packaged_files_are_read_as_utf8(argv):
+    # an encoding left to the locale is an error under this warning filter
+    result = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+         "-m", "wfano.cli", *argv],
+        env=child_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+
+
+def test_transcript_tool_runs():
+    # every byte-identity claim about the CLI is a diff of this tool's output
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "cli_transcript.py"), str(ROOT)],
+        env=child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert len(re.findall(r"^\$ (?:WFANO_DATA=\S+ )?wfano ", result.stdout, re.M)) == 323
+    assert not re.search(r"^exit raised", result.stdout, re.M)

@@ -72,7 +72,7 @@ def _docstring_block(doc, intro):
 
 
 def _content(text):
-    return [line.strip() for _, line in content_lines(text)]
+    return [cur.line.strip() for cur, _, _ in content_lines(text)]
 
 
 def test_doc_examples_parse_like_the_packaged_data():
