@@ -91,8 +91,12 @@ class LineCursor:
 def content_lines(source: str):
     """Yield (cursor, keyword, column) for each line that is neither blank
     nor a comment: both formats start every line with a keyword, which the
-    cursor has read."""
-    for lineno, raw in enumerate(source.splitlines(), start=1):
+    cursor has read.  A line ends only at '\\n', '\\r\\n' or '\\r'."""
+    # as text-mode reading and editors do: `str.splitlines` also ends a line
+    # at '\f', '\x85', U+2028 and more, which would turn a comment's tail
+    # into a content line and shift every later line number
+    lines = source.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         stripped = raw.strip()
         if stripped and not stripped.startswith("#"):
             cur = LineCursor(lineno, raw)

@@ -36,7 +36,6 @@ rule against the record, and the record against recomputation.
 """
 from __future__ import annotations
 
-import enum
 import os
 import re
 from fractions import Fraction
@@ -55,8 +54,8 @@ class UnknownGimelError(InputError):
     pass
 
 
-# the one pencil count that is not a number; the parser and
-# `halphen_pencils` return this object, so `count is INFINITE` holds
+# the one pencil count that is not a number; the parser returns this
+# object, so `count is INFINITE` holds
 INFINITE = "infinite"
 
 
@@ -106,27 +105,10 @@ class FamilyRecord(NamedTuple):
     rows: tuple[TableRow, ...]
 
 
-class PencilKind(enum.Enum):
-    PRINCIPAL = "principal"
-    TYPE_III_P = "type III distinguished"
-    TYPE_III_POINT = "type III point"
-    TYPE_IV = "type IV"
-    TYPE_V = "type V"
-
-
 class PencilDescriptor(NamedTuple):
-    kind: PencilKind
+    kind: str  # as `show` prints it: "principal", "type IV", ...
     generator_text: str
     n: int  # the pencil lies in |-nK|
-
-
-class HalphenAnswer(NamedTuple):
-    pencils: tuple[PencilDescriptor, ...]
-
-    @property
-    def count(self) -> int | str:
-        # a finite answer describes each of its pencils; the infinite one none
-        return len(self.pencils) or INFINITE
 
 
 # families with a second pencil cut by lambda*x^a2 + mu*z (see
@@ -315,8 +297,9 @@ def is_type_iii(w: Weights) -> bool:
     return w.a1 == w.a2 != 1 and w.a3 == w.a1 + 1
 
 
-def halphen_pencils(rec: FamilyRecord) -> HalphenAnswer:
-    """Count and describe the Halphen pencils on the general member.
+def halphen_pencils(rec: FamilyRecord) -> tuple[PencilDescriptor, ...]:
+    """The Halphen pencils on the general member; the empty tuple means
+    infinitely many.
 
     Infinitely many exactly when a2 = 1 (the full anticanonical system is
     then at least a net, and every pencil inside it qualifies); otherwise
@@ -328,42 +311,35 @@ def halphen_pencils(rec: FamilyRecord) -> HalphenAnswer:
     """
     gimel, w = rec.gimel, rec.weights
     if w.a2 == 1:
-        return HalphenAnswer(())
+        return ()
     if is_type_iii(w):
         # the distinguished 1/a(1,1,a-1) points: the P1P2 line meets the member in d/a
         r = stratum_points(w.ambient, w.degree, 1, 2)
-        pencils = [
+        return (
             PencilDescriptor(
-                PencilKind.TYPE_III_P,
+                "type III distinguished",
                 f"lambda*x^{w.a1} + mu*f_{w.a1}(x,y,z,t,w)",
                 w.a1,
-            )
-        ]
-        pencils += [
-            PencilDescriptor(
-                PencilKind.TYPE_III_POINT,
-                f"surfaces of |-{w.a1}K| through the distinguished point #{i}",
-                w.a1,
-            )
-            for i in range(1, r + 1)
-        ]
-        return HalphenAnswer(tuple(pencils))
+            ),
+            *(
+                PencilDescriptor(
+                    "type III point",
+                    f"surfaces of |-{w.a1}K| through the distinguished point #{i}",
+                    w.a1,
+                )
+                for i in range(1, r + 1)
+            ),
+        )
     principal = PencilDescriptor(
-        PencilKind.PRINCIPAL,
+        "principal",
         "lambda*x + mu*y" if w.a1 == 1 else f"lambda*x^{w.a1} + mu*y",
         w.a1,
     )
     if gimel == TYPE_V_GIMEL:
-        extra = PencilDescriptor(
-            PencilKind.TYPE_V, "lambda*x^6 + mu*f_6(x,y,z,t)", 6
-        )
-        return HalphenAnswer((principal, extra))
+        return principal, PencilDescriptor("type V", "lambda*x^6 + mu*f_6(x,y,z,t)", 6)
     if gimel in TYPE_IV_GIMELS and isinstance(type_iv_presentation(w), tuple):
-        extra = PencilDescriptor(
-            PencilKind.TYPE_IV, f"lambda*x^{w.a2} + mu*z", w.a2
-        )
-        return HalphenAnswer((principal, extra))
-    return HalphenAnswer((principal,))
+        return principal, PencilDescriptor("type IV", f"lambda*x^{w.a2} + mu*z", w.a2)
+    return (principal,)
 
 
 def derived_type_iv_set(records) -> set[int]:
@@ -425,7 +401,7 @@ def verify_family(rec: FamilyRecord) -> tuple[FamilyCheck, ...]:
         )
 
     want = rec.pencils
-    checks.append(compare("pencil count rule", want, halphen_pencils(rec).count))
+    checks.append(compare("pencil count rule", want, len(halphen_pencils(rec)) or INFINITE))
     if is_type_iii(w):
         # the distinguished points the record lists, against its count
         r = sum(row.count for row in rec.rows if row.locus == "P1P2")

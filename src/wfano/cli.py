@@ -45,11 +45,11 @@ def cmd_enumerate(args) -> int:
 
 def cmd_show(args) -> int:
     rec = classifier.family(args.gimel)
-    pencils = classifier.halphen_pencils(rec).pencils
+    pencils = classifier.halphen_pencils(rec)
     # the dataset record, then the rule's pencils as comments: valid dataset text
     sys.stdout.write(classifier.serialize_table([rec]))
     for p in pencils:
-        print(f"# |-{p.n}K| {p.kind.value}: {p.generator_text}")
+        print(f"# |-{p.n}K| {p.kind}: {p.generator_text}")
     return 0
 
 

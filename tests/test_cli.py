@@ -423,12 +423,23 @@ def test_verify_output_of_four_families(capsys):
     assert "".join(out for _, out, _ in runs) == VERIFY_13_18_60_91
 
 
+POINT = "# |-2K| type III point: surfaces of |-2K| through the distinguished point #"
+# the pencil lines of `show`, one family of each kind; an infinite count has none
+PENCIL_LINES = {
+    "18": ["# |-2K| type III distinguished: lambda*x^2 + mu*f_2(x,y,z,t,w)"]
+    + [f"{POINT}{i}" for i in range(1, 7)],
+    "60": ["# |-4K| principal: lambda*x^4 + mu*y", "# |-6K| type V: lambda*x^6 + mu*f_6(x,y,z,t)"],
+    "91": ["# |-4K| principal: lambda*x^4 + mu*y", "# |-5K| type IV: lambda*x^5 + mu*z"],
+    "5": [],
+}
+
+
 def test_show_pencil_listing(capsys):
-    code, out, err = run(capsys, "show", "18")
-    assert code == 0
-    assert "pencils 7" in out
-    listed = [l for l in out.splitlines() if l.startswith("# |-2K|")]
-    assert len(listed) == 7
+    for gimel, lines in PENCIL_LINES.items():
+        code, out, err = run(capsys, "show", gimel)
+        assert (code, err) == (0, "")
+        assert [l for l in out.splitlines() if l.startswith("#")] == lines, gimel
+    assert "pencils 7" in run(capsys, "show", "18")[1]
 
 
 def test_basket_output(capsys):
@@ -708,5 +719,5 @@ def test_transcript_tool_runs():
         env=child_env(), capture_output=True, text=True, timeout=120,
     )
     assert (result.returncode, result.stderr) == (0, "")
-    assert len(re.findall(r"^\$ (?:WFANO_DATA=\S+ )?wfano ", result.stdout, re.M)) == 323
+    assert len(re.findall(r"^\$ (?:WFANO_DATA=\S+ )?wfano ", result.stdout, re.M)) == 325
     assert not re.search(r"^exit raised", result.stdout, re.M)

@@ -107,7 +107,6 @@ IMPLICIT_DUNDERS = {"__new__", "__init__", "__str__", "__iter__", "__call__"}
 # the field counts as a use of the member; each names a library function and
 # the expression in it that reads the member itself
 SHADOWED = {
-    "classifier.HalphenAnswer.count": ("classifier.verify_family", "halphen_pencils(rec).count"),
     "core.Weights.degree": ("core.anticanonical_cube", "w.degree"),
 }
 
@@ -191,7 +190,7 @@ def test_exception_classes_have_a_catcher():
 def test_only_the_line_scanner_cuts_a_line():
     # both line formats read every field as one `LineCursor` token, and the
     # cursor raises one error class
-    cutters = {"split", "strip", "lstrip", "rstrip", "partition"}
+    cutters = {"split", "splitlines", "strip", "lstrip", "rstrip", "partition"}
     readers = [p for p in SOURCES if p.name in ("classifier.py", "towers.py")]
     assert len(readers) == 2
     found = [

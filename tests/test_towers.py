@@ -185,6 +185,37 @@ def test_regex_numbers_are_ascii(old, new, line, col, expected):
     assert (e.value.line, e.value.col, e.value.expected) == (line, col, expected)
 
 
+# characters that `str.splitlines` ends a line at and text-mode reading
+# does not; each is whitespace to `str.isspace` and to `\S`
+NOT_LINE_ENDS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+NOT_LINE_END_IDS = ["vt", "ff", "fs", "gs", "rs", "nel", "ls", "ps"]
+
+
+@pytest.mark.parametrize("sep", NOT_LINE_ENDS, ids=NOT_LINE_END_IDS)
+def test_a_comment_ends_only_at_a_line_end(sep):
+    # the comment's tail is no content line, and later lines keep the
+    # file's numbers, the Gram block's included
+    text = GOOD.replace("# two blow ups", f"# two{sep}blow ups")
+    assert parse_tower_text(text) == parse_tower_text(GOOD)
+    with pytest.raises(PositionedError) as e:
+        parse_tower_text(f"weights 1 2 3 5\n# a{sep}# b\ncenter 7 3\n")
+    assert (e.value.line, e.value.col) == (3, 8)
+
+
+@pytest.mark.parametrize("sep", NOT_LINE_ENDS, ids=NOT_LINE_END_IDS)
+def test_a_non_line_end_between_tokens_is_whitespace(sep):
+    text = GOOD.replace("center 5 2", f"center{sep}5 2")
+    assert parse_tower_text(text) == parse_tower_text(GOOD)
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_crlf_and_cr_end_a_line(end):
+    assert parse_tower_text(GOOD.replace("\n", end)) == parse_tower_text(GOOD)
+    with pytest.raises(PositionedError) as e:
+        parse_tower_text(f"weights 1 2 3 5{end}# a{end}center 7 3{end}")
+    assert (e.value.line, e.value.col) == (3, 8)
+
+
 def test_term_error_is_at_the_term():
     with pytest.raises(PositionedError) as e:
         parse_tower_text(GOOD.replace("restrict T = L", "restrict T =  L + M"))

@@ -9,7 +9,8 @@ stderr.  The commands: `enumerate` at the default bound and at 1, 12, 33,
 60 and 100; `verify`; `show`, `basket` and `verify --gimel` for families 0
 to 96 (0 and 96 are unknown); both exports; `eval-tower` on the shipped
 fixtures; and bad, byte-order-marked and non-canonical dataset and
-`.tower` files that it writes to a temporary directory.  Files are named
+`.tower` files, and ones with a form feed and a U+2028 inside a comment
+line, that it writes to a temporary directory.  Files are named
 by their file names, never by an absolute path, so the transcripts of two
 checkouts diff cleanly:
 
@@ -27,6 +28,8 @@ from pathlib import Path
 
 BOM = b"\xef\xbb\xbf"
 FAMILY_13 = b"kcube 11/30\ninvariant F_2\nell 1\npencils 1\nrow P4 1x"
+# a comment line that holds a form feed and a U+2028, which end no line
+NOT_LINE_ENDS = "# page\fbreak\u2028and line separator\n".encode()
 
 
 def replaced(text: bytes, old: bytes, new: bytes) -> bytes:
@@ -103,17 +106,20 @@ def main(argv: list[str]) -> int:
             packaged, FAMILY_13, b"kcube 22/60\ninvariant F_2\nell 1\npencils 1\nrow P4 01x"))
         write("latin1.txt", b"family 1\n# caf\xe9\n")
         write("no-record.txt", b"# no record\n")
+        write("comment-line-ends.txt", replaced(packaged, b"family 13\n", NOT_LINE_ENDS + b"family 13\n"))
         write("bad-row.txt", replaced(packaged, FAMILY_13, FAMILY_13.replace(b"1x", b"0x")))
         write("inadmissible.txt", b"family 1\nweights 3 4 4 5\ndegree 16\nkcube 1/15\n"
               b"invariant F_0\nell 1\npencils 1\n")
         for data in ("bom-families.txt", "noncanonical.txt"):
             run("show", "13", data=data)
             run("verify", "--gimel", "13", data=data)
+        run("verify", "--gimel", "13", data="comment-line-ends.txt")
         for data in ("latin1.txt", "no-record.txt", "bad-row.txt", "inadmissible.txt", "missing.txt"):
             run("verify", data=data)
 
         chain = (towers / "family13-chain.tower").read_bytes()
         run("eval-tower", write("bom-family13-chain.tower", BOM + chain))
+        run("eval-tower", write("comment-line-ends-family13-chain.tower", NOT_LINE_ENDS + chain))
         run("eval-tower", write("latin1.tower", b"weights 1 2 3 5\n# caf\xe9\n"))
         run("eval-tower", write("no-header.tower", b"center 5 2\n"))
         run("eval-tower", write("bad-center.tower", b"weights 1 2 3 5\ncenter 7 3\n"))
