@@ -45,9 +45,9 @@ from pathlib import Path
 from typing import NamedTuple
 
 from ._linescan import RATIONAL, LineCursor, PositionedError, content_lines, rational
-from .core import InputError, NonTerminalError, QuotientSingularityType, Weights
-from .core import anticanonical_cube, normalize_singularity
-from .singularities import basket, singular_points, stratum_points, type_counts
+from .core import InputError, NonTerminalError, Weights, anticanonical_cube, normalize_singularity
+from .singularities import Annotation, TableRow, basket, singular_points
+from .singularities import stratum_points, type_counts
 
 
 class UnknownGimelError(InputError):
@@ -57,40 +57,6 @@ class UnknownGimelError(InputError):
 # the one pencil count that is not a number; the parser returns this
 # object, so `count is INFINITE` holds
 INFINITE = "infinite"
-
-
-class Annotation(NamedTuple):
-    """A row's `BC b c`, `QI text` or `EI text`: its tag, and the pair
-    (b, c) or the verbatim text."""
-
-    tag: str
-    value: tuple[int, int] | str
-
-    def __str__(self):
-        """The annotation as the dataset writes it, `BC 2 0` or `QI yw^2,7,12`."""
-        v = self.value
-        return f"{self.tag} {v if isinstance(v, str) else ' '.join(map(str, v))}"
-
-
-class TableRow(NamedTuple):
-    """One singular locus of a family, verbatim from the dataset."""
-
-    locus: str
-    count: int
-    local_weights: tuple[int, int, int]
-    sing_type: QuotientSingularityType  # the type normalized to 1/r(1,a,r-a)
-    annotation: Annotation | None = None
-
-    def type_text(self) -> str:
-        q = self.local_weights
-        return f"1/{self.sing_type.r}({q[0]},{q[1]},{q[2]})"
-
-    def __str__(self):
-        """The row as the dataset writes it, after the `row` keyword."""
-        words = [self.locus, f"{self.count}x", self.type_text()]
-        if self.annotation is not None:
-            words.append(str(self.annotation))
-        return " ".join(words)
 
 
 class FamilyRecord(NamedTuple):

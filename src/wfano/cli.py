@@ -59,7 +59,7 @@ def cmd_basket(args) -> int:
     if not entries:
         print("smooth")
     for e in entries:
-        print(e)
+        print(f"{e.count} x {e.sing_type} at {e.locus}")
     return 0
 
 

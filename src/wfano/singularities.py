@@ -21,33 +21,58 @@ from typing import NamedTuple
 from .core import NonTerminalError, QuotientSingularityType, Weights, normalize_singularity
 
 
-class BasketEntry(NamedTuple):
-    count: int
-    sing_type: QuotientSingularityType
-    locus: str
+class Annotation(NamedTuple):
+    """A row's `BC b c`, `QI text` or `EI text`: its tag, and the pair
+    (b, c) or the verbatim text."""
+
+    tag: str
+    value: tuple[int, int] | str
 
     def __str__(self):
-        return f"{self.count} x {self.sing_type} at {self.locus}"
+        """The annotation as the dataset writes it, `BC 2 0` or `QI yw^2,7,12`."""
+        v = self.value
+        return f"{self.tag} {v if isinstance(v, str) else ' '.join(map(str, v))}"
+
+
+class TableRow(NamedTuple):
+    """A singular locus: a dataset row verbatim, or a `basket` point in normal form."""
+
+    locus: str
+    count: int
+    local_weights: tuple[int, int, int]
+    sing_type: QuotientSingularityType  # the type normalized to 1/r(1,a,r-a)
+    annotation: Annotation | None = None
+
+    def type_text(self) -> str:
+        q = self.local_weights
+        return f"1/{self.sing_type.r}({q[0]},{q[1]},{q[2]})"
+
+    def __str__(self):
+        """The row as the dataset writes it, after the `row` keyword."""
+        words = [self.locus, f"{self.count}x", self.type_text()]
+        if self.annotation is not None:
+            words.append(str(self.annotation))
+        return " ".join(words)
 
 
 # a dataclass, not a tuple: bench/test_oracles.py rebuilds one with
 # `dataclasses.replace`
 @dataclass(frozen=True)
 class Basket:
-    """The multiset of quotient points on a general member, as entries
-    sorted by descending index r, then ascending count, a and locus."""
+    """The multiset of quotient points on a general member, as rows sorted
+    by descending index r, then ascending count, a and locus."""
 
-    entries: tuple[BasketEntry, ...]
+    entries: tuple[TableRow, ...]
 
     def __iter__(self):
         return iter(self.entries)
 
 
-def type_counts(entries) -> dict[QuotientSingularityType, int]:
-    """Points per type over entries with `.count` and `.sing_type`."""
+def type_counts(rows) -> dict[QuotientSingularityType, int]:
+    """Points per type over `TableRow`s, recorded or computed."""
     counts: dict[QuotientSingularityType, int] = {}
-    for e in entries:
-        counts[e.sing_type] = counts.get(e.sing_type, 0) + e.count
+    for row in rows:
+        counts[row.sing_type] = counts.get(row.sing_type, 0) + row.count
     return counts
 
 
@@ -79,7 +104,8 @@ def quotient_points(ws: tuple[int, ...], d: int) -> Iterator[tuple[int, int, tup
     for i, r in enumerate(ws):
         if r >= 2 and d % r:
             for j, a in enumerate(ws):
-                if j != i and (d - a) % r == 0:
+                # j = i never matches: there a_j = r, and d % r != 0
+                if (d - a) % r == 0:
                     yield 1, r, _outside(ws, i, j), f"P{i}"
                     break
             else:
@@ -141,9 +167,10 @@ def singular_points(w: Weights) -> tuple[tuple[int, QuotientSingularityType, str
 
 
 def basket(w: Weights) -> Basket:
-    """All quotient points of the general member, vertices and strata, in
-    the order of `Basket`.  The walk names each locus once, so no two
-    entries need merging."""
-    entries = [BasketEntry(c, t, locus) for c, t, locus in singular_points(w) if c > 0]
-    entries.sort(key=lambda e: (-e.sing_type.r, e.count, e.sing_type.a, e.locus))
-    return Basket(tuple(entries))
+    """All quotient points of the general member, vertices and strata, as
+    rows in the order of `Basket`: each type in normal form, no annotation.
+    The walk names each locus once, so no two rows need merging."""
+    rows = [TableRow(locus, c, (1, t.a, t.r - t.a), t)
+            for c, t, locus in singular_points(w) if c > 0]
+    rows.sort(key=lambda row: (-row.sing_type.r, row.count, row.sing_type.a, row.locus))
+    return Basket(tuple(rows))

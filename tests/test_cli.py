@@ -443,9 +443,9 @@ def test_show_pencil_listing(capsys):
 
 
 def test_basket_output(capsys):
-    code, out, err = run(capsys, "basket", "91")
-    assert code == 0
-    assert "1 x 1/13(1,4,9) at P3" in out
+    assert run(capsys, "basket", "91") == (
+        0, "1 x 1/13(1,4,9) at P3\n1 x 1/5(1,2,3) at P2\n1 x 1/2(1,1,1) at P1P4\n", "")
+    assert run(capsys, "basket", "18") == (0, "1 x 1/5(1,2,3) at P4\n6 x 1/2(1,1,1) at P1P2\n", "")
 
 
 def test_basket_smooth(capsys):
@@ -719,5 +719,5 @@ def test_transcript_tool_runs():
         env=child_env(), capture_output=True, text=True, timeout=120,
     )
     assert (result.returncode, result.stderr) == (0, "")
-    assert len(re.findall(r"^\$ (?:WFANO_DATA=\S+ )?wfano ", result.stdout, re.M)) == 325
+    assert len(re.findall(r"^\$ (?:WFANO_DATA=\S+ )?wfano ", result.stdout, re.M)) == 349
     assert not re.search(r"^exit raised", result.stdout, re.M)

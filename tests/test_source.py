@@ -94,7 +94,8 @@ def test_doc_examples_parse_like_the_packaged_data():
 # Public names and class members that no library code names, each with why
 # it stays; a reason that cites a `bench/` file expires with its use there
 UNREFERENCED = {
-    "blowup.anticanonical_class": "the BC-value and derived-class checks will call it",
+    "blowup.anticanonical_class": "test_dataset_rules.py's BC-value test calls it, and a "
+    "`.tower` class line derived from -K will",
     "classifier.derived_type_iv_set": "stays until a Kodaira-dimension oracle replaces it",
     "core.is_representable": "bench/test_tracing.py looks it up in `core` and `enumerator`",
 }
@@ -209,7 +210,8 @@ def test_only_the_line_scanner_cuts_a_line():
 # NamedTuple about a seventh of that
 DATACLASSES = {
     "singularities.Basket": "bench/test_oracles.py rebuilds one with `dataclasses.replace`",
-    "towers.TowerEvaluation": "bench/test_oracles.py rebuilds one with `dataclasses.replace`",
+    "towers.TowerEvaluation": "bench/test_oracles.py and tests/test_towers.py rebuild one with "
+    "`dataclasses.replace`",
 }
 
 

@@ -10,7 +10,9 @@ stderr.  The commands: `enumerate` at the default bound and at 1, 12, 33,
 to 96 (0 and 96 are unknown); both exports; `eval-tower` on the shipped
 fixtures; and bad, byte-order-marked and non-canonical dataset and
 `.tower` files, and ones with a form feed and a U+2028 inside a comment
-line, that it writes to a temporary directory.  Files are named
+line, that it writes to a temporary directory.  The bad `.tower` texts
+reach every error that the tower parser raises itself and both errors of
+the Gram solver.  Files are named
 by their file names, never by an absolute path, so the transcripts of two
 checkouts diff cleanly:
 
@@ -30,6 +32,35 @@ BOM = b"\xef\xbb\xbf"
 FAMILY_13 = b"kcube 11/30\ninvariant F_2\nell 1\npencils 1\nrow P4 1x"
 # a comment line that holds a form feed and a U+2028, which end no line
 NOT_LINE_ENDS = "# page\fbreak\u2028and line separator\n".encode()
+# one `.tower` text per error that `parse_tower_text` raises itself, beside
+# no-header and bad-center below, and one per error of the Gram solver
+BAD_TOWERS = {
+    "empty": b"# a comment and nothing else\n",
+    "two-headers": b"family 13\nfamily 13\n",
+    "unknown-family": b"family 96\n",
+    "inadmissible-weights": b"weights 3 4 4 5\n",
+    "unknown-keyword": b"family 13\nsurfaces S\n",
+    "center-after-class": b"family 13\nclass S 1\ncenter 5 2\n",
+    "invalid-center": b"family 13\ncenter 5 3\n",
+    "track-of-its-own-stage": b"family 13\ncenter 5 2 track e1=1/5\n",
+    "track-twice": b"family 13\ncenter 5 2\ncenter 2 1 track e1=1/2 e1=1/2\n",
+    "track-multiplicity": b"family 13\ncenter 5 2\ncenter 2 1 track e1=1/3\n",
+    "class-twice": b"family 13\nclass S 1\nclass S 1\n",
+    "undefined-class": b"family 13\ntriple S S S\n",
+    "surface-twice": b"family 13\nclass S 1\nsurface S\nsurface S\n",
+    "curves-twice": b"family 13\ncurves C\ncurves L\n",
+    "curve-twice": b"family 13\ncurves C C\n",
+    "no-curves": b"family 13\ncurves\n",
+    "restrict-before-curves": b"family 13\nclass S 1\nrestrict S = C\n",
+    "restrict-twice": b"family 13\nclass S 1\nsurface S\ncurves C\nrestrict S = C\nrestrict S = C\n",
+    "no-decomposition": b"family 13\nclass S 1\ncurves C\nrestrict S =\n",
+    "unknown-curve": b"family 13\nclass S 1\ncurves C\nrestrict S = 5L\n",
+    "no-surface": b"family 13\ncurves C\n",
+    "no-restrict": b"family 13\nclass S 1\nsurface S\ncurves C\n",
+    "contradiction": b"family 13\ncenter 5 2\nclass S 1 -1/5\nclass T 0 1\nsurface S\ncurves C\n"
+                     b"restrict S = C\nrestrict T = C\n",
+    "free-entries": b"family 13\ncenter 5 2\nclass S 1 -1/5\nsurface S\ncurves C L\nrestrict S = C + L\n",
+}
 
 
 def replaced(text: bytes, old: bytes, new: bytes) -> bytes:
@@ -123,6 +154,8 @@ def main(argv: list[str]) -> int:
         run("eval-tower", write("latin1.tower", b"weights 1 2 3 5\n# caf\xe9\n"))
         run("eval-tower", write("no-header.tower", b"center 5 2\n"))
         run("eval-tower", write("bad-center.tower", b"weights 1 2 3 5\ncenter 7 3\n"))
+        for name, text in BAD_TOWERS.items():
+            run("eval-tower", write(f"{name}.tower", text))
         run("eval-tower", os.path.join(tmp, "missing.tower"))
     return 0
 
