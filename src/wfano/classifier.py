@@ -137,21 +137,21 @@ def parse_table(source: str) -> list[FamilyRecord]:
     records: dict[int, FamilyRecord] = {}
     current: dict | None = None
 
-    def finish(cur):
+    def finish(rec):
         for field in _SCALARS:
-            if field not in cur:
-                raise PositionedError(cur["line"], 1, f"{field} for family {cur['gimel']}")
-        records[cur["gimel"]] = FamilyRecord(
-            cur["gimel"], *(cur[f] for f in _SCALARS), tuple(cur["rows"])
+            if field not in rec:
+                raise PositionedError(rec["line"], 1, f"{field} for family {rec['gimel']}")
+        records[rec["gimel"]] = FamilyRecord(
+            rec["gimel"], *(rec[f] for f in _SCALARS), tuple(rec["rows"])
         )
 
     for cur, key, col in content_lines(source):
         if key == "family":
+            if current is not None:
+                finish(current)
             gcol = cur.next_col()
             gimel = cur.next_int("family number")
             cur.expect_end()
-            if current is not None:
-                finish(current)
             if gimel in records:
                 cur.fail(f"new family number (family {gimel} appears twice)", gcol)
             current = {"gimel": gimel, "line": cur.lineno, "rows": []}

@@ -21,9 +21,9 @@ triple products to evaluate, and an optional Gram block:
 type that the header's one walk finds on the base's general member (a
 `weights` base must be an admissible family); `track eK=m` gives the
 multiplicity m of the stage-K exceptional divisor along this center.  A
-track is checked (K an earlier stage, listed once, m > 0 with a
-denominator dividing r) and then dropped: every number evaluated here
-depends only on the base and the center types.
+track is checked as it is read (K an earlier stage, listed once, m > 0
+with a denominator dividing r) and then dropped: every number evaluated
+here depends only on the base and the center types.
 `class NAME k e1 ... em` gives coefficients of H and of each pullback
 exceptional (one per center; fractions allowed).  The Gram block names a
 surface class, the base curves on it, and how each restricted class
@@ -147,28 +147,26 @@ def parse_tower_text(source: str) -> TowerSpec:
                 cur.fail("centers before classes", kcol)
             rcol = cur.next_col()
             r, a = cur.next_int("index r"), cur.next_int("weight a")
-            tracked: list[tuple[int, Fraction]] = []
-            if not cur.at_end():
-                cur.next_match(_TRACK_TAG, "track")
-                while True:
-                    m = cur.next_match(_TRACK_RE, "tracked multiplicity like e1=1/4")
-                    tracked.append((int(m[1]), rational(m[2], m[3])))
-                    if cur.at_end():
-                        break
             try:
                 center = QuotientSingularityType(r, a)
             except ValueError as exc:
                 cur.fail(f"valid center ({exc})", rcol)
-            stage = len(centers) + 1
-            for i, (k, m) in enumerate(tracked):
-                if not 1 <= k < stage:
-                    cur.fail(f"valid center (center at stage {stage} tracks stage {k})", rcol)
-                if k in (j for j, _ in tracked[:i]):
-                    cur.fail(f"valid center (stage {k} tracked twice)", rcol)
-                if m <= 0 or (m * r).denominator != 1:
-                    cur.fail(f"valid center (multiplicity {m} invalid at a 1/{r} point)", rcol)
             if not centers and center not in base_types:
                 cur.fail(f"a first center at a point of the general member of {base}", rcol)
+            stage = len(centers) + 1
+            tracked: set[int] = set()
+            if not cur.at_end():
+                cur.next_match(_TRACK_TAG, "track")
+                while not tracked or not cur.at_end():  # at least one term
+                    t = cur.next_match(_TRACK_RE, "tracked multiplicity like e1=1/4")
+                    k, m = int(t[1]), rational(t[2], t[3])
+                    if not 1 <= k < stage:
+                        cur.fail(f"valid center (center at stage {stage} tracks stage {k})", rcol)
+                    if k in tracked:
+                        cur.fail(f"valid center (stage {k} tracked twice)", rcol)
+                    if m <= 0 or (m * r).denominator != 1:
+                        cur.fail(f"valid center (multiplicity {m} invalid at a 1/{r} point)", rcol)
+                    tracked.add(k)
             centers.append(center)
             continue
 

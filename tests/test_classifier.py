@@ -221,6 +221,15 @@ def test_parse_rejects_duplicates():
     assert (e.value.line, e.value.col, e.value.expected) == (8, 1, "ell only once per family")
 
 
+def test_a_record_is_closed_before_the_next_family_number():
+    # two faults: family 1 has no ell, and the next family has no number;
+    # the record above is closed, and fails, first
+    with pytest.raises(PositionedError) as e:
+        parse_table("family 1\nweights 1 1 1 1\ndegree 4\nkcube 4\ninvariant F_0\n"
+                    "pencils infinite\n\nfamily x\n")
+    assert str(e.value) == "1:1: expected ell for family 1"
+
+
 def test_parse_empty_is_missing():
     # no record at all fails at 1:1, as a tower text with no header does
     with pytest.raises(PositionedError) as e:

@@ -719,5 +719,5 @@ def test_transcript_tool_runs():
         env=child_env(), capture_output=True, text=True, timeout=120,
     )
     assert (result.returncode, result.stderr) == (0, "")
-    assert len(re.findall(r"^\$ (?:WFANO_DATA=\S+ )?wfano ", result.stdout, re.M)) == 349
+    assert len(re.findall(r"^\$ (?:WFANO_DATA=\S+ )?wfano ", result.stdout, re.M)) == 372
     assert not re.search(r"^exit raised", result.stdout, re.M)

@@ -1,6 +1,6 @@
-"""Rules that derive the packaged dataset's row tags, `BC` values and
-family numbers from the weights, and its `invariant` column from the
-tagged rows, checked against every record.
+"""Rules that derive the packaged dataset's row tags, `BC` values,
+`QI`/`EI` texts and family numbers from the weights, and its `invariant`
+column from the tagged rows, checked against every record.
 
 A tag rule reads only the ambient weights (a_0 = 1, a_1, ..., a_4), the
 degree d and B^3 = -K^3 - 1/(r*a*(r-a)), the anticanonical cube after the
@@ -8,6 +8,7 @@ blow up of the row's 1/r(1,a,r-a) point; it never reads a tag or a text.
 Each row a rule misses is pinned by name, so a corrected record, or a
 rule that starts to cover it, fails a test here.
 """
+import re
 from fractions import Fraction
 
 from wfano.blowup import DivisorClass, Tower, anticanonical_class, triple
@@ -123,6 +124,102 @@ def test_bc_values_are_products_on_the_one_center_tower():
             nonnegative.append((rec.gimel, str(row), value))
     assert len(bc_rows) == 133
     assert nonnegative == [(83, "P1P4 2x 1/3(1,1,2) BC 6 18", Fraction(89, 11))]
+
+
+VARIABLES = "xyztw"  # x_0, ..., x_4, of weights 1, a_1, ..., a_4
+_MONOMIAL = r"\*?(?:[xyztw](?:\^\d+)?)+"
+_TEXT = re.compile(rf"({_MONOMIAL})(?:-({_MONOMIAL}))?,(\d+),(\d+)")
+_FACTOR = re.compile(r"([xyztw])(?:\^(\d+))?")
+
+
+def involution(text):
+    """`[*]monomial[-[*]monomial],n1,n2` as ((starred, {index: exponent}), ...), n1, n2."""
+    m = _TEXT.fullmatch(text)
+    terms = tuple(
+        (t[0] == "*", {VARIABLES.index(v): int(e or 1) for v, e in _FACTOR.findall(t)})
+        for t in m.groups()[:2] if t
+    )
+    return terms, int(m[3]), int(m[4])
+
+
+def involution_text(terms, n1, n2):
+    monomial = lambda mono: "".join(VARIABLES[i] + (f"^{e}" if e > 1 else "")
+                                    for i, e in mono.items())
+    return "-".join("*" * star + monomial(mono) for star, mono in terms) + f",{n1},{n2}"
+
+
+def by_exponent(mono):
+    # the monomial's variables, lowest exponent first
+    return sorted(mono, key=mono.get)
+
+
+def degree(a, mono):
+    return sum(a[i] * e for i, e in mono.items())
+
+
+def departures(*checks):
+    # the (quantity, recorded, rule) triples whose two values differ
+    return [c for c in checks if c[1] != c[2]]
+
+
+def qi_departures(a, d, locus, text):
+    # x_j*x_p^2 of degree d with p on the locus; n1 = d - a_p and n2 = d
+    ((_, mono),), n1, n2 = involution(text)
+    assert sorted(mono.values()) == [1, 2], text
+    _, p = by_exponent(mono)
+    return departures(("p on the locus", p in indices(locus), True),
+                      ("degree", degree(a, mono), d), ("n1", n1, d - a[p]), ("n2", n2, d))
+
+
+def ei_departures(a, d, locus, text):
+    # x_p*x_m^2 - x_k*x_p^3, both of degree d, with p on the locus;
+    # n1 = d - a_m and n2 = d
+    ((_, first), (_, second)), n1, n2 = involution(text)
+    p, m = by_exponent(first)
+    _, q = by_exponent(second)
+    assert (sorted(first.values()), sorted(second.values()), q) == ([1, 2], [1, 3], p), text
+    return departures(("p on the locus", p in indices(locus), True),
+                      ("degrees", (degree(a, first), degree(a, second)), (d, d)),
+                      ("n1", n1, d - a[m]), ("n2", n2, d))
+
+
+def involution_departures(name, rule):
+    found = {}
+    for rec, row in rows(True) + rows(False):
+        if tag(row) == name:
+            text = row.annotation.value
+            found[rec.gimel, row.locus, text] = rule(rec.weights.ambient, rec.degree,
+                                                     row.locus, text)
+    return found
+
+
+def test_involution_texts_parse_whole():
+    # a text is read back to itself, its `*` markers included
+    texts = [row.annotation.value for _, row in rows(True) + rows(False)
+             if tag(row) in ("QI", "EI")]
+    assert len(texts) == 62
+    assert [t for t in texts if involution_text(*involution(t)) != t] == []
+
+
+def test_qi_texts_follow_the_weights_but_three():
+    found = involution_departures("QI", qi_departures)
+    assert len(found) == 54
+    assert {key: d for key, d in found.items() if d} == {
+        (7, "P4", "tw^2,6,8"): [("n1", 6, 5)],
+        (16, "P4", "zw^2,8,12"): [("n1", 8, 7)],
+        # on P(1,2,3,5,10), t*z^2 has degree 5 + 2*3 = 11, and z is not on P3P4
+        (42, "P3P4", "tz^2,15,20"): [("p on the locus", False, True), ("degree", 11, 20),
+                                     ("n1", 15, 17)],
+    }
+
+
+def test_ei_texts_follow_the_weights_but_one():
+    # all 8 fit the monomials; family 76's n1 is d - a_p = 30 - 8, not d - a_m
+    found = involution_departures("EI", ei_departures)
+    assert len(found) == 8
+    assert {key: d for key, d in found.items() if d} == {
+        (76, "P3", "tw^2-zt^3,22,30"): [("n1", 22, 19)],
+    }
 
 
 def test_family_numbers_follow_the_enumeration_order():

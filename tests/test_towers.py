@@ -159,6 +159,26 @@ def test_track_error_is_at_the_center():
     )
 
 
+@pytest.mark.parametrize(
+    "lines, error",
+    [
+        ("center 7 3 track x",
+         "2:8: expected a first center at a point of the general member of P(1,1,2,3,5)"),
+        ("center 5 2 track e1=1/5 e2:1",
+         "2:8: expected valid center (center at stage 1 tracks stage 1)"),
+        ("center 5 2\ncenter 2 1 track e1=1/3 e1:x",
+         "3:8: expected valid center (multiplicity 1/3 invalid at a 1/2 point)"),
+    ],
+    ids=["first-center", "stage", "multiplicity"],
+)
+def test_a_center_line_reports_its_first_fault(lines, error):
+    # each last center line has two faults, and the one read first is
+    # reported; a fault of the type or of a track is reported at the r column
+    with pytest.raises(PositionedError) as e:
+        parse_tower_text(f"weights 1 2 3 5\n{lines}\n")
+    assert str(e.value) == error
+
+
 def test_center_integers_are_ascii():
     with pytest.raises(PositionedError) as e:
         parse_tower_text(GOOD.replace("center 5 2", "center 5 \u00b2"))

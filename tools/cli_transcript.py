@@ -12,9 +12,18 @@ fixtures; and bad, byte-order-marked and non-canonical dataset and
 `.tower` files, and ones with a form feed and a U+2028 inside a comment
 line, that it writes to a temporary directory.  The bad `.tower` texts
 reach every error that the tower parser raises itself and both errors of
-the Gram solver.  Files are named
-by their file names, never by an absolute path, so the transcripts of two
-checkouts diff cleanly:
+the Gram solver.  The bad dataset texts reach every error of the dataset
+parser, its row reader and the cursor's field readers, and, at the load,
+a vertex with no eliminator and a record that does not fit a packaged
+`.tower` file.  A threefold record cannot reach the walk's other two
+rejections, a stratum curve inside the general member or a point-free
+stratum of a non-terminal type: a scan of every a1 <= ... <= a4 <= 40
+met a failing vertex first each time.  Each bad text holds one fault, so
+the first fault in reading order is the only one.  Then each value check
+of `verify --gimel` FAILs once on an edited copy of the dataset, and
+`export --out` writes both formats to files whose text is printed.
+Files are named by their file names, never by an absolute path, so the
+transcripts of two checkouts diff cleanly:
 
     diff <(python tools/cli_transcript.py OLD) <(python tools/cli_transcript.py NEW)
 """
@@ -60,6 +69,48 @@ BAD_TOWERS = {
     "contradiction": b"family 13\ncenter 5 2\nclass S 1 -1/5\nclass T 0 1\nsurface S\ncurves C\n"
                      b"restrict S = C\nrestrict T = C\n",
     "free-entries": b"family 13\ncenter 5 2\nclass S 1 -1/5\nsurface S\ncurves C L\nrestrict S = C + L\n",
+}
+
+RECORD_13 = (b"family 13\nweights 1 2 3 5\ndegree 11\n" + FAMILY_13 + b" 1/5(1,2,3) QI xw^2,6,11\n"
+             b"row P3 1x 1/3(1,1,2) QI *t^2w,8,11\nrow P2 1x 1/2(1,1,1) BC 1 0\n")
+QUARTIC = b"weights 1 1 1 1\ndegree 4\nkcube 4\ninvariant F_0\nell infinite\npencils infinite\n"
+FAMILY_1 = b"family 1\n" + QUARTIC
+# one dataset text per error of `parse_table`, `_parse_row` and the cursor's
+# field readers, beside bad-row.txt's zero count, and two errors of the load
+BAD_DATASETS = {
+    "no-ell": FAMILY_1.replace(b"ell infinite\n", b""),
+    "family-twice": FAMILY_1 + b"\n" + FAMILY_1,
+    "no-family": QUARTIC,
+    "unknown-keyword": FAMILY_1 + b"bogus 1\n",
+    "degree-twice": FAMILY_1 + b"degree 4\n",
+    "locus-twice": RECORD_13 + b"row P4 1x 1/5(1,2,3)\n",
+    "non-terminal-row": RECORD_13.replace(b"1/5(1,2,3)", b"1/5(5,1,4)"),
+    "unknown-annotation": RECORD_13.replace(b"BC 1 0", b"XX 1 0"),
+    "descending-weights": FAMILY_1.replace(b"weights 1 1 1 1", b"weights 3 2 1 1"),
+    "three-weights": FAMILY_1.replace(b"weights 1 1 1 1", b"weights 1 1 1"),
+    "trailing-token": FAMILY_1.replace(b"degree 4", b"degree 4 x"),
+    "no-eliminator": FAMILY_1.replace(b"1 1 1 1\ndegree 4\nkcube 4", b"2 4 5 7\ndegree 18\nkcube 9/140"),
+    "quartic-family-13": b"family 13\n" + QUARTIC,
+}
+# one edit of the packaged dataset per value check of `verify_family`, run as
+# `verify --gimel N`: (name, N, old, new)
+FAILING_EDITS = (
+    ("kcube", 13, RECORD_13, RECORD_13.replace(b"kcube 11/30", b"kcube 1/3")),
+    ("degree", 13, RECORD_13, RECORD_13.replace(b"degree 11", b"degree 12")),
+    ("basket-types", 13, RECORD_13, RECORD_13.replace(b"1/3(1,1,2)", b"1/4(1,1,3)")),
+    ("pencil-count", 13, RECORD_13, RECORD_13.replace(b"pencils 1", b"pencils 2")),
+    ("bc-presence", 13, RECORD_13, RECORD_13.replace(b" BC 1 0", b"")),
+    ("distinguished-points", 18, b"row P1P2 6x", b"row P1P2 5x"),
+)
+# family 45 is on the type-IV list: weights with no second-pencil
+# presentation, and family 5's weights, where two indices tie
+PRESENTATIONS_45 = {
+    "no-presentation-45": (b"family 45\nweights 1 2 3 5\ndegree 11\nkcube 11/30\ninvariant F_0\nell 1\n"
+                           b"pencils 2\nrow P4 1x 1/5(1,2,3)\nrow P3 1x 1/3(1,1,2)\n"
+                           b"row P2 1x 1/2(1,1,1) BC 1 0\n"),
+    "tied-presentation-45": (b"family 45\nweights 1 1 2 3\ndegree 7\nkcube 7/6\ninvariant F_2\n"
+                             b"ell 1\npencils infinite\nrow P4 1x 1/3(1,1,2) QI xw^2,4,7\n"
+                             b"row P3 1x 1/2(1,1,1) QI *wt^2,5,7\n"),
 }
 
 
@@ -157,6 +208,22 @@ def main(argv: list[str]) -> int:
         for name, text in BAD_TOWERS.items():
             run("eval-tower", write(f"{name}.tower", text))
         run("eval-tower", os.path.join(tmp, "missing.tower"))
+
+        for name, text in BAD_DATASETS.items():
+            write(f"{name}.txt", text)
+            run("verify", data=f"{name}.txt")
+        for name, gimel, old, new in FAILING_EDITS:
+            write(f"wrong-{name}.txt", replaced(packaged, old, new))
+            run("verify", "--gimel", str(gimel), data=f"wrong-{name}.txt")
+        for name, text in PRESENTATIONS_45.items():
+            write(f"{name}.txt", text)
+            run("verify", "--gimel", "45", data=f"{name}.txt")
+        for fmt in ("json", "csv"):
+            out = Path(tmp, f"export.{fmt}")
+            run("export", "--format", fmt, "--out", str(out))
+            print(f"--- {out.name}")
+            sys.stdout.write(out.read_text(encoding="utf-8"))
+            print()
     return 0
 
 
