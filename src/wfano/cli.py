@@ -5,26 +5,25 @@ Exit status: 0 all requested checks pass, 1 check failures, 2 bad input:
 a bad argument, a file that cannot be read or is not UTF-8, or a
 `core.InputError` (unknown family, malformed dataset or tower text, a
 non-terminal row type among them, a Gram block without a unique solution,
-or a dataset record whose weights are not an admissible family).  The
-dataset is checked whole when it is loaded, so every command that loads it
-rejects a bad row or bad weights alike.  Any other error is a bug and
-propagates.  All numeric output is exact ("p/q"); all orderings are
-deterministic.
+or a dataset record whose weights are not an admissible family).  141
+(128 + SIGPIPE, what a shell reports for a writer that SIGPIPE stopped):
+stdout was closed before the command's output was written, and nothing is
+printed on stderr.  The dataset is checked whole when it is loaded, so
+every command that loads it rejects a bad row or bad weights alike.  Any
+other error is a bug and propagates.  All numeric output is exact ("p/q");
+all orderings are deterministic.
+
+Each `cmd_*` function imports what its command runs, so only `verify` and
+`eval-tower` import the tower and Gram code, and only `export` imports
+`json` or `csv`.
 """
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
+import os
 import sys
 
-from . import classifier
-from .classifier import FamilyRecord, load_families, verify_family
-from .core import InputError, anticanonical_cube
-from .enumerator import enumerate_families
-from .singularities import basket
-from .towers import definiteness, evaluate, fixture_checks, parse_tower_text
+from .core import InputError
 
 
 class _Positive(argparse.Action):
@@ -37,6 +36,9 @@ class _Positive(argparse.Action):
 
 
 def cmd_enumerate(args) -> int:
+    from .core import anticanonical_cube
+    from .enumerator import enumerate_families
+
     for w in enumerate_families(args.bound):
         line = " ".join(str(a) for a in w)
         print(f"{line}  degree={w.degree}  kcube={anticanonical_cube(w)}")
@@ -44,6 +46,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_show(args) -> int:
+    from . import classifier
+
     rec = classifier.family(args.gimel)
     pencils = classifier.halphen_pencils(rec)
     # the dataset record, then the rule's pencils as comments: valid dataset text
@@ -54,6 +58,9 @@ def cmd_show(args) -> int:
 
 
 def cmd_basket(args) -> int:
+    from . import classifier
+    from .singularities import basket
+
     rec = classifier.family(args.gimel)
     entries = basket(rec.weights).entries
     if not entries:
@@ -64,19 +71,24 @@ def cmd_basket(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import classifier
+    from .towers import fixture_checks
+
     if args.gimel is not None:
         records = [classifier.family(args.gimel)]
     else:
-        records = list(load_families())
+        records = list(classifier.load_families())
     # every check first: bad input met at a later family leaves stdout empty
     checks = [(rec.gimel, c) for rec in records
-              for c in verify_family(rec) + fixture_checks(rec.gimel)]
+              for c in classifier.verify_family(rec) + fixture_checks(rec.gimel)]
     for gimel, c in checks:
         print(f"{gimel}, {c.name}, {'PASS' if c.passed else 'FAIL'}, {c.expected}, {c.actual}")
     return 0 if all(c.passed for _, c in checks) else 1
 
 
 def cmd_eval_tower(args) -> int:
+    from .towers import definiteness, evaluate, parse_tower_text
+
     with open(args.file, encoding="utf-8-sig") as fh:  # a byte-order mark is skipped
         ev = evaluate(parse_tower_text(fh.read()))
     print(f"neg_k_cube = {ev.neg_k_cube}")
@@ -91,8 +103,12 @@ def cmd_eval_tower(args) -> int:
 
 
 def cmd_export(args) -> int:
+    from .classifier import FamilyRecord, load_families
+
     records = load_families()
     if args.format == "json":
+        import json
+
         payload = {
             "families": [
                 {
@@ -114,6 +130,9 @@ def cmd_export(args) -> int:
         }
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
+        import csv
+        import io
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         # the columns between the weights and the rows, degree to pencils
@@ -170,7 +189,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at the interpreter's exit
+        return status
+    except BrokenPipeError:
+        # stdout's reader has gone: point fd 1 at the null device so the final
+        # flush cannot raise again, and exit as a writer that SIGPIPE stopped
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (InputError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,17 +8,24 @@ indices into the ambient weights, which for the threefold are the
 dataset's labels: "P3" is the vertex of the weight-a3 coordinate, "P2P4"
 the one-dimensional stratum where only the weight-a2 and weight-a4
 coordinates survive.
+
+`basket(w)` gathers the points into a `Basket`, a frozen dataclass that
+lives in `wfano._basket` and is imported inside `basket` only: this module
+is on the dataset load's path, and the load builds no basket, so it never
+pays for `import dataclasses`.
 """
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import gcd
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .core import NonTerminalError, QuotientSingularityType, Weights, normalize_singularity
+
+if TYPE_CHECKING:
+    from ._basket import Basket
 
 
 class Annotation(NamedTuple):
@@ -53,19 +60,6 @@ class TableRow(NamedTuple):
         if self.annotation is not None:
             words.append(str(self.annotation))
         return " ".join(words)
-
-
-# a dataclass, not a tuple: bench/test_oracles.py rebuilds one with
-# `dataclasses.replace`
-@dataclass(frozen=True)
-class Basket:
-    """The multiset of quotient points on a general member, as rows sorted
-    by descending index r, then ascending count, a and locus."""
-
-    entries: tuple[TableRow, ...]
-
-    def __iter__(self):
-        return iter(self.entries)
 
 
 def type_counts(rows) -> dict[QuotientSingularityType, int]:
@@ -173,4 +167,6 @@ def basket(w: Weights) -> Basket:
     rows = [TableRow(locus, c, (1, t.a, t.r - t.a), t)
             for c, t, locus in singular_points(w) if c > 0]
     rows.sort(key=lambda row: (-row.sing_type.r, row.count, row.sing_type.a, row.locus))
+    from ._basket import Basket  # here, so the dataset load never imports `dataclasses`
+
     return Basket(tuple(rows))

@@ -721,3 +721,22 @@ def test_transcript_tool_runs():
     assert (result.returncode, result.stderr) == (0, "")
     assert len(re.findall(r"^\$ (?:WFANO_DATA=\S+ )?wfano ", result.stdout, re.M)) == 372
     assert not re.search(r"^exit raised", result.stdout, re.M)
+
+
+@pytest.mark.parametrize(
+    "argv", [["show", "13"], ["verify"]], ids=["small-output", "large-output"]
+)
+def test_a_closed_stdout_exits_141_and_prints_nothing(argv):
+    # the reader of stdout is gone before the command writes: a short output
+    # fails at the final flush, a long one at a write inside the command, and
+    # both exit as a writer that SIGPIPE stopped, not as bad input
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "wfano.cli", *argv], env=child_env(),
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (141, "")

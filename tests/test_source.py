@@ -209,7 +209,7 @@ def test_only_the_line_scanner_cuts_a_line():
 # frozen dataclass costs about a millisecond of every cold start, defining a
 # NamedTuple about a seventh of that
 DATACLASSES = {
-    "singularities.Basket": "bench/test_oracles.py rebuilds one with `dataclasses.replace`",
+    "_basket.Basket": "bench/test_oracles.py rebuilds one with `dataclasses.replace`",
     "towers.TowerEvaluation": "bench/test_oracles.py and tests/test_towers.py rebuild one with "
     "`dataclasses.replace`",
 }
@@ -257,25 +257,45 @@ def test_pins_citing_the_benchmark_still_hold():
         assert name in _names_in(root / path), f"{path} no longer uses {name}: drop the pin on {pin}"
 
 
+def _modules_after(code, *args):
+    # the modules a fresh `python -I` holds after running `code` on this
+    # checkout's `src`, which the code finds as sys.argv[1]
+    env = {k: v for k, v in os.environ.items() if k != "WFANO_DATA"}
+    src = str(Path(wfano.__file__).parent.parent)
+    code = f"import sys\nsys.path.insert(0, sys.argv[1])\n{code}print('\\n'.join(sys.modules))\n"
+    result = subprocess.run(
+        [sys.executable, "-I", "-c", code, src, *args],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    return set(result.stdout.split())
+
+
 def test_loading_the_dataset_imports_no_command_or_tower_code():
     # the cold start a user pays before any command: `import wfano` and the
     # dataset load reach none of the modules that only commands and towers use
-    code = (
-        "import sys\n"
-        "sys.path.insert(0, sys.argv[1])\n"
-        "import wfano\n"
-        "wfano.load_families()\n"
-        "print('\\n'.join(sys.modules))\n"
-    )
-    env = {k: v for k, v in os.environ.items() if k != "WFANO_DATA"}
-    src = str(Path(wfano.__file__).parent.parent)
-    result = subprocess.run(
-        [sys.executable, "-I", "-c", code, src], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert result.returncode == 0, result.stderr
-    loaded = set(result.stdout.split())
+    loaded = _modules_after("import wfano\nwfano.load_families()\n")
     assert "wfano.classifier" in loaded
     avoided = {
         "wfano.cli", "wfano.towers", "wfano.blowup", "wfano.enumerator", "argparse", "json", "csv",
+        "dataclasses", "wfano._basket",
     }
     assert loaded & avoided == set()
+
+
+def test_each_command_imports_only_what_it_runs():
+    # `cli` imports a command's modules inside its `cmd_*` function: a cold
+    # `enumerate` and `show` reach no tower, Gram, export or dataclass code,
+    # and `basket`, which builds a `Basket`, does load its module
+    code = (
+        "import contextlib, io\n"
+        "from wfano.cli import main\n"
+        "for command in sys.argv[2:]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(command.split()) == 0\n"
+    )
+    loaded = _modules_after(code, "enumerate --bound 12", "show 13")
+    assert {"wfano.cli", "wfano.enumerator", "wfano.classifier"} <= loaded
+    avoided = {"wfano.towers", "wfano.blowup", "json", "csv", "dataclasses"}
+    assert loaded & avoided == set()
+    assert "wfano._basket" in _modules_after(code, "basket 13")
