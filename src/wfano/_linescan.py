@@ -91,7 +91,9 @@ class LineCursor:
 def content_lines(source: str):
     """Yield (cursor, keyword, column) for each line that is neither blank
     nor a comment: both formats start every line with a keyword, which the
-    cursor has read.  A line ends only at '\\n', '\\r\\n' or '\\r'."""
+    cursor has read.  A line ends only at '\\n', '\\r\\n' or '\\r'.  A reader
+    reads its line's fields before it asks for the next line; asking fails
+    with `expected end of line` at the first token that the reader left."""
     # as text-mode reading and editors do: `str.splitlines` also ends a line
     # at '\f', '\x85', U+2028 and more, which would turn a comment's tail
     # into a content line and shift every later line number
@@ -101,3 +103,4 @@ def content_lines(source: str):
         if stripped and not stripped.startswith("#"):
             cur = LineCursor(lineno, raw)
             yield cur, *cur.next_token("keyword")
+            cur.expect_end()

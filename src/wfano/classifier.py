@@ -118,7 +118,6 @@ def _parse_row(cur: LineCursor, earlier: list[TableRow]) -> TableRow:
             annotation = Annotation(tag, cur.next_token("involution text")[0])
         else:
             cur.fail("annotation BC/QI/EI", col)
-        cur.expect_end()
     return TableRow(locus, count, tuple(local), sing_type, annotation)
 
 
@@ -151,7 +150,6 @@ def parse_table(source: str) -> list[FamilyRecord]:
                 finish(current)
             gcol = cur.next_col()
             gimel = cur.next_int("family number")
-            cur.expect_end()
             if gimel in records:
                 cur.fail(f"new family number (family {gimel} appears twice)", gcol)
             current = {"gimel": gimel, "line": cur.lineno, "rows": []}
@@ -176,7 +174,6 @@ def parse_table(source: str) -> list[FamilyRecord]:
             current[key] = INFINITE if tok == INFINITE else int(tok)
         else:  # invariant, ell: opaque tokens
             current[key] = cur.next_token("value")[0]
-        cur.expect_end()
 
     if current is not None:
         finish(current)

@@ -167,6 +167,8 @@ def basket(w: Weights) -> Basket:
     rows = [TableRow(locus, c, (1, t.a, t.r - t.a), t)
             for c, t, locus in singular_points(w) if c > 0]
     rows.sort(key=lambda row: (-row.sing_type.r, row.count, row.sing_type.a, row.locus))
-    from ._basket import Basket  # here, so the dataset load never imports `dataclasses`
+    # here, so the dataset load never imports `dataclasses`; a relative
+    # `from ._basket import` costs about 1 us more per call
+    import wfano._basket
 
-    return Basket(tuple(rows))
+    return wfano._basket.Basket(tuple(rows))

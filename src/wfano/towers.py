@@ -136,7 +136,6 @@ def parse_tower_text(source: str) -> TowerSpec:
                 base_types = {t for c, t, _ in singular_points(base) if c}
             except NonTerminalError as exc:
                 cur.fail(f"admissible weights ({exc})", col)
-            cur.expect_end()
             continue
 
         if base is None:
@@ -177,13 +176,11 @@ def parse_tower_text(source: str) -> TowerSpec:
                 cur.fail(f"fresh class name ({name} already defined)", m.start() + 1)
             k = _fraction(cur, "coefficient of H")
             es = [_fraction(cur, "exceptional coefficient") for _ in centers]
-            cur.expect_end()
             classes[name] = DivisorClass(k, tuple(es))
             continue
 
         if key == "triple":
             a, b, c = (_defined_class(cur, classes) for _ in range(3))
-            cur.expect_end()
             triples.append((a, b, c))
             continue
 
@@ -191,11 +188,9 @@ def parse_tower_text(source: str) -> TowerSpec:
             gram_line = cur.lineno
 
         if key == "surface":
-            name = _defined_class(cur, classes)
             if surface_name is not None:
                 cur.fail("a single surface line", kcol)
-            surface_name = name
-            cur.expect_end()
+            surface_name = _defined_class(cur, classes)
             continue
 
         if key == "curves":

@@ -219,6 +219,11 @@ def test_parse_rejects_duplicates():
     with pytest.raises(PositionedError) as e:
         parse_table(RECORD.replace("ell 1\n", "ell 1\nell 2\n"))
     assert (e.value.line, e.value.col, e.value.expected) == (8, 1, "ell only once per family")
+    # the number comes before the stray token, so the duplicate is reported
+    with pytest.raises(PositionedError) as e:
+        parse_table("family 1\nweights 1 1 1 1\ndegree 4\nkcube 4\ninvariant F_0\n"
+                    "ell infinite\npencils infinite\nfamily 1 x\n")
+    assert str(e.value) == "8:8: expected new family number (family 1 appears twice)"
 
 
 def test_a_record_is_closed_before_the_next_family_number():

@@ -2,7 +2,6 @@ import csv
 import io
 import json
 import os
-import re
 import subprocess
 import sys
 import textwrap
@@ -713,14 +712,17 @@ def test_packaged_files_are_read_as_utf8(argv):
 
 
 def test_transcript_tool_runs():
-    # every byte-identity claim about the CLI is a diff of this tool's output
+    # a golden file, a change detector and not an oracle: any change to what
+    # the CLI writes shows here, and an intended one regenerates the file with
+    # the command in the tool's docstring, reading the diff block by block
     result = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "cli_transcript.py"), str(ROOT)],
-        env=child_env(), capture_output=True, text=True, timeout=120,
+        env=child_env(), capture_output=True, timeout=120,
     )
-    assert (result.returncode, result.stderr) == (0, "")
-    assert len(re.findall(r"^\$ (?:WFANO_DATA=\S+ )?wfano ", result.stdout, re.M)) == 372
-    assert not re.search(r"^exit raised", result.stdout, re.M)
+    assert (result.returncode, result.stderr) == (0, b"")
+    golden = (ROOT / "tests" / "data" / "cli_transcript.txt").read_bytes()
+    # byte for byte, split at '\n' so that a failure names the first line that differs
+    assert result.stdout.split(b"\n") == golden.split(b"\n")
 
 
 @pytest.mark.parametrize(

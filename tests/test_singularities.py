@@ -1,6 +1,8 @@
+import importlib.util
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 
@@ -231,6 +233,31 @@ def test_basket_rows_are_dataset_rows():
         rows = basket(rec.weights).entries
         (back,) = parse_table(serialize_table([rec._replace(rows=rows)]))
         assert back.rows == rows, rec.gimel
+
+
+def _bench_oracles():
+    # read in place: `bench/oracles.py` imports no `wfano`, so it checks a
+    # basket without the code under test
+    path = Path(__file__).resolve().parents[1] / "bench" / "oracles.py"
+    spec = importlib.util.spec_from_file_location("bench_oracles", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_basket_meets_reids_plurigenus_formula():
+    # criterion 3 without the walk: Reid's formula, fed the basket's points,
+    # gives the Hilbert series of the weights, and fails once a point is dropped
+    oracles = _bench_oracles()
+    consistent = dropped = 0
+    for rec in load_families():
+        points = [tuple(row.sing_type) for row in basket(rec.weights) for _ in range(row.count)]
+        assert oracles.basket_is_consistent(rec.weights, points), rec.gimel
+        consistent += 1
+        if points:
+            assert not oracles.basket_is_consistent(rec.weights, points[1:]), rec.gimel
+            dropped += 1
+    assert (consistent, dropped) == (95, 93)
 
 
 def test_smooth_families_have_empty_basket():

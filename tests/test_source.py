@@ -72,7 +72,13 @@ def _docstring_block(doc, intro):
 
 
 def _content(text):
-    return [cur.line.strip() for cur, _, _ in content_lines(text)]
+    # a line's fields are read before the next line is asked for, as a reader does
+    lines = []
+    for cur, _, _ in content_lines(text):
+        lines.append(cur.line.strip())
+        while not cur.at_end():
+            cur.next_token("field")
+    return lines
 
 
 def test_doc_examples_parse_like_the_packaged_data():
@@ -203,6 +209,18 @@ def test_only_the_line_scanner_cuts_a_line():
     ]
     assert found == []
     assert list(inspect.signature(LineCursor.__init__).parameters) == ["self", "lineno", "line"]
+
+
+def test_only_the_line_scanner_checks_a_line_end():
+    # `content_lines` checks each line's end when the reader asks for the
+    # next line, so no reader branch can forget the check or misplace it
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES if path.name != "_linescan.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "expect_end"
+    ]
+    assert found == []
 
 
 # The classes in `src/` that stay `@dataclass`es, each with why: defining a

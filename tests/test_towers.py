@@ -168,12 +168,13 @@ def test_track_error_is_at_the_center():
          "2:8: expected valid center (center at stage 1 tracks stage 1)"),
         ("center 5 2\ncenter 2 1 track e1=1/3 e1:x",
          "3:8: expected valid center (multiplicity 1/3 invalid at a 1/2 point)"),
+        ("class S 1\nsurface S\nsurface T", "4:1: expected a single surface line"),
     ],
-    ids=["first-center", "stage", "multiplicity"],
+    ids=["first-center", "stage", "multiplicity", "second-surface"],
 )
 def test_a_center_line_reports_its_first_fault(lines, error):
-    # each last center line has two faults, and the one read first is
-    # reported; a fault of the type or of a track is reported at the r column
+    # each last line has two faults, and the one read first is reported; a
+    # fault of a center's type or of a track is reported at the r column
     with pytest.raises(PositionedError) as e:
         parse_tower_text(f"weights 1 2 3 5\n{lines}\n")
     assert str(e.value) == error

@@ -26,6 +26,13 @@ Files are named by their file names, never by an absolute path, so the
 transcripts of two checkouts diff cleanly:
 
     diff <(python tools/cli_transcript.py OLD) <(python tools/cli_transcript.py NEW)
+
+`tests/data/cli_transcript.txt` holds this checkout's transcript, and
+`tests/test_cli.py::test_transcript_tool_runs` compares the tool's output
+with it byte for byte.  After an intended change to what the CLI writes,
+regenerate it from the repository root, and read the diff:
+
+    python tools/cli_transcript.py . > tests/data/cli_transcript.txt
 """
 from __future__ import annotations
 
