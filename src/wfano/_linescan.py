@@ -1,8 +1,10 @@
-"""Shared scanner for the line-oriented text formats (1-based positions)."""
+"""Shared scanner for the line-oriented text formats: a line's fields are
+its `str.split` tokens, and an error carries a 1-based line and column."""
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import islice
 
 from .core import InputError, Weights
 
@@ -17,12 +19,9 @@ class PositionedError(InputError):
         super().__init__(f"{line}:{col}: expected {expected}")
 
 
-# `\S` and `str.isspace` agree on every code point, so a token here is what
-# `str.split` would give
+# `\S` and `str.isspace` agree on every code point, so the i-th match here
+# is token i of `str.split`; a column is found with it only on failure
 _TOKEN = re.compile(r"\S+")
-# ASCII only: `\d` alone matches any decimal digit, such as '\u0661', and
-# `str.isdigit` also accepts '²', which `int` rejects
-_INT = re.compile(r"\d+", re.ASCII)
 RATIONAL = r"(\d+)(?:/(0*[1-9]\d*))?"  # numerator, denominator; never zero
 
 
@@ -33,74 +32,78 @@ def rational(num: str, den: str | None) -> Fraction:
 
 
 class LineCursor:
-    """Whitespace-separated token scanner over one line."""
+    """Reader of one line's whitespace-separated tokens, cut once by
+    `str.split`.  A position is a token index: `pos` is the next token's,
+    and `len(tokens)` stands for the end of the line."""
+
+    __slots__ = ("lineno", "line", "tokens", "pos")
 
     def __init__(self, lineno: int, line: str):
         self.lineno = lineno
-        self.line = line.rstrip()
+        self.line = line
+        self.tokens = line.split()
         self.pos = 0
 
-    def fail(self, expected: str, col: int | None = None):
-        raise PositionedError(self.lineno, self.pos + 1 if col is None else col, expected)
+    def fail(self, expected: str, at: int | None = None):
+        """Raise at token `at` (by default the next one): its 1-based column,
+        or one past the line's last token if there is no such token."""
+        m = next(islice(_TOKEN.finditer(self.line), self.pos if at is None else at, None), None)
+        col = m.start() + 1 if m else len(self.line.rstrip()) + 1
+        raise PositionedError(self.lineno, col, expected)
 
-    def next_col(self) -> int:
-        """Skip whitespace; the 1-based column of the next token (one past
-        the end of the line if there is none)."""
-        m = _TOKEN.search(self.line, self.pos)
-        self.pos = m.start() if m else len(self.line)
-        return self.pos + 1
-
-    def next_token(self, expected: str) -> tuple[str, int]:
-        m = _TOKEN.search(self.line, self.pos)
-        if m is None:
-            self.fail(expected, len(self.line) + 1)
-        self.pos = m.end()
-        return m.group(), m.start() + 1
+    def next_token(self, expected: str) -> str:
+        """The next token; a missing one fails at the end of the line."""
+        try:
+            tok = self.tokens[self.pos]
+        except IndexError:
+            self.fail(expected)
+        self.pos += 1
+        return tok
 
     def next_match(self, pattern: re.Pattern, expected: str) -> re.Match:
-        """The next token, which `pattern` must match whole; a missing token
-        fails at the end of the line, one that does not match at its own
-        column.  The match is taken in the line, so the token's column is
-        `m.start() + 1`."""
-        _, col = self.next_token(expected)
-        m = pattern.fullmatch(self.line, col - 1, self.pos)
+        """The next token, which `pattern` must match whole; one that does
+        not fails at its own column, token `pos - 1`."""
+        m = pattern.fullmatch(self.next_token(expected))
         if m is None:
-            self.fail(expected, col)
+            self.fail(expected, self.pos - 1)
         return m
 
     def next_int(self, expected: str) -> int:
-        return int(self.next_match(_INT, expected).group())
+        # ASCII digits only: `str.isdigit` alone also accepts '\u0661' and
+        # '²', and `int` rejects the second
+        tok = self.next_token(expected)
+        if not (tok.isascii() and tok.isdigit()):
+            self.fail(expected, self.pos - 1)
+        return int(tok)
 
     def next_weights(self) -> Weights:
         """Four weights; an invalid system fails at the first of them."""
-        col = self.next_col()
+        at = self.pos
         ws = [self.next_int("weight") for _ in range(4)]
         try:
             return Weights(*ws)
         except ValueError as exc:
-            self.fail(f"valid weights ({exc})", col)
+            self.fail(f"valid weights ({exc})", at)
 
     def at_end(self) -> bool:
-        return _TOKEN.search(self.line, self.pos) is None
-
-    def expect_end(self):
-        if not self.at_end():
-            self.fail("end of line", self.next_col())
+        return self.pos == len(self.tokens)
 
 
 def content_lines(source: str):
-    """Yield (cursor, keyword, column) for each line that is neither blank
-    nor a comment: both formats start every line with a keyword, which the
-    cursor has read.  A line ends only at '\\n', '\\r\\n' or '\\r'.  A reader
-    reads its line's fields before it asks for the next line; asking fails
-    with `expected end of line` at the first token that the reader left."""
+    """Yield (cursor, keyword) for each line that is neither blank nor a
+    comment: both formats start every line with a keyword, token 0, which
+    the cursor has read.  A line ends only at '\\n', '\\r\\n' or '\\r'.  A
+    reader reads its line's fields before it asks for the next line; asking
+    fails with `expected end of line` at the first token that the reader
+    left."""
     # as text-mode reading and editors do: `str.splitlines` also ends a line
     # at '\f', '\x85', U+2028 and more, which would turn a comment's tail
     # into a content line and shift every later line number
     lines = source.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     for lineno, raw in enumerate(lines, start=1):
-        stripped = raw.strip()
-        if stripped and not stripped.startswith("#"):
-            cur = LineCursor(lineno, raw)
-            yield cur, *cur.next_token("keyword")
-            cur.expect_end()
+        cur = LineCursor(lineno, raw)
+        if cur.tokens and cur.tokens[0][0] != "#":
+            cur.pos = 1
+            yield cur, cur.tokens[0]
+            if cur.pos < len(cur.tokens):
+                cur.fail("end of line")

@@ -98,26 +98,25 @@ _PENCILS_RE = re.compile(rf"{INFINITE}|\d+", re.ASCII)
 
 
 def _parse_row(cur: LineCursor, earlier: list[TableRow]) -> TableRow:
-    m = cur.next_match(_LOCUS_RE, "locus label like P4 or P2P3")
-    locus = m.group()
+    locus = cur.next_match(_LOCUS_RE, "locus label like P4 or P2P3").group()
     if any(row.locus == locus for row in earlier):
-        cur.fail(f"locus {locus} only once per family", m.start() + 1)
+        cur.fail(f"locus {locus} only once per family", cur.pos - 1)
     count = int(cur.next_match(_COUNT_RE, "count like 3x").group(1))
     m = cur.next_match(_TYPE_RE, "type like 1/5(1,2,3)")
     index, *local = map(int, m.groups())
     try:
         sing_type = normalize_singularity(index, *local)
     except ValueError as exc:
-        cur.fail(f"terminal type ({exc})", m.start() + 1)
+        cur.fail(f"terminal type ({exc})", cur.pos - 1)
     annotation = None
     if not cur.at_end():
-        tag, col = cur.next_token("annotation tag")
+        tag = cur.next_token("annotation tag")
         if tag == "BC":
             annotation = Annotation(tag, (cur.next_int("integer b"), cur.next_int("integer c")))
         elif tag in ("QI", "EI"):
-            annotation = Annotation(tag, cur.next_token("involution text")[0])
+            annotation = Annotation(tag, cur.next_token("involution text"))
         else:
-            cur.fail("annotation BC/QI/EI", col)
+            cur.fail("annotation BC/QI/EI", cur.pos - 1)
     return TableRow(locus, count, tuple(local), sing_type, annotation)
 
 
@@ -144,25 +143,25 @@ def parse_table(source: str) -> list[FamilyRecord]:
             rec["gimel"], *(rec[f] for f in _SCALARS), tuple(rec["rows"])
         )
 
-    for cur, key, col in content_lines(source):
+    # a line's keyword is token 0 and its first field token 1
+    for cur, key in content_lines(source):
         if key == "family":
             if current is not None:
                 finish(current)
-            gcol = cur.next_col()
             gimel = cur.next_int("family number")
             if gimel in records:
-                cur.fail(f"new family number (family {gimel} appears twice)", gcol)
+                cur.fail(f"new family number (family {gimel} appears twice)", 1)
             current = {"gimel": gimel, "line": cur.lineno, "rows": []}
             continue
         if current is None:
-            cur.fail("family", col)
+            cur.fail("family", 0)
         if key == "row":
             current["rows"].append(_parse_row(cur, current["rows"]))
             continue
         if key not in _SCALARS:
-            cur.fail("one of family/row/" + "/".join(_SCALARS), col)
+            cur.fail("one of family/row/" + "/".join(_SCALARS), 0)
         if key in current:
-            cur.fail(f"{key} only once per family", col)
+            cur.fail(f"{key} only once per family", 0)
         if key == "weights":
             current[key] = cur.next_weights()
         elif key == "degree":
@@ -173,7 +172,7 @@ def parse_table(source: str) -> list[FamilyRecord]:
             tok = cur.next_match(_PENCILS_RE, "count or 'infinite'").group()
             current[key] = INFINITE if tok == INFINITE else int(tok)
         else:  # invariant, ell: opaque tokens
-            current[key] = cur.next_token("value")[0]
+            current[key] = cur.next_token("value")
 
     if current is not None:
         finish(current)

@@ -103,9 +103,9 @@ def _fraction(cur: LineCursor, what: str) -> Fraction:
 
 
 def _defined_class(cur: LineCursor, classes: dict[str, DivisorClass]) -> str:
-    name, col = cur.next_token("class name")
+    name = cur.next_token("class name")
     if name not in classes:
-        cur.fail(f"defined class name (got {name})", col)
+        cur.fail(f"defined class name (got {name})", cur.pos - 1)
     return name
 
 
@@ -119,39 +119,38 @@ def parse_tower_text(source: str) -> TowerSpec:
     curve_names: list[str] = []
     restrictions: dict[str, Restriction] = {}  # by the restricted class's name
 
-    for cur, key, kcol in content_lines(source):
+    # a line's keyword is token 0 and its first field token 1
+    for cur, key in content_lines(source):
         if key in ("family", "weights"):
             if base is not None:
-                cur.fail("a single family/weights header", kcol)
-            col = cur.next_col()
+                cur.fail("a single family/weights header", 0)
             if key == "family":
                 gimel = cur.next_int("family number")
                 try:
                     base = family(gimel).weights
                 except UnknownGimelError as exc:
-                    cur.fail(f"a known family ({exc})", col)
+                    cur.fail(f"a known family ({exc})", 1)
             else:
                 base = cur.next_weights()
             try:  # memoized: a family's weights were walked when the dataset loaded
                 base_types = {t for c, t, _ in singular_points(base) if c}
             except NonTerminalError as exc:
-                cur.fail(f"admissible weights ({exc})", col)
+                cur.fail(f"admissible weights ({exc})", 1)
             continue
 
         if base is None:
-            cur.fail("family or weights header first", kcol)
+            cur.fail("family or weights header first", 0)
 
         if key == "center":
             if classes:
-                cur.fail("centers before classes", kcol)
-            rcol = cur.next_col()
+                cur.fail("centers before classes", 0)
             r, a = cur.next_int("index r"), cur.next_int("weight a")
             try:
                 center = QuotientSingularityType(r, a)
             except ValueError as exc:
-                cur.fail(f"valid center ({exc})", rcol)
+                cur.fail(f"valid center ({exc})", 1)
             if not centers and center not in base_types:
-                cur.fail(f"a first center at a point of the general member of {base}", rcol)
+                cur.fail(f"a first center at a point of the general member of {base}", 1)
             stage = len(centers) + 1
             tracked: set[int] = set()
             if not cur.at_end():
@@ -160,20 +159,19 @@ def parse_tower_text(source: str) -> TowerSpec:
                     t = cur.next_match(_TRACK_RE, "tracked multiplicity like e1=1/4")
                     k, m = int(t[1]), rational(t[2], t[3])
                     if not 1 <= k < stage:
-                        cur.fail(f"valid center (center at stage {stage} tracks stage {k})", rcol)
+                        cur.fail(f"valid center (center at stage {stage} tracks stage {k})", 1)
                     if k in tracked:
-                        cur.fail(f"valid center (stage {k} tracked twice)", rcol)
+                        cur.fail(f"valid center (stage {k} tracked twice)", 1)
                     if m <= 0 or (m * r).denominator != 1:
-                        cur.fail(f"valid center (multiplicity {m} invalid at a 1/{r} point)", rcol)
+                        cur.fail(f"valid center (multiplicity {m} invalid at a 1/{r} point)", 1)
                     tracked.add(k)
             centers.append(center)
             continue
 
         if key == "class":
-            m = cur.next_match(_NAME_RE, "class name")
-            name = m.group()
+            name = cur.next_match(_NAME_RE, "class name").group()
             if name in classes:
-                cur.fail(f"fresh class name ({name} already defined)", m.start() + 1)
+                cur.fail(f"fresh class name ({name} already defined)", 1)
             k = _fraction(cur, "coefficient of H")
             es = [_fraction(cur, "exceptional coefficient") for _ in centers]
             classes[name] = DivisorClass(k, tuple(es))
@@ -189,38 +187,37 @@ def parse_tower_text(source: str) -> TowerSpec:
 
         if key == "surface":
             if surface_name is not None:
-                cur.fail("a single surface line", kcol)
+                cur.fail("a single surface line", 0)
             surface_name = _defined_class(cur, classes)
             continue
 
         if key == "curves":
             if curve_names:
-                cur.fail("a single curves line", kcol)
+                cur.fail("a single curves line", 0)
             while not cur.at_end():
-                m = cur.next_match(_NAME_RE, "fresh curve name")
-                if m.group() in curve_names:
-                    cur.fail("fresh curve name", m.start() + 1)
-                curve_names.append(m.group())
+                name = cur.next_match(_NAME_RE, "fresh curve name").group()
+                if name in curve_names:
+                    cur.fail("fresh curve name", cur.pos - 1)
+                curve_names.append(name)
             if not curve_names:
                 cur.fail("at least one curve name")
             continue
 
         if key == "restrict":
             if not curve_names:
-                cur.fail("curves line before restrict", kcol)
-            col = cur.next_col()
+                cur.fail("curves line before restrict", 0)
             name = _defined_class(cur, classes)
             if name in restrictions:
-                cur.fail(f"class {name} restricted once only", col)
+                cur.fail(f"class {name} restricted once only", 1)
             cur.next_match(_EQUALS, "=")
             if cur.at_end():
                 cur.fail("curve decomposition")
             coeffs = {c: Fraction(0) for c in curve_names}
             while True:
-                term, col = cur.next_token("term like 5L or C")
+                term = cur.next_token("term like 5L or C")
                 m = _TERM_RE.fullmatch(term)
                 if not m or m[3] not in coeffs:
-                    cur.fail(f"term like 5L or C (got {term!r})", col)
+                    cur.fail(f"term like 5L or C (got {term!r})", cur.pos - 1)
                 num, den, curve = m.groups()
                 coeffs[curve] += rational(num, den) if num else 1
                 if cur.at_end():
@@ -229,10 +226,7 @@ def parse_tower_text(source: str) -> TowerSpec:
             restrictions[name] = Restriction(classes[name], tuple(coeffs[c] for c in curve_names))
             continue
 
-        cur.fail(
-            "one of family/weights/center/class/triple/surface/curves/restrict",
-            kcol,
-        )
+        cur.fail("one of family/weights/center/class/triple/surface/curves/restrict", 0)
 
     if base is None:
         raise PositionedError(1, 1, "family or weights header")

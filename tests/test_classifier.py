@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import wfano
-from wfano import classifier
+from wfano import _linescan, classifier
 from wfano.classifier import (
     INFINITE,
     TYPE_IV_GIMELS,
@@ -199,6 +199,29 @@ def test_a_comment_ends_only_at_a_line_end(sep):
 def test_a_non_line_end_between_tokens_is_whitespace(sep):
     text = RECORD.replace("weights 2 2 3 5", f"weights 2{sep}2 3 5")
     assert parse_table(text) == parse_table(RECORD)
+
+
+def test_split_tokens_are_the_scanners_matches():
+    # the cursor reads a line's `str.split` tokens and finds token i's column
+    # as the i-th `\S+` match; one text of every code point but the line ends
+    text = "".join(chr(c) for c in range(sys.maxunicode + 1) if chr(c) not in "\n\r")
+    assert text.split() == _linescan._TOKEN.findall(text)
+
+
+@pytest.mark.parametrize(
+    "sep", ["\t", "\u3000", *NOT_LINE_ENDS], ids=["tab", "ideo", *NOT_LINE_END_IDS]
+)
+def test_columns_count_code_points_after_any_whitespace(sep):
+    # each separator is one code point, and leading whitespace counts
+    cases = [
+        (f"weights 2{sep}2 3 x", (3, 15, "weight")),
+        (f"{sep}weights 2{sep}2 3 x", (3, 16, "weight")),
+        (f"weights 2{sep}2 3{sep}", (3, 14, "weight")),  # one past the last token
+    ]
+    for line, want in cases:
+        with pytest.raises(PositionedError) as e:
+            parse_table(RECORD.replace("weights 2 2 3 5", line))
+        assert (e.value.line, e.value.col, e.value.expected) == want
 
 
 @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])

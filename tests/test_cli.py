@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import io
 import json
 import os
@@ -723,6 +724,17 @@ def test_transcript_tool_runs():
     golden = (ROOT / "tests" / "data" / "cli_transcript.txt").read_bytes()
     # byte for byte, split at '\n' so that a failure names the first line that differs
     assert result.stdout.split(b"\n") == golden.split(b"\n")
+
+
+@pytest.mark.parametrize("runs", ["1", "0"])
+def test_cold_start_tool_needs_two_runs(runs):
+    # the quartiles need two samples a side, so argparse exits before any child starts
+    spec = importlib.util.spec_from_file_location("cold_start", ROOT / "tools" / "cold_start.py")
+    cold_start = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cold_start)
+    with pytest.raises(SystemExit) as e:
+        cold_start.main(["old", "new", "--runs", runs])
+    assert e.value.code == 2
 
 
 @pytest.mark.parametrize(

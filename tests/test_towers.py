@@ -229,6 +229,22 @@ def test_a_non_line_end_between_tokens_is_whitespace(sep):
     assert parse_tower_text(text) == parse_tower_text(GOOD)
 
 
+@pytest.mark.parametrize(
+    "sep", ["\t", "\u3000", *NOT_LINE_ENDS], ids=["tab", "ideo", *NOT_LINE_END_IDS]
+)
+def test_columns_count_code_points_after_any_whitespace(sep):
+    # each separator is one code point, and leading whitespace counts
+    cases = [
+        (f"class S 1{sep}-1/5 x", (5, 16, "exceptional coefficient")),
+        (f"{sep}class S 1{sep}-1/5 x", (5, 17, "exceptional coefficient")),
+        (f"class S 1{sep}-1/5{sep}", (5, 15, "exceptional coefficient")),  # one past the last token
+    ]
+    for line, want in cases:
+        with pytest.raises(PositionedError) as e:
+            parse_tower_text(GOOD.replace("class S 1 -1/5 -1/2", line))
+        assert (e.value.line, e.value.col, e.value.expected) == want
+
+
 @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
 def test_crlf_and_cr_end_a_line(end):
     assert parse_tower_text(GOOD.replace("\n", end)) == parse_tower_text(GOOD)
